@@ -7,6 +7,7 @@ import (
 	"sunmap/internal/apps"
 	"sunmap/internal/engine"
 	"sunmap/internal/mapping"
+	"sunmap/internal/obs"
 	"sunmap/internal/route"
 	"sunmap/internal/topology"
 )
@@ -142,56 +143,95 @@ func TestEscalationStopsAtFirstFeasibleRung(t *testing.T) {
 	}
 }
 
+// TestEscalationEvaluatesOnlyDecidingRungs pins the work an escalated
+// selection does at every parallelism: exactly one library sweep per rung
+// the ladder actually climbs (VOPD stops at MP, MPEG4 at SM), and no
+// blocked acquisitions — a lone Select's workers never outnumber its own
+// limiter's slots.
+func TestEscalationEvaluatesOnlyDecidingRungs(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		cfg   func(par int) Config
+		want  route.Function
+		rungs int
+	}{
+		{"vopd", func(par int) Config {
+			c := vopdConfig(mapping.MinDelay)
+			c.EscalateRouting, c.Parallelism = true, par
+			return c
+		}, route.MinPath, 1},
+		{"mpeg4", mpeg4EscalationConfig, route.SplitMin, 2},
+	} {
+		for _, par := range []int{1, 2} {
+			rec := obs.NewRecorder()
+			cfg := tc.cfg(par)
+			cfg.Cache = engine.NewCache()
+			sel, err := SelectContext(obs.WithRecorder(context.Background(), rec), cfg)
+			if err != nil {
+				t.Fatalf("%s parallelism %d: %v", tc.name, par, err)
+			}
+			if sel.RoutingUsed != tc.want {
+				t.Errorf("%s parallelism %d: routing used = %v, want %v", tc.name, par, sel.RoutingUsed, tc.want)
+			}
+			if got, want := cfg.Cache.Stats().Entries, tc.rungs*len(sel.Candidates); got != want {
+				t.Errorf("%s parallelism %d: %d cache entries, want %d (%d rung(s) x %d candidates)",
+					tc.name, par, got, want, tc.rungs, len(sel.Candidates))
+			}
+			if b := rec.Snapshot().Blocked; b != 0 {
+				t.Errorf("%s parallelism %d: %d blocked limiter acquisitions, want 0", tc.name, par, b)
+			}
+		}
+	}
+}
+
 func TestSharedCacheAcrossSelectAndExplorers(t *testing.T) {
 	// One cache spanning an escalated Select, a RoutingSweep and a second
 	// Select: the re-visited design points must be served from memory.
-	// Parallelism is pinned to 1 because the entry-count assertions below
-	// reason about exactly which design points were evaluated; a parallel
-	// escalation speculatively maps (and caches) candidates of the next
-	// rung, which is timing-dependent by design.
 	app := apps.MPEG4()
 	opts := mapping.Options{
 		Routing:      route.MinPath,
 		Objective:    mapping.MinDelay,
 		CapacityMBps: apps.DefaultCapacityMBps,
 	}
-	cache := engine.NewCache()
-	sel, err := SelectContext(context.Background(), Config{
-		App: app, Mapping: opts, EscalateRouting: true, Cache: cache, Parallelism: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sel.RoutingUsed == route.MinPath {
-		t.Fatal("MPEG4 should escalate past min-path (Fig. 7b)")
-	}
-	if st := cache.Stats(); st.Hits != 0 {
-		t.Fatalf("fresh cache reported %d hits", st.Hits)
-	}
+	for _, par := range []int{1, 2} {
+		cache := engine.NewCache()
+		sel, err := SelectContext(context.Background(), Config{
+			App: app, Mapping: opts, EscalateRouting: true, Cache: cache, Parallelism: par,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sel.RoutingUsed == route.MinPath {
+			t.Fatal("MPEG4 should escalate past min-path (Fig. 7b)")
+		}
+		if st := cache.Stats(); st.Hits != 0 {
+			t.Fatalf("parallelism %d: fresh cache reported %d hits", par, st.Hits)
+		}
 
-	// The routing sweep on the paper's 3x4 mesh revisits the (MP, SM)
-	// design points the escalated Select already mapped.
-	mesh, err := topology.NewMesh(3, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := RoutingSweepContext(context.Background(), app, mesh, opts, ExploreOptions{Cache: cache}); err != nil {
-		t.Fatal(err)
-	}
-	afterSweep := cache.Stats()
-	if afterSweep.Hits < 2 {
-		t.Errorf("routing sweep hit the cache %d times, want >= 2 (MP and SM already evaluated)", afterSweep.Hits)
-	}
+		// The routing sweep on the paper's 3x4 mesh revisits the (MP, SM)
+		// design points the escalated Select already mapped.
+		mesh, err := topology.NewMesh(3, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := RoutingSweepContext(context.Background(), app, mesh, opts, ExploreOptions{Cache: cache}); err != nil {
+			t.Fatal(err)
+		}
+		afterSweep := cache.Stats()
+		if afterSweep.Hits < 2 {
+			t.Errorf("parallelism %d: routing sweep hit the cache %d times, want >= 2 (MP and SM already evaluated)", par, afterSweep.Hits)
+		}
 
-	// Re-running the same Select is a pure replay: no new entries.
-	sel2, err := SelectContext(context.Background(), Config{
-		App: app, Mapping: opts, EscalateRouting: true, Cache: cache, Parallelism: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameSelection(t, sel2, sel)
-	if st := cache.Stats(); st.Entries != afterSweep.Entries {
-		t.Errorf("replayed Select grew the cache from %d to %d entries", afterSweep.Entries, st.Entries)
+		// Re-running the same Select is a pure replay: no new entries.
+		sel2, err := SelectContext(context.Background(), Config{
+			App: app, Mapping: opts, EscalateRouting: true, Cache: cache, Parallelism: par,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameSelection(t, sel2, sel)
+		if st := cache.Stats(); st.Entries != afterSweep.Entries {
+			t.Errorf("parallelism %d: replayed Select grew the cache from %d to %d entries", par, afterSweep.Entries, st.Entries)
+		}
 	}
 }

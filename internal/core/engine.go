@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
 
 	"sunmap/internal/engine"
 	"sunmap/internal/fault"
@@ -244,12 +243,11 @@ func SelectContext(ctx context.Context, cfg Config) (*Selection, error) {
 	}
 	eo := engine.Options{Parallelism: cfg.Parallelism, Cache: cfg.Cache, Progress: cfg.Progress, Limit: cfg.Limit}
 	if eo.Limit == nil {
-		// Intra-candidate fan-out (fault-sweep helpers, speculative
-		// escalation) admits by borrowing idle slots from the shared
-		// limiter; without a session-provided one, Select provisions a
-		// run-local limiter sized to its own parallelism so that budget
-		// exists. Evaluate's worker pool never exceeds the same bound, so
-		// whole-candidate admission still never blocks.
+		// The fault-sweep helpers of applyReliability admit by borrowing
+		// idle slots from the shared limiter; without a session-provided
+		// one, Select provisions a run-local limiter sized to its own
+		// parallelism so that budget exists. Evaluate's worker pool never
+		// exceeds the same bound, so whole-candidate admission never blocks.
 		eo.Limit = pool.NewLimiter(cfg.Parallelism)
 	}
 
@@ -261,38 +259,11 @@ func SelectContext(ctx context.Context, cfg Config) (*Selection, error) {
 			}
 		}
 	}
-	runRound := func(rctx context.Context, fn route.Function, ro engine.Options) ([]engine.Outcome, error) {
+	var sel *Selection
+	for _, fn := range fns {
 		opts := cfg.Mapping
 		opts.Routing = fn
-		return engine.Sweep(rctx, cfg.App, lib, opts, ro)
-	}
-	// With spare workers, the next escalation round launches speculatively
-	// while the current sweep drains: its jobs only soak up idle limiter
-	// slots (engine.Options.Spec), its progress events are buffered, and
-	// it is either adopted — the current round found nothing feasible, so
-	// the buffered events replay to the real stream — or canceled, drained
-	// and dropped before SelectContext returns. Outcomes are
-	// index-addressed and phase2 is a pure fold, so an adopted speculative
-	// round yields byte-identical results to running it after the fact.
-	speculate := len(fns) > 1 && eo.IntraParallelism() > 1
-	var spec *specRound
-	defer func() { spec.discard() }()
-	var sel *Selection
-	for i, fn := range fns {
-		var cur *specRound
-		if spec != nil {
-			cur, spec = spec, nil
-		}
-		if speculate && i+1 < len(fns) {
-			spec = launchSpec(ctx, fns[i+1], eo, runRound)
-		}
-		var outcomes []engine.Outcome
-		var err error
-		if cur != nil {
-			outcomes, err = cur.adopt(eo.Progress)
-		} else {
-			outcomes, err = runRound(ctx, fn, eo)
-		}
+		outcomes, err := engine.Sweep(ctx, cfg.App, lib, opts, eo)
 		if err != nil {
 			return nil, err
 		}
@@ -306,87 +277,12 @@ func SelectContext(ctx context.Context, cfg Config) (*Selection, error) {
 			break
 		}
 	}
-	spec.discard()
-	spec = nil
 	if cfg.Fault != nil && sel != nil {
 		if err := applyReliability(ctx, cfg, sel, eo); err != nil {
 			return nil, err
 		}
 	}
 	return sel, nil
-}
-
-// specRound is one speculatively launched escalation round: the next
-// routing function's Phase-1 sweep, started while the current round
-// drains. Progress events are buffered until the round's fate is known —
-// a consumer must never see events from work that officially didn't
-// happen.
-type specRound struct {
-	fn      route.Function
-	cancel  context.CancelFunc
-	promote chan struct{}
-	done    chan specResult
-
-	mu     sync.Mutex
-	events []engine.Event
-}
-
-type specResult struct {
-	outcomes []engine.Outcome
-	err      error
-}
-
-// launchSpec starts fn's sweep on its own goroutine under a cancelable
-// child context with opportunistic admission and a buffering progress
-// stream.
-func launchSpec(ctx context.Context, fn route.Function, eo engine.Options,
-	run func(context.Context, route.Function, engine.Options) ([]engine.Outcome, error)) *specRound {
-	sctx, cancel := context.WithCancel(ctx)
-	sr := &specRound{fn: fn, cancel: cancel, promote: make(chan struct{}), done: make(chan specResult, 1)}
-	seo := eo
-	seo.Progress = nil
-	if eo.Progress != nil {
-		seo.Progress = func(ev engine.Event) {
-			sr.mu.Lock()
-			sr.events = append(sr.events, ev)
-			sr.mu.Unlock()
-		}
-	}
-	seo.Spec = sr.promote
-	go func() {
-		out, err := run(sctx, fn, seo)
-		sr.done <- specResult{out, err}
-	}()
-	return sr
-}
-
-// adopt promotes the speculative round to blocking admission — the
-// earlier round came up empty, so this is now the real round — waits for
-// its outcomes, and replays the buffered progress events to the real
-// stream (the engine already numbered them; replay preserves count and
-// order exactly as a non-speculative round would have emitted them).
-func (s *specRound) adopt(progress engine.Progress) ([]engine.Outcome, error) {
-	close(s.promote)
-	r := <-s.done
-	s.cancel()
-	if progress != nil {
-		// The run has returned, so the event buffer is final (the done
-		// channel receive orders it before these reads).
-		for _, ev := range s.events {
-			progress(ev)
-		}
-	}
-	return r.outcomes, r.err
-}
-
-// discard cancels a speculative round that lost its bet and drains its
-// goroutine; results are dropped. Safe on nil.
-func (s *specRound) discard() {
-	if s == nil {
-		return
-	}
-	s.cancel()
-	<-s.done
 }
 
 // applyReliability is the fault-aware half of Phase 2: sweep every

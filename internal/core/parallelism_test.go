@@ -1,7 +1,7 @@
 package core
 
-// Tests for the intra-candidate parallelism plumbing: speculative
-// routing-escalation rounds, fault-sweep fan-out inside one candidate,
+// Tests for the parallelism plumbing around routing escalation: parallel
+// library sweeps on every rung, fault-sweep fan-out inside one candidate,
 // and the shared-limiter accounting — all of which must leave results
 // byte-identical to the sequential path.
 
@@ -50,17 +50,17 @@ func sameSurvivability(t *testing.T, got, want *Selection) {
 	}
 }
 
-// TestEscalatedSelectionIdenticalAcrossParallelism pins the speculative
-// escalation path: MPEG4 escalates MP -> SM, so any parallel run
-// launches (and adopts) speculative rounds, and the selection must stay
-// byte-identical to the sequential ladder at every parallelism setting.
+// TestEscalatedSelectionIdenticalAcrossParallelism pins the escalation
+// ladder under parallel sweeps: MPEG4 escalates MP -> SM, so two rungs
+// run on the worker pool, and the selection must stay byte-identical to
+// the sequential ladder at every parallelism setting.
 func TestEscalatedSelectionIdenticalAcrossParallelism(t *testing.T) {
 	seq, err := Select(mpeg4EscalationConfig(1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if seq.RoutingUsed == route.MinPath {
-		t.Fatal("MPEG4 did not escalate; the test needs a speculative round")
+		t.Fatal("MPEG4 did not escalate; the test needs a second rung")
 	}
 	for _, par := range []int{2, runtime.GOMAXPROCS(0)} {
 		got, err := Select(mpeg4EscalationConfig(par))
@@ -74,10 +74,10 @@ func TestEscalatedSelectionIdenticalAcrossParallelism(t *testing.T) {
 	}
 }
 
-// TestFaultAwareEscalationIdenticalAcrossParallelism composes the two
-// intra-candidate mechanisms — speculative escalation rounds and the
-// per-candidate fault-sweep fan-out — and pins byte-identical Selection
-// and fault.Report results across Parallelism ∈ {1, 2, GOMAXPROCS}.
+// TestFaultAwareEscalationIdenticalAcrossParallelism composes an
+// escalated parallel selection with the per-candidate fault-sweep
+// fan-out and pins byte-identical Selection and fault.Report results
+// across Parallelism ∈ {1, 2, GOMAXPROCS}.
 func TestFaultAwareEscalationIdenticalAcrossParallelism(t *testing.T) {
 	cfg := func(par int) Config {
 		c := mpeg4EscalationConfig(par)
@@ -102,19 +102,19 @@ func TestFaultAwareEscalationIdenticalAcrossParallelism(t *testing.T) {
 	}
 }
 
-// TestSelectCancellationMidSpeculation cancels an escalated parallel
-// selection from its progress stream — while the first round is draining
-// and the speculative next round is in flight — and checks the
-// cancellation surfaces as context.Canceled with every speculative
-// goroutine drained (the test would otherwise fail under -race or hang).
-func TestSelectCancellationMidSpeculation(t *testing.T) {
+// TestSelectCancellationMidEscalation cancels an escalated parallel
+// selection from its progress stream — while the first rung's sweep is
+// in flight — and checks the cancellation surfaces as context.Canceled
+// with every worker drained (the test would otherwise fail under -race
+// or hang).
+func TestSelectCancellationMidEscalation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	cfg := mpeg4EscalationConfig(2)
 	var events atomic.Int32
 	cfg.Progress = func(engine.Event) {
 		if events.Add(1) == 3 {
-			cancel() // a few candidates into round 1, speculation launched
+			cancel() // a few candidates into the first rung
 		}
 	}
 	if _, err := SelectContext(ctx, cfg); err != context.Canceled {

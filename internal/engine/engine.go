@@ -90,13 +90,6 @@ type Options struct {
 	// Session.Batch — share a single session-wide parallelism budget
 	// instead of multiplying their pools.
 	Limit *pool.Limiter
-	// Spec, when non-nil, marks the run speculative: jobs admit to Limit
-	// by opportunistic TryAcquire polling instead of blocking, so a
-	// concurrent non-speculative run keeps strict priority for slots and
-	// the speculative work soaks up only idle budget. Closing the channel
-	// promotes the run to normal blocking admission (the speculation was
-	// adopted). Core's routing-escalation overlap is the one producer.
-	Spec <-chan struct{}
 }
 
 func (o Options) workers(jobs int) int {
@@ -121,28 +114,6 @@ func (o Options) IntraParallelism() int {
 		return o.Parallelism
 	}
 	return runtime.GOMAXPROCS(0)
-}
-
-// acquire admits one job to the shared limiter: blocking for normal
-// runs, TryAcquire polling for speculative ones (~1ms cadence) until a
-// slot frees, ctx is done, or spec closes — adoption — at which point it
-// falls back to blocking admission.
-func acquire(ctx context.Context, limit *pool.Limiter, spec <-chan struct{}) error {
-	if spec == nil {
-		return limit.Acquire(ctx)
-	}
-	for {
-		if limit.TryAcquire() {
-			return nil
-		}
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-spec:
-			return limit.Acquire(ctx)
-		case <-time.After(time.Millisecond):
-		}
-	}
 }
 
 // Sweep maps the application onto every topology in lib under one shared
@@ -219,7 +190,7 @@ func Evaluate(ctx context.Context, app *graph.CoreGraph, jobs []Job, eo Options)
 			}
 			rec.CacheMiss()
 		}
-		if err := acquire(ctx, eo.Limit, eo.Spec); err != nil {
+		if err := eo.Limit.Acquire(ctx); err != nil {
 			return // canceled while queued for a session slot
 		}
 		start := obs.Now() // after Acquire: Elapsed is evaluation time, not queue wait

@@ -6,14 +6,17 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
+	"time"
 
 	"sunmap/internal/apps"
 	"sunmap/internal/fault"
 	"sunmap/internal/graph"
 	"sunmap/internal/mapping"
+	"sunmap/internal/obs"
 	"sunmap/internal/route"
 	"sunmap/internal/synth"
 	"sunmap/internal/tech"
@@ -416,48 +419,87 @@ type Request struct {
 	Search       *SearchRequest     `json:"search,omitempty"`
 }
 
-// Validate checks the op tag and payload shape; violations wrap
+// opCall is one dispatch of a validated Request (cp may be nil).
+type opCall struct {
+	s   *Session
+	req *Request
+	rep *Report
+	cp  *SearchCheckpoints
+}
+
+// opEntry is one op's row of the table behind Validate, Do's dispatch and
+// the per-op metrics: payload presence, the run into the Report, and the
+// op's sunmap_op_* children, resolved with constant labels (obslabel).
+type opEntry struct {
+	has     func(*Request) bool
+	run     func(context.Context, opCall) error
+	seconds *obs.Histogram
+	ok, err *obs.Counter
+}
+
+var ops = map[string]opEntry{
+	OpSelect: {func(r *Request) bool { return r.Select != nil }, func(ctx context.Context, c opCall) (err error) {
+		c.rep.Select, err = c.s.Select(ctx, *c.req.Select)
+		return err
+	}, opSeconds.With(OpSelect), opTotal.With(OpSelect, "ok"), opTotal.With(OpSelect, "error")},
+	OpMap: {func(r *Request) bool { return r.Map != nil }, func(ctx context.Context, c opCall) (err error) {
+		c.rep.Map, err = c.s.Map(ctx, *c.req.Map)
+		return err
+	}, opSeconds.With(OpMap), opTotal.With(OpMap, "ok"), opTotal.With(OpMap, "error")},
+	OpRoutingSweep: {func(r *Request) bool { return r.RoutingSweep != nil }, func(ctx context.Context, c opCall) (err error) {
+		c.rep.RoutingSweep, err = c.s.RoutingSweep(ctx, *c.req.RoutingSweep)
+		return err
+	}, opSeconds.With(OpRoutingSweep), opTotal.With(OpRoutingSweep, "ok"), opTotal.With(OpRoutingSweep, "error")},
+	OpPareto: {func(r *Request) bool { return r.Pareto != nil }, func(ctx context.Context, c opCall) (err error) {
+		c.rep.Pareto, err = c.s.ParetoExplore(ctx, *c.req.Pareto)
+		return err
+	}, opSeconds.With(OpPareto), opTotal.With(OpPareto, "ok"), opTotal.With(OpPareto, "error")},
+	OpSimulate: {func(r *Request) bool { return r.Simulate != nil }, func(ctx context.Context, c opCall) (err error) {
+		c.rep.Simulate, err = c.s.Simulate(ctx, *c.req.Simulate)
+		return err
+	}, opSeconds.With(OpSimulate), opTotal.With(OpSimulate, "ok"), opTotal.With(OpSimulate, "error")},
+	OpGenerate: {func(r *Request) bool { return r.Generate != nil }, func(ctx context.Context, c opCall) (err error) {
+		c.rep.Generate, err = c.s.Generate(ctx, *c.req.Generate)
+		return err
+	}, opSeconds.With(OpGenerate), opTotal.With(OpGenerate, "ok"), opTotal.With(OpGenerate, "error")},
+	OpFaultSweep: {func(r *Request) bool { return r.FaultSweep != nil }, func(ctx context.Context, c opCall) (err error) {
+		c.rep.FaultSweep, err = c.s.FaultSweep(ctx, *c.req.FaultSweep)
+		return err
+	}, opSeconds.With(OpFaultSweep), opTotal.With(OpFaultSweep, "ok"), opTotal.With(OpFaultSweep, "error")},
+	OpSearch: {func(r *Request) bool { return r.Search != nil }, func(ctx context.Context, c opCall) (err error) {
+		c.rep.Search, err = c.s.SearchCheckpointed(ctx, *c.req.Search, c.cp)
+		return err
+	}, opSeconds.With(OpSearch), opTotal.With(OpSearch, "ok"), opTotal.With(OpSearch, "error")},
+}
+
+// maxTimeoutMS is the largest timeout_ms whose time.Duration does not
+// overflow; anything above it would wrap negative and expire at once.
+const maxTimeoutMS = int64(math.MaxInt64 / time.Millisecond)
+
+// Validate checks the op tag, payload shape and timeout; violations wrap
 // ErrBadRequest.
 func (r *Request) Validate() error {
 	set := 0
-	for _, p := range []bool{
-		r.Select != nil, r.Map != nil, r.RoutingSweep != nil,
-		r.Pareto != nil, r.Simulate != nil, r.Generate != nil,
-		r.FaultSweep != nil, r.Search != nil,
-	} {
-		if p {
+	for _, op := range ops {
+		if op.has(r) {
 			set++
 		}
 	}
 	if set != 1 {
 		return fmt.Errorf("%w: want exactly one payload, got %d", ErrBadRequest, set)
 	}
-	var want bool
-	switch r.Op {
-	case OpSelect:
-		want = r.Select != nil
-	case OpMap:
-		want = r.Map != nil
-	case OpRoutingSweep:
-		want = r.RoutingSweep != nil
-	case OpPareto:
-		want = r.Pareto != nil
-	case OpSimulate:
-		want = r.Simulate != nil
-	case OpGenerate:
-		want = r.Generate != nil
-	case OpFaultSweep:
-		want = r.FaultSweep != nil
-	case OpSearch:
-		want = r.Search != nil
-	default:
+	op, ok := ops[r.Op]
+	if !ok {
 		return fmt.Errorf("%w: unknown op %q", ErrBadRequest, r.Op)
 	}
-	if !want {
+	if !op.has(r) {
 		return fmt.Errorf("%w: op %q without matching payload", ErrBadRequest, r.Op)
 	}
 	if r.TimeoutMS < 0 {
 		return fmt.Errorf("%w: negative timeout_ms %d", ErrBadRequest, r.TimeoutMS)
+	}
+	if int64(r.TimeoutMS) > maxTimeoutMS {
+		return fmt.Errorf("%w: timeout_ms %d exceeds %d", ErrBadRequest, r.TimeoutMS, maxTimeoutMS)
 	}
 	return nil
 }

@@ -31,6 +31,8 @@ func FuzzParseRequest(f *testing.F) {
 		`{"op":"fault-sweep","fault_sweep":{"fault":{"k":-1,"elements":"gremlins"}}}`,
 		`{"op":"fault-sweep"}`,
 		`{"op":"select","select":{"app":{"cores":[{"name":"a","area_mm2":2}],"flows":[{"from":"a","to":"a","mbps":1}]}}}`,
+		`{"op":"map","timeout_ms":9223372036855,"map":{"app":{"name":"dsp"},"topology":"mesh-2x3"}}`,
+		`{"op":"map","timeout_ms":9223372036854,"map":{"app":{"name":"dsp"},"topology":"mesh-2x3"}}`,
 		`{"op":"select"}`,
 		`{"op":"nope","select":{}}`,
 		`{}`,

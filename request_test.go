@@ -72,6 +72,7 @@ func TestParseRequestRejects(t *testing.T) {
 		{"mismatched payload", `{"op":"select","map":{"app":{"name":"vopd"},"topology":"mesh-2x2"}}`},
 		{"two payloads", `{"op":"select","select":{"app":{"name":"vopd"}},"map":{"app":{"name":"vopd"},"topology":"mesh-2x2"}}`},
 		{"negative timeout", `{"op":"select","timeout_ms":-1,"select":{"app":{"name":"vopd"}}}`},
+		{"overflowing timeout", `{"op":"map","timeout_ms":9223372036855,"map":{"app":{"name":"dsp"},"topology":"mesh-2x3"}}`},
 		{"trailing data", `{"op":"select","select":{"app":{"name":"vopd"}}}{"op":"map"}`},
 	}
 	for _, tc := range cases {

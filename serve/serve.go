@@ -355,10 +355,6 @@ func (sv *Server) registerJobRoutes(mux *http.ServeMux) {
 			sv.writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
 			return
 		}
-		if err := req.Validate(); err != nil {
-			sv.writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
-			return
-		}
 		jb, err := sv.store.SubmitTagged(r.Context(), req.Op, body, requestID(r.Context()))
 		if err != nil {
 			var open *jobs.BreakerOpenError

@@ -287,6 +287,20 @@ func TestServeTimeoutCappedByServer(t *testing.T) {
 	}
 }
 
+// TestServeRejectsOverflowingTimeout: a timeout_ms too large for a
+// time.Duration is a bad request on both the sync and the job route,
+// not a request canceled the moment it starts.
+func TestServeRejectsOverflowingTimeout(t *testing.T) {
+	srv, _, _ := newJobServer(t, serve.Options{JobsDir: t.TempDir()})
+	body := []byte(`{"op":"map","timeout_ms":9223372036855,"map":{"app":{"name":"dsp"},"topology":"mesh-2x3"}}`)
+	for _, path := range []string{"/v1/do", "/v1/jobs"} {
+		status, resp := post(t, srv.URL+path, body)
+		if status != http.StatusBadRequest || !bytes.Contains(resp, []byte("timeout_ms")) {
+			t.Errorf("%s: status %d, body %s; want 400 naming timeout_ms", path, status, resp)
+		}
+	}
+}
+
 // TestListenAndServeGracefulShutdown drives the real listener: the server
 // answers, then shuts down cleanly when its context is cancelled.
 func TestListenAndServeGracefulShutdown(t *testing.T) {

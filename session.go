@@ -897,15 +897,15 @@ func (s *Session) DoCheckpointed(ctx context.Context, req Request, cp *SearchChe
 	// includes panics the recover turned into error reports.
 	opStart := obs.Now()
 	defer func() {
-		m, ok := opMetricsByOp[req.Op]
+		op, ok := ops[req.Op]
 		if !ok {
 			return // unknown op: Validate already rejected it
 		}
-		m.seconds.ObserveSeconds(int64(obs.Since(opStart)))
+		op.seconds.ObserveSeconds(int64(obs.Since(opStart)))
 		if rep.Error == "" {
-			m.ok.Inc()
+			op.ok.Inc()
 		} else {
-			m.err.Inc()
+			op.err.Inc()
 		}
 	}()
 	defer func() {
@@ -924,26 +924,7 @@ func (s *Session) DoCheckpointed(ctx context.Context, req Request, cp *SearchChe
 		ctx, cancel = context.WithTimeout(ctx, time.Duration(req.TimeoutMS)*time.Millisecond)
 		defer cancel()
 	}
-	var err error
-	switch req.Op {
-	case OpSelect:
-		rep.Select, err = s.Select(ctx, *req.Select)
-	case OpMap:
-		rep.Map, err = s.Map(ctx, *req.Map)
-	case OpRoutingSweep:
-		rep.RoutingSweep, err = s.RoutingSweep(ctx, *req.RoutingSweep)
-	case OpPareto:
-		rep.Pareto, err = s.ParetoExplore(ctx, *req.Pareto)
-	case OpSimulate:
-		rep.Simulate, err = s.Simulate(ctx, *req.Simulate)
-	case OpGenerate:
-		rep.Generate, err = s.Generate(ctx, *req.Generate)
-	case OpFaultSweep:
-		rep.FaultSweep, err = s.FaultSweep(ctx, *req.FaultSweep)
-	case OpSearch:
-		rep.Search, err = s.SearchCheckpointed(ctx, *req.Search, cp)
-	}
-	if err != nil {
+	if err := ops[req.Op].run(ctx, opCall{s, &req, &rep, cp}); err != nil {
 		rep.Error = err.Error()
 		rep.ErrorKind = classifyError(err)
 	}

@@ -67,29 +67,12 @@ func WithTrace(t *Trace) SessionOption {
 	}
 }
 
-// Per-op rates and latencies in the process-wide registry. Children are
-// resolved once here with constant labels (the obslabel contract); Do
-// selects among them with one map lookup per operation — far off any
-// hot path.
-type opMetrics struct {
-	seconds *obs.Histogram
-	ok, err *obs.Counter
-}
-
+// Per-op rates and latencies in the process-wide registry. Each op's
+// children are resolved in its op-table entry; Do picks them with one map
+// lookup per operation — far off any hot path.
 var (
 	opSeconds = obs.Default.HistogramVec("sunmap_op_seconds", "operation latency by op", nil, "op")
 	opTotal   = obs.Default.CounterVec("sunmap_op_total", "operations executed by op and outcome", "op", "outcome")
-
-	opMetricsByOp = map[string]opMetrics{
-		OpSelect:       {opSeconds.With(OpSelect), opTotal.With(OpSelect, "ok"), opTotal.With(OpSelect, "error")},
-		OpMap:          {opSeconds.With(OpMap), opTotal.With(OpMap, "ok"), opTotal.With(OpMap, "error")},
-		OpRoutingSweep: {opSeconds.With(OpRoutingSweep), opTotal.With(OpRoutingSweep, "ok"), opTotal.With(OpRoutingSweep, "error")},
-		OpPareto:       {opSeconds.With(OpPareto), opTotal.With(OpPareto, "ok"), opTotal.With(OpPareto, "error")},
-		OpSimulate:     {opSeconds.With(OpSimulate), opTotal.With(OpSimulate, "ok"), opTotal.With(OpSimulate, "error")},
-		OpGenerate:     {opSeconds.With(OpGenerate), opTotal.With(OpGenerate, "ok"), opTotal.With(OpGenerate, "error")},
-		OpFaultSweep:   {opSeconds.With(OpFaultSweep), opTotal.With(OpFaultSweep, "ok"), opTotal.With(OpFaultSweep, "error")},
-		OpSearch:       {opSeconds.With(OpSearch), opTotal.With(OpSearch, "ok"), opTotal.With(OpSearch, "error")},
-	}
 )
 
 // traceCtx resolves the effective recorder for one operation: an
