@@ -1,25 +1,16 @@
 // Command sunmap-lint runs the repository's invariant analyzers — the
 // build-breaking form of the contracts the engine's tests pin at
-// runtime. It works in two modes:
-//
-// Standalone, over package patterns (the CI gate):
+// runtime — over package patterns (the CI gate):
 //
 //	go run ./cmd/sunmap-lint ./...
 //	go run ./cmd/sunmap-lint -list
 //	go run ./cmd/sunmap-lint -only hotpath,detorder ./internal/...
-//
-// As a vet tool, speaking cmd/go's unitchecker protocol (-V=full
-// handshake plus per-package vet config files):
-//
-//	go build -o /tmp/sunmap-lint ./cmd/sunmap-lint
-//	go vet -vettool=/tmp/sunmap-lint ./...
 //
 // Exit status: 0 clean, 1 usage or driver error, 2 diagnostics reported
 // (matching go vet's convention).
 package main
 
 import (
-	"crypto/sha256"
 	"flag"
 	"fmt"
 	"os"
@@ -37,25 +28,6 @@ func main() {
 }
 
 func run(args []string) int {
-	// The go command probes vet tools with -V=full before trusting them;
-	// the reply is the cache key for this tool's results, so it must
-	// change whenever the tool's behavior does. The "devel" form with a
-	// trailing buildID= makes cmd/go key on the ID alone — hashing our
-	// own binary invalidates cached vet results on every rebuild (see
-	// cmd/go/internal/work.(*Builder).toolID). The -flags probe expects
-	// a JSON description of the tool's flags — see cmd/go/internal/vet.
-	for _, a := range args {
-		switch a {
-		case "-V=full", "--V=full":
-			fmt.Printf("sunmap-lint version devel buildID=%s\n", selfID())
-			return 0
-		case "-flags", "--flags":
-			fmt.Println(`[{"Name":"list","Bool":true,"Usage":"list the analyzers and exit"},` +
-				`{"Name":"only","Bool":false,"Usage":"comma-separated analyzer names to run"}]`)
-			return 0
-		}
-	}
-
 	fs := flag.NewFlagSet("sunmap-lint", flag.ContinueOnError)
 	list := fs.Bool("list", false, "list the analyzers and exit")
 	only := fs.String("only", "", "comma-separated analyzer names to run (default: all)")
@@ -81,34 +53,12 @@ func run(args []string) int {
 		return 1
 	}
 
-	// Vet-tool mode: cmd/go invokes the tool with a single *.cfg
-	// argument per package.
-	if rest := fs.Args(); len(rest) == 1 && strings.HasSuffix(rest[0], ".cfg") {
-		diags, err := analysis.RunUnit(rest[0], analyzers)
-		return report(diags, err)
-	}
-
 	patterns := fs.Args()
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
 	diags, err := analysis.Run(".", analyzers, patterns...)
 	return report(diags, err)
-}
-
-// selfID returns a content hash of the running binary, the build-unique
-// cache key the -V=full handshake reports to the go command.
-func selfID() string {
-	exe, err := os.Executable()
-	if err != nil {
-		return "unknown"
-	}
-	data, err := os.ReadFile(exe)
-	if err != nil {
-		return "unknown"
-	}
-	sum := sha256.Sum256(data)
-	return fmt.Sprintf("%x", sum[:12])
 }
 
 // selectAnalyzers resolves an -only list against the registry.

@@ -106,9 +106,18 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 			}
 			files = append(files, f)
 		}
-		pkg, info, err := Check(t.ImportPath, fset, files, imp)
+		info := &types.Info{
+			Types:      make(map[ast.Expr]types.TypeAndValue),
+			Defs:       make(map[*ast.Ident]types.Object),
+			Uses:       make(map[*ast.Ident]types.Object),
+			Implicits:  make(map[ast.Node]types.Object),
+			Selections: make(map[*ast.SelectorExpr]*types.Selection),
+			Scopes:     make(map[ast.Node]*types.Scope),
+		}
+		conf := types.Config{Importer: imp}
+		pkg, err := conf.Check(t.ImportPath, fset, files, info)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("analysis: type-checking %s: %w", t.ImportPath, err)
 		}
 		pkgs = append(pkgs, &Package{
 			Path:      t.ImportPath,
@@ -120,27 +129,6 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 	}
 	sort.Slice(pkgs, func(i, j int) bool { return pkgs[i].Path < pkgs[j].Path })
 	return pkgs, nil
-}
-
-// Check type-checks one package's parsed files with the given importer,
-// returning the package and a fully populated types.Info. It is shared
-// by Load and by cmd/sunmap-lint's `go vet -vettool` mode (which gets
-// its file list and export map from the vet config instead of go list).
-func Check(path string, fset *token.FileSet, files []*ast.File, imp types.Importer) (*types.Package, *types.Info, error) {
-	info := &types.Info{
-		Types:      make(map[ast.Expr]types.TypeAndValue),
-		Defs:       make(map[*ast.Ident]types.Object),
-		Uses:       make(map[*ast.Ident]types.Object),
-		Implicits:  make(map[ast.Node]types.Object),
-		Selections: make(map[*ast.SelectorExpr]*types.Selection),
-		Scopes:     make(map[ast.Node]*types.Scope),
-	}
-	conf := types.Config{Importer: imp}
-	pkg, err := conf.Check(path, fset, files, info)
-	if err != nil {
-		return nil, nil, fmt.Errorf("analysis: type-checking %s: %w", path, err)
-	}
-	return pkg, info, nil
 }
 
 // Diag is one positioned finding of a driver run.

@@ -1,7 +1,9 @@
 package floorplan
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 
 	"sunmap/internal/area"
@@ -204,6 +206,36 @@ func TestPartialOccupancyHypercube(t *testing.T) {
 	if len(res.RouterBlocks) != 16 {
 		t.Errorf("%d router blocks, want 16", len(res.RouterBlocks))
 	}
+}
+
+// TestLargestFloorplanLPConverges plans a die far beyond the library's
+// sizes: a 16x16 mesh carrying 256 soft cores of random area and aspect
+// range, with random switch areas — a 544-variable, 2,560-row LP. The
+// LP solver has no fallback, so a dual-simplex stall fails the plan.
+func TestLargestFloorplanLPConverges(t *testing.T) {
+	topo := mustTopo(topology.NewMesh(16, 16))
+	rng := rand.New(rand.NewSource(1))
+	cores := make([]graph.Core, topo.NumTerminals())
+	for i := range cores {
+		lo := 0.25 + rng.Float64()*0.5
+		cores[i] = graph.Core{
+			Name:      fmt.Sprintf("c%d", i),
+			AreaMM2:   0.5 + rng.Float64()*4,
+			Soft:      true,
+			MinAspect: lo,
+			MaxAspect: 1/lo + rng.Float64(),
+		}
+	}
+	sw := make([]float64, topo.NumRouters())
+	for i := range sw {
+		sw[i] = 0.05 + rng.Float64()*0.5
+	}
+	res, err := Floorplan(topo, rng.Perm(len(cores)), cores, sw, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkNoOverlap(t, res)
+	checkInsideChip(t, res)
 }
 
 func TestFloorplanErrors(t *testing.T) {

@@ -1,13 +1,13 @@
 // Package lp provides a small dense linear-programming solver used by
 // SUNMAP's LP-based floorplanner (Section 5 of the paper, after [21]).
-// Problems are stated as minimization over non-negative variables with
-// <=, >= or = constraints. Inequality-only problems with a non-negative
-// objective — the floorplanner's shape — are solved by dual simplex from
-// the all-slack basis (no phase-1 artificials); everything else runs
-// two-phase primal simplex with a Dantzig entering rule that falls back
-// to Bland's anti-cycling rule under degeneracy. The solver targets the
-// floorplanner's scale (tens to a few hundred variables); it is exact up
-// to floating-point tolerance, not a high-performance general solver.
+// Problems are stated as minimization of a non-negative objective over
+// non-negative variables with <= and >= constraints — exactly the
+// floorplanner's shape. The slack basis of such a problem is always dual
+// feasible and the problem is never unbounded below, so one algorithm
+// covers it: dual simplex from the all-slack basis, with no phase-1
+// artificials. The solver targets the floorplanner's scale (tens to a
+// few hundred variables); it is exact up to floating-point tolerance,
+// not a high-performance general solver.
 package lp
 
 import (
@@ -22,7 +22,6 @@ type Rel int
 const (
 	LE Rel = iota // <=
 	GE            // >=
-	EQ            // =
 )
 
 // Constraint is one row: Coeffs · x  Rel  RHS. Coeffs may be shorter than
@@ -38,7 +37,7 @@ type Problem struct {
 	// NumVars is the number of decision variables.
 	NumVars int
 	// Objective holds the cost coefficients (length NumVars; shorter
-	// slices are zero-padded).
+	// slices are zero-padded). Every coefficient must be non-negative.
 	Objective []float64
 	// Constraints are the rows.
 	Constraints []Constraint
@@ -57,7 +56,6 @@ type Status int
 const (
 	Optimal Status = iota
 	Infeasible
-	Unbounded
 )
 
 // String names the status.
@@ -67,8 +65,6 @@ func (s Status) String() string {
 		return "optimal"
 	case Infeasible:
 		return "infeasible"
-	case Unbounded:
-		return "unbounded"
 	default:
 		return fmt.Sprintf("status(%d)", int(s))
 	}
@@ -81,7 +77,12 @@ type Solution struct {
 	Objective float64
 }
 
-const eps = 1e-9
+const (
+	eps = 1e-9
+	// maxPivots caps one solve. The largest floorplan LPs (hundreds of
+	// soft cores, thousands of rows) need a few thousand pivots.
+	maxPivots = 50000
+)
 
 // Solver holds reusable dual-simplex workspace: the tableau rows live in
 // one flat arena, and the basis, reduced-cost and solution vectors are
@@ -101,11 +102,10 @@ type Solver struct {
 // use.
 func NewSolver() *Solver { return &Solver{} }
 
-// Solve minimizes p. Inequality-only problems with a non-negative
-// objective — the floorplanner's shape — start from the all-slack basis
-// and run dual simplex, which needs no phase-1 artificials at all; every
-// other problem (or a dual run hitting its safety cap) takes the general
-// two-phase primal path.
+// Solve minimizes p by dual simplex from the all-slack basis. It rejects
+// malformed problems (no variables, oversized rows, unknown relations,
+// negative objective coefficients) and reports an error if the pivot cap
+// trips.
 //
 // The returned Solution's X aliases the Solver's scratch and is valid
 // only until the next Solve call on the same Solver; callers keeping it
@@ -119,21 +119,20 @@ func (s *Solver) Solve(p Problem) (Solution, error) {
 			return Solution{}, fmt.Errorf("lp: constraint %d has %d coefficients for %d variables",
 				i, len(c.Coeffs), p.NumVars)
 		}
+		if c.Rel != LE && c.Rel != GE {
+			return Solution{}, fmt.Errorf("lp: constraint %d has unknown relation %d", i, int(c.Rel))
+		}
 	}
 	if len(p.Objective) > p.NumVars {
 		return Solution{}, fmt.Errorf("lp: objective has %d coefficients for %d variables",
 			len(p.Objective), p.NumVars)
 	}
-	if sol, ok := s.solveDual(p); ok {
-		return sol, nil
+	for j, c := range p.Objective {
+		if c < 0 {
+			return Solution{}, fmt.Errorf("lp: objective coefficient %d is negative (%g)", j, c)
+		}
 	}
-	return solveTwoPhase(p)
-}
-
-// Solve minimizes p with a throwaway Solver; the Solution owns its
-// memory. Callers solving many problems should hold a Solver instead.
-func Solve(p Problem) (Solution, error) {
-	return NewSolver().Solve(p)
+	return s.solveDual(p)
 }
 
 // rows carves m zeroed rows of the given width out of the Solver's
@@ -175,28 +174,15 @@ func resizeFloats(buf []float64, n int) []float64 {
 	return buf
 }
 
-// solveDual runs dual simplex from the all-slack basis. It applies only
-// when every constraint is an inequality and every objective coefficient
-// is non-negative (so the slack basis is dual-feasible and the problem can
-// never be unbounded below). Returns ok=false when the problem does not
-// qualify or the iteration cap trips, in which case the caller falls back
-// to the two-phase primal solver.
-func (s *Solver) solveDual(p Problem) (Solution, bool) {
-	for _, c := range p.Objective {
-		if c < 0 {
-			return Solution{}, false
-		}
-	}
-	for _, c := range p.Constraints {
-		if c.Rel == EQ {
-			return Solution{}, false
-		}
-	}
+// solveDual runs dual simplex from the all-slack basis. Solve has already
+// checked that every objective coefficient is non-negative, so the slack
+// basis is dual feasible and the problem can never be unbounded below.
+func (s *Solver) solveDual(p Problem) (Solution, error) {
 	m := len(p.Constraints)
 	n := p.NumVars
 	if m == 0 {
 		s.x = resizeFloats(s.x, n)
-		return Solution{Status: Optimal, X: s.x}, true
+		return Solution{Status: Optimal, X: s.x}, nil
 	}
 	total := n + m
 	tab := s.rows(m, total+1)
@@ -220,10 +206,7 @@ func (s *Solver) solveDual(p Problem) (Solution, bool) {
 	z := resizeFloats(s.z, total+1)
 	s.z = z
 	copy(z, p.Objective)
-	for iter := 0; ; iter++ {
-		if iter > 50000 {
-			return Solution{}, false // stalled; let two-phase decide
-		}
+	for iter := 0; iter <= maxPivots; iter++ {
 		// Leaving row: most negative RHS (most violated constraint),
 		// ties toward the smallest basis index for determinism.
 		leave := -1
@@ -247,7 +230,7 @@ func (s *Solver) solveDual(p Problem) (Solution, bool) {
 			for j := 0; j < n && j < len(p.Objective); j++ {
 				objVal += p.Objective[j] * x[j]
 			}
-			return Solution{Status: Optimal, X: x, Objective: objVal}, true
+			return Solution{Status: Optimal, X: x, Objective: objVal}, nil
 		}
 		// Entering column: dual ratio test over negative row entries,
 		// ties toward the smallest column index.
@@ -264,258 +247,17 @@ func (s *Solver) solveDual(p Problem) (Solution, bool) {
 		}
 		if enter == -1 {
 			// The violated row has no negative coefficient: infeasible.
-			return Solution{Status: Infeasible}, true
-		}
-		pivotWithZ(tab, basis, z, leave, enter)
-	}
-}
-
-// solveTwoPhase is the general two-phase primal simplex.
-func solveTwoPhase(p Problem) (Solution, error) {
-
-	m := len(p.Constraints)
-	n := p.NumVars
-
-	// Column layout: [0,n) decision vars, then one slack/surplus column
-	// per inequality, then one artificial per GE/EQ row.
-	numSlack := 0
-	for _, c := range p.Constraints {
-		if c.Rel != EQ {
-			numSlack++
-		}
-	}
-	numArt := 0
-	for _, c := range p.Constraints {
-		rhsNeg := c.RHS < 0
-		rel := c.Rel
-		if rhsNeg { // row will be negated below, flipping the relation
-			switch rel {
-			case LE:
-				rel = GE
-			case GE:
-				rel = LE
-			}
-		}
-		if rel != LE {
-			numArt++
-		}
-	}
-	total := n + numSlack + numArt
-
-	// Build tableau rows; RHS in last column.
-	tab := make([][]float64, m)
-	basis := make([]int, m)
-	slackCol := n
-	artCol := n + numSlack
-	artStart := artCol
-	for i, c := range p.Constraints {
-		row := make([]float64, total+1)
-		sign := 1.0
-		rel := c.Rel
-		if c.RHS < 0 {
-			sign = -1
-			switch rel {
-			case LE:
-				rel = GE
-			case GE:
-				rel = LE
-			}
-		}
-		for j, v := range c.Coeffs {
-			row[j] = sign * v
-		}
-		row[total] = sign * c.RHS
-		switch rel {
-		case LE:
-			row[slackCol] = 1
-			basis[i] = slackCol
-			slackCol++
-		case GE:
-			row[slackCol] = -1
-			slackCol++
-			row[artCol] = 1
-			basis[i] = artCol
-			artCol++
-		case EQ:
-			if c.Rel != EQ {
-				// An inequality consumed its slack column above even
-				// when negation turned it into GE handled there; EQ
-				// never allocates slack.
-				return Solution{}, fmt.Errorf("lp: internal relation bookkeeping error")
-			}
-			row[artCol] = 1
-			basis[i] = artCol
-			artCol++
-		}
-		tab[i] = row
-	}
-
-	// Phase 1: minimize the sum of artificials.
-	if numArt > 0 {
-		cost := make([]float64, total)
-		for j := artStart; j < total; j++ {
-			cost[j] = 1
-		}
-		obj, status := simplex(tab, basis, cost, artStart)
-		if status == Unbounded {
-			return Solution{}, fmt.Errorf("lp: phase 1 unbounded (internal error)")
-		}
-		if obj > 1e-7 {
 			return Solution{Status: Infeasible}, nil
 		}
-		// Pivot artificials out of the basis where possible; rows where
-		// no real column has a nonzero entry are redundant and dropped.
-		for i := 0; i < len(tab); i++ {
-			if basis[i] < artStart {
-				continue
-			}
-			pivoted := false
-			for j := 0; j < artStart; j++ {
-				if math.Abs(tab[i][j]) > 1e-7 {
-					pivot(tab, basis, i, j)
-					pivoted = true
-					break
-				}
-			}
-			if !pivoted {
-				tab = append(tab[:i], tab[i+1:]...)
-				basis = append(basis[:i], basis[i+1:]...)
-				i--
-			}
-		}
+		pivot(tab, basis, z, leave, enter)
 	}
-
-	// With every row gone (or none to begin with), x = 0 is the only
-	// basic point; the problem is unbounded iff some cost is negative.
-	if len(tab) == 0 {
-		for _, c := range p.Objective {
-			if c < -eps {
-				return Solution{Status: Unbounded}, nil
-			}
-		}
-		return Solution{Status: Optimal, X: make([]float64, n)}, nil
-	}
-
-	// Drop the artificial columns before phase 2: they are barred from
-	// entering and every basis index is now below artStart, so their
-	// entries are dead weight every pivot would still stream over. Moving
-	// the RHS down into the first artificial column changes no arithmetic
-	// phase 2 performs. With the floorplanner's many >=/= rows this cuts
-	// each tableau row by a third.
-	if numArt > 0 {
-		for i := range tab {
-			tab[i][artStart] = tab[i][total]
-			tab[i] = tab[i][:artStart+1]
-		}
-		total = artStart
-	}
-
-	// Phase 2: original objective, artificial columns barred.
-	cost := make([]float64, total)
-	copy(cost, p.Objective)
-	_, status := simplex(tab, basis, cost, artStart)
-	if status == Unbounded {
-		return Solution{Status: Unbounded}, nil
-	}
-	x := make([]float64, n)
-	for i, b := range basis {
-		if b < n {
-			x[b] = tab[i][len(tab[i])-1]
-		}
-	}
-	var objVal float64
-	for j := 0; j < n && j < len(p.Objective); j++ {
-		objVal += p.Objective[j] * x[j]
-	}
-	return Solution{Status: Optimal, X: x, Objective: objVal}, nil
+	return Solution{}, fmt.Errorf("lp: dual simplex did not converge in %d pivots (%d variables, %d rows)",
+		maxPivots, n, m)
 }
 
-// simplex minimizes cost over the tableau in place. Columns with index >=
-// barFrom never enter the basis (used to bar artificials in phase 2).
-// It returns the final objective value and Optimal or Unbounded.
-func simplex(tab [][]float64, basis []int, cost []float64, barFrom int) (float64, Status) {
-	m := len(tab)
-	if m == 0 {
-		return 0, Optimal
-	}
-	total := len(tab[0]) - 1
-	// Reduced-cost row: z_j = c_j - sum over basic rows of c_B * a_ij.
-	z := make([]float64, total+1)
-	copy(z, cost)
-	for i := 0; i < m; i++ {
-		cb := 0.0
-		if basis[i] < len(cost) {
-			cb = cost[basis[i]]
-		}
-		if cb == 0 {
-			continue
-		}
-		for j := 0; j <= total; j++ {
-			z[j] -= cb * tab[i][j]
-		}
-	}
-	// Entering rule: Dantzig (most negative reduced cost) converges in far
-	// fewer pivots than Bland on the floorplanner's LPs, but alone it can
-	// cycle on degenerate bases. A streak of degenerate (zero-progress)
-	// pivots therefore flips the search to Bland's rule, whose
-	// anti-cycling guarantee then ensures termination.
-	useBland := false
-	degenerate := 0
-	for iter := 0; ; iter++ {
-		if iter > 200000 {
-			// Termination belt-and-braces against NaN-poisoned tableaus.
-			return -z[total], Optimal
-		}
-		enter := -1
-		if useBland {
-			for j := 0; j < barFrom; j++ {
-				if z[j] < -eps {
-					enter = j
-					break
-				}
-			}
-		} else {
-			most := -eps
-			for j := 0; j < barFrom; j++ {
-				if z[j] < most {
-					most = z[j]
-					enter = j
-				}
-			}
-		}
-		if enter == -1 {
-			return -z[total], Optimal
-		}
-		// Ratio test; Bland tie-break on smallest basis variable index.
-		leave := -1
-		best := math.Inf(1)
-		for i := 0; i < m; i++ {
-			a := tab[i][enter]
-			if a > eps {
-				ratio := tab[i][total] / a
-				if ratio < best-eps || (ratio < best+eps && (leave == -1 || basis[i] < basis[leave])) {
-					best = ratio
-					leave = i
-				}
-			}
-		}
-		if leave == -1 {
-			return 0, Unbounded
-		}
-		if best <= eps {
-			if degenerate++; degenerate > 256 {
-				useBland = true
-			}
-		} else {
-			degenerate = 0
-		}
-		pivotWithZ(tab, basis, z, leave, enter)
-	}
-}
-
-// pivot performs a basis change on row r, column c, without an objective
-// row (phase-1 cleanup only).
-func pivot(tab [][]float64, basis []int, r, c int) {
+// pivot performs a basis change on row r, column c, updating the
+// reduced-cost row z too.
+func pivot(tab [][]float64, basis []int, z []float64, r, c int) {
 	norm := tab[r][c]
 	for j := range tab[r] {
 		tab[r][j] /= norm
@@ -533,13 +275,7 @@ func pivot(tab [][]float64, basis []int, r, c int) {
 		}
 	}
 	basis[r] = c
-}
-
-// pivotWithZ performs a basis change updating the reduced-cost row too.
-func pivotWithZ(tab [][]float64, basis []int, z []float64, r, c int) {
-	pivot(tab, basis, r, c)
-	f := z[c]
-	if f != 0 {
+	if f := z[c]; f != 0 {
 		for j := range z {
 			z[j] -= f * tab[r][j]
 		}

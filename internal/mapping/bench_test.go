@@ -69,7 +69,7 @@ func benchSweepState(tb testing.TB, g *graph.CoreGraph, topo topology.Topology, 
 	tb.Helper()
 	opts = opts.withDefaults()
 	sc := NewScratch()
-	ev := &evaluator{g: g, topo: topo, comms: g.Commodities(), opts: opts}
+	ev := &evaluator{g: g, topo: topo, comms: g.Commodities(), opts: opts, sc: sc}
 	st := &sc.inc
 	st.bind(ev, sc.rt)
 	assign := greedyInitial(g, topo, sc)

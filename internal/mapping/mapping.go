@@ -428,7 +428,7 @@ type evaluator struct {
 	comms []graph.Commodity
 	opts  Options
 	norm  rawMetrics // normalization baseline for the weighted objective
-	sc    *Scratch   // full-evaluation workspace (router, floorplanner)
+	sc    *Scratch   // full-evaluation workspace (router, floorplanner); always set
 	cores []graph.Core
 }
 
@@ -443,22 +443,14 @@ func (ev *evaluator) coreList() []graph.Core {
 
 // cost evaluates a mapping: route, size switches, estimate (or exactly
 // compute, when exact != nil) floorplan lengths, and derive area/power.
-// With a Scratch attached, routing and the LP floorplanner run in reused
-// workspace and only the escaping result structures are allocated.
+// Routing and the LP floorplanner run in the Scratch's reused workspace;
+// only the escaping result structures are allocated.
 func (ev *evaluator) cost(assign []int, exact *exactMode) (*evalResult, error) {
-	var res *route.Result
-	if sc := ev.sc; sc != nil {
-		if err := sc.rt.RouteInto(&sc.evalRes, ev.topo, assign, ev.comms, ev.opts.RouteOptions()); err != nil {
-			return nil, err
-		}
-		res = sc.evalRes.Clone()
-	} else {
-		var err error
-		res, err = route.Route(ev.topo, assign, ev.comms, ev.opts.RouteOptions())
-		if err != nil {
-			return nil, err
-		}
+	sc := ev.sc
+	if err := sc.rt.RouteInto(&sc.evalRes, ev.topo, assign, ev.comms, ev.opts.RouteOptions()); err != nil {
+		return nil, err
 	}
+	res := sc.evalRes.Clone()
 	t := ev.opts.Tech
 	cfgs := area.SwitchConfigs(ev.topo, assign, t)
 	var swArea float64
@@ -472,21 +464,11 @@ func (ev *evaluator) cost(assign []int, exact *exactMode) (*evalResult, error) {
 	var fp *floorplan.Result
 	useExact := exact != nil || ev.opts.ExactFloorplanInLoop
 	if useExact {
-		var swAreas []float64
-		if ev.sc != nil {
-			ev.sc.swAreas = resizeFloats(ev.sc.swAreas, len(cfgs))
-			swAreas = ev.sc.swAreas
-		} else {
-			swAreas = make([]float64, len(cfgs))
-		}
+		sc.swAreas = resizeFloats(sc.swAreas, len(cfgs))
 		for i, c := range cfgs {
-			swAreas[i] = area.SwitchAreaMM2(c, t)
+			sc.swAreas[i] = area.SwitchAreaMM2(c, t)
 		}
-		if ev.sc != nil {
-			fp, err = ev.sc.fp.Floorplan(ev.topo, assign, cores, swAreas, ev.opts.Floorplan)
-		} else {
-			fp, err = floorplan.Floorplan(ev.topo, assign, cores, swAreas, ev.opts.Floorplan)
-		}
+		fp, err = sc.fp.Floorplan(ev.topo, assign, cores, sc.swAreas, ev.opts.Floorplan)
 		if err != nil {
 			return nil, err
 		}

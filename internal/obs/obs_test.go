@@ -114,7 +114,7 @@ func TestRecorderNilSafe(t *testing.T) {
 	r.CacheHit()
 	r.CacheMiss()
 	r.TryAcquire(true)
-	r.BlockedWait(time.Second)
+	r.Observe(StageLimiterWait, time.Second)
 	if ts := r.Snapshot(); len(ts.Stages) != 0 || ts.Blocked != 0 {
 		t.Fatalf("nil recorder snapshot not empty: %+v", ts)
 	}
@@ -133,6 +133,7 @@ func TestRecorderSnapshotStageOrder(t *testing.T) {
 		sp := r.Start(st)
 		sp.End()
 	}
+	r.Observe(StageLimiterWait, 5*time.Millisecond)
 	r.CacheHit()
 	r.TryAcquire(false)
 	ts := r.Snapshot()
@@ -140,7 +141,7 @@ func TestRecorderSnapshotStageOrder(t *testing.T) {
 	for _, st := range ts.Stages {
 		names = append(names, st.Stage)
 	}
-	want := []string{"select", "search", "evaluate"}
+	want := []string{"select", "search", "evaluate", "limiter-wait"}
 	if len(names) != len(want) {
 		t.Fatalf("stages = %v, want %v", names, want)
 	}
@@ -149,7 +150,7 @@ func TestRecorderSnapshotStageOrder(t *testing.T) {
 			t.Fatalf("stages = %v, want %v", names, want)
 		}
 	}
-	if ts.CacheHits != 1 || ts.TryMisses != 1 {
+	if ts.CacheHits != 1 || ts.TryMisses != 1 || ts.Blocked != 1 || ts.WaitNanos != int64(5*time.Millisecond) {
 		t.Fatalf("counters = %+v", ts)
 	}
 }

@@ -80,8 +80,6 @@ type Recorder struct {
 	cacheMisses atomic.Uint64
 	tryHits     atomic.Uint64
 	tryMisses   atomic.Uint64
-	blocked     atomic.Uint64
-	waitNanos   atomic.Int64
 }
 
 // NewRecorder returns an empty recorder.
@@ -154,21 +152,6 @@ func (r *Recorder) TryAcquire(hit bool) {
 	}
 }
 
-// BlockedWait records one blocking limiter acquisition that had to
-// queue, and how long it waited. The wait also lands in the
-// StageLimiterWait row of the stage table, so FormatSnapshot shows
-// admission queueing next to the work it delayed.
-func (r *Recorder) BlockedWait(d time.Duration) {
-	if r == nil {
-		return
-	}
-	r.blocked.Add(1)
-	r.waitNanos.Add(int64(d))
-	st := &r.stats[StageLimiterWait]
-	st.count.Add(1)
-	st.nanos.Add(int64(d))
-}
-
 // StageSnapshot is one stage's folded aggregate.
 type StageSnapshot struct {
 	Stage string `json:"stage"`
@@ -177,7 +160,9 @@ type StageSnapshot struct {
 }
 
 // TraceSnapshot is a recorder's deterministic fold: stages in Stage
-// order (zero-count stages omitted) plus the pipeline counters.
+// order (zero-count stages omitted) plus the pipeline counters. Blocked
+// and WaitNanos repeat the limiter-wait stage row: the blocking limiter
+// acquisitions that had to queue, and their total wait.
 type TraceSnapshot struct {
 	Stages      []StageSnapshot `json:"stages"`
 	CacheHits   uint64          `json:"cache_hits"`
@@ -211,26 +196,9 @@ func (r *Recorder) Snapshot() TraceSnapshot {
 	ts.CacheMisses = r.cacheMisses.Load()
 	ts.TryHits = r.tryHits.Load()
 	ts.TryMisses = r.tryMisses.Load()
-	ts.Blocked = r.blocked.Load()
-	ts.WaitNanos = r.waitNanos.Load()
+	ts.Blocked = r.stats[StageLimiterWait].count.Load()
+	ts.WaitNanos = r.stats[StageLimiterWait].nanos.Load()
 	return ts
-}
-
-// StageNanos returns one stage's accumulated nanoseconds (0 on nil).
-func (r *Recorder) StageNanos(stage Stage) int64 {
-	if r == nil {
-		return 0
-	}
-	return r.stats[stage].nanos.Load()
-}
-
-// WaitSummary returns the blocking-acquisition count and total wait —
-// the bench harness's limiter-wait summary fields.
-func (r *Recorder) WaitSummary() (blocked uint64, wait time.Duration) {
-	if r == nil {
-		return 0, 0
-	}
-	return r.blocked.Load(), time.Duration(r.waitNanos.Load())
 }
 
 // WriteMetrics exposes the recorder as Prometheus text, implementing

@@ -78,11 +78,11 @@ func (l *Limiter) Acquire(ctx context.Context) error {
 		d := obs.Since(start)
 		acquireBlocked.Inc()
 		blockedWait.ObserveSeconds(int64(d))
-		rec.BlockedWait(d)
+		rec.Observe(obs.StageLimiterWait, d)
 		return nil
 	case <-ctx.Done():
 		acquireCancelled.Inc()
-		rec.BlockedWait(obs.Since(start))
+		rec.Observe(obs.StageLimiterWait, obs.Since(start))
 		return ctx.Err()
 	}
 }

@@ -3,7 +3,7 @@ package serve
 import (
 	"bytes"
 	"errors"
-	"log"
+	"log/slog"
 	"net/http"
 	"strings"
 	"testing"
@@ -37,7 +37,7 @@ func TestWriteJSONFailuresCounted(t *testing.T) {
 		t.Fatal(err)
 	}
 	var logged bytes.Buffer
-	sv := &Server{sess: sess, opts: Options{ErrorLog: log.New(&logged, "", 0)}.withDefaults()}
+	sv := &Server{sess: sess, opts: Options{Logger: slog.New(slog.NewTextHandler(&logged, nil))}.withDefaults()}
 
 	sv.writeJSON(&brokenWriter{}, http.StatusOK, map[string]string{"status": "ok"})
 	if got := sv.writeFails.Load(); got != 1 {

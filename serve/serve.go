@@ -40,7 +40,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"log"
 	"log/slog"
 	"net"
 	"net/http"
@@ -86,10 +85,6 @@ type Options struct {
 	// OnListen, when set, receives the bound address before serving
 	// starts — the way a ":0" server's actual port becomes observable.
 	OnListen func(net.Addr)
-	// ErrorLog receives response-write failures and other degraded-path
-	// notices. When nil those notices go to Logger instead; set it only
-	// for log-capture compatibility.
-	ErrorLog *log.Logger
 	// Logger receives the server's structured diagnostics, each line
 	// carrying request-id (and job-id) correlation fields. Nil selects a
 	// text logger on stderr at Info.
@@ -243,7 +238,7 @@ func NewHandler(s *sunmap.Session, opts Options) http.Handler {
 }
 
 // defaultLogger is the fallback structured logger shared by servers
-// whose Options carry neither a Logger nor an ErrorLog.
+// whose Options carry no Logger.
 var defaultLogger = obs.NewLogger(os.Stderr, slog.LevelInfo)
 
 // logger resolves the server's structured logger. Resolution is by
@@ -255,13 +250,8 @@ func (sv *Server) logger() *slog.Logger {
 	return defaultLogger
 }
 
-// logf reports a degraded-path notice: to ErrorLog when configured
-// (log-capture compatibility), else to the structured logger at Warn.
+// logf reports a degraded-path notice to the structured logger at Warn.
 func (sv *Server) logf(format string, args ...any) {
-	if sv.opts.ErrorLog != nil {
-		sv.opts.ErrorLog.Printf(format, args...)
-		return
-	}
 	sv.logger().Warn(fmt.Sprintf(format, args...))
 }
 
