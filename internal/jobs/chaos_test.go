@@ -17,8 +17,8 @@ import (
 // The HTTP-level kill/restart test (full server, search job,
 // bit-identical SearchReport) lives in the root chaos_test.go.
 
-// counterRunner "computes" by counting payload steps one per
-// millisecond, checkpointing its progress as a JSON int. Resume picks
+// counterRunner "computes" by counting payload steps, sending each on
+// steps and checkpointing its progress as a JSON int. Resume picks
 // up from the checkpoint, so the result — the step sequence actually
 // executed — reveals whether a restart re-ran finished work.
 func counterRunner(steps chan<- int) Runner {
@@ -57,7 +57,9 @@ func counterRunner(steps chan<- int) Runner {
 // checkpoint, not from zero.
 func TestKillRestartResumesFromCheckpoint(t *testing.T) {
 	dir := t.TempDir()
-	steps := make(chan int, 1024)
+	// Unbuffered, so the runner cannot finish all 40 steps before the
+	// kill: it waits for each step to be taken.
+	steps := make(chan int)
 	s, err := Open(context.Background(), Options{Dir: dir, Workers: 1}, counterRunner(steps))
 	if err != nil {
 		t.Fatal(err)
@@ -79,7 +81,7 @@ func TestKillRestartResumesFromCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s2, err := Open(context.Background(), Options{Dir: dir, Workers: 1}, counterRunner(steps))
+	s2, err := Open(context.Background(), Options{Dir: dir, Workers: 1}, counterRunner(make(chan int, 40)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -55,19 +55,36 @@ func TestInfeasible(t *testing.T) {
 	}
 }
 
-func TestNegativeObjectiveRejected(t *testing.T) {
-	// Maximization stated as min -x-y, and min -x, which is unbounded
-	// below: a negative cost is outside the solver's domain, so Solve
-	// rejects it before pivoting, with or without rows.
-	maxSum := Problem{NumVars: 2, Objective: []float64{-1, -1}}
-	maxSum.AddConstraint([]float64{1, 1}, LE, 4)
-	unbounded := Problem{NumVars: 2, Objective: []float64{-1, 0}}
-	unbounded.AddConstraint([]float64{0, 1}, LE, 5)
+func TestBasicMaximizationAsMinimization(t *testing.T) {
+	// max x+y s.t. x+y<=4, x<=2  ->  min -x-y; optimum -4 at (2,2). A
+	// negative cost is outside the solver's domain, so Solve rejects it
+	// before pivoting; the reference solver still finds the optimum.
+	p := Problem{NumVars: 2, Objective: []float64{-1, -1}}
+	p.AddConstraint([]float64{1, 1}, LE, 4)
+	p.AddConstraint([]float64{1, 0}, LE, 2)
+	if _, err := NewSolver().Solve(p); err == nil {
+		t.Errorf("negative objective %v accepted", p.Objective)
+	}
+	status, objective, ok := twoPhaseBland(p)
+	if !ok || status != Optimal || math.Abs(objective-(-4)) > 1e-6 {
+		t.Errorf("reference: status %v, objective %g, ok %v; want optimal -4", status, objective, ok)
+	}
+}
+
+func TestUnbounded(t *testing.T) {
+	// min -x is unbounded below, with or without rows: Solve rejects the
+	// negative cost up front instead of reporting a status, and the
+	// reference solver runs away.
+	p := Problem{NumVars: 2, Objective: []float64{-1, 0}}
+	p.AddConstraint([]float64{0, 1}, LE, 5)
 	noRows := Problem{NumVars: 1, Objective: []float64{-1}}
-	for _, p := range []Problem{maxSum, unbounded, noRows} {
-		if _, err := NewSolver().Solve(p); err == nil {
-			t.Errorf("negative objective %v accepted", p.Objective)
+	for _, q := range []Problem{p, noRows} {
+		if _, err := NewSolver().Solve(q); err == nil {
+			t.Errorf("negative objective %v accepted", q.Objective)
 		}
+	}
+	if _, _, ok := twoPhaseBland(p); ok {
+		t.Error("reference solver bounded min -x")
 	}
 }
 
