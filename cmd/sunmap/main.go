@@ -90,7 +90,7 @@ func runServe(args []string, out io.Writer) error {
 	retention := fs.Duration("retention", time.Hour, "how long finished jobs stay fetchable")
 	cacheFile := fs.String("cache-file", "", "persist the evaluation cache here across restarts")
 	queueDepth := fs.Int("max-queue-depth", 0, "shed synchronous requests past this many queued evaluations (0 = 4x parallelism, negative = never)")
-	ckptEvery := fs.Int("checkpoint-every", 500, "annealing evaluations between durable search checkpoints")
+	ckptEvery := fs.Int("checkpoint-every", 500, "annealing evaluations between search checkpoint emissions; the newest is journaled")
 	metrics := fs.Bool("metrics", false, "expose Prometheus text metrics at GET /metrics")
 	pprofOn := fs.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/ (profiles reveal internals; keep off on untrusted networks)")
 	logLevel := fs.String("log-level", "info", "log verbosity: debug, info, warn or error")

@@ -94,12 +94,13 @@ type Options struct {
 	// each chain holds one slot; nested fault-sweep workers only borrow
 	// idle slots by TryAcquire.
 	Limit *pool.Limiter
-	// CheckpointEvery, when > 0 together with Checkpoint, emits a durable
+	// CheckpointEvery, when > 0 together with Checkpoint, emits a
 	// ChainCheckpoint every CheckpointEvery evaluations of each chain (at
-	// step boundaries). The callback runs on chain goroutines and may be
-	// invoked concurrently; implementations must be safe for concurrent
-	// use and should return quickly (journal the bytes, don't fsync per
-	// chain step).
+	// step boundaries); the caller decides which emissions to make
+	// durable. The callback runs on chain goroutines and may be invoked
+	// concurrently; implementations must be safe for concurrent use and
+	// should return quickly (hand the checkpoint off, don't write or
+	// fsync on the chain).
 	CheckpointEvery int
 	Checkpoint      func(ChainCheckpoint)
 	// Resume seeds chains from previously captured checkpoints, matched

@@ -76,8 +76,10 @@ type Options struct {
 	JobWorkers int
 	// JobRetention is how long terminal jobs stay fetchable (default 1h).
 	JobRetention time.Duration
-	// CheckpointEvery is the annealing-evaluation interval between
-	// journaled search checkpoints (default 500).
+	// CheckpointEvery is the annealing-evaluation interval at which each
+	// search chain emits a checkpoint (default 500). Emissions are not
+	// journaled one by one: a per-job writer journals the newest blob of
+	// all chains whenever the previous write has finished.
 	CheckpointEvery int
 	// CacheFile, when set, persists the session's eval cache: loaded on
 	// NewServer, saved on Close, so a restarted server is warm.
@@ -101,6 +103,10 @@ type Options struct {
 	// breaker tuning for tests; zero selects the jobs package defaults.
 	jobBreakerThreshold int
 	jobBreakerCooldown  time.Duration
+	// journalFault, when set, runs before every job journal append (the
+	// jobs.Options.WriteFault hook); tests use it to stall or observe
+	// appends.
+	journalFault func(recType, id string) error
 }
 
 func (o Options) withDefaults() Options {
@@ -189,6 +195,7 @@ func NewServer(ctx context.Context, s *sunmap.Session, opts Options) (*Server, e
 		Retention:        opts.JobRetention,
 		BreakerThreshold: opts.jobBreakerThreshold,
 		BreakerCooldown:  opts.jobBreakerCooldown,
+		WriteFault:       opts.journalFault,
 		Logger:           sv.logger(),
 	}, sv.runJob)
 	if err != nil {
@@ -460,7 +467,9 @@ func (sv *Server) runJob(ctx context.Context, kind string, payload []byte, ck *j
 	}
 	var cp *sunmap.SearchCheckpoints
 	if req.Op == sunmap.OpSearch {
-		cp = sv.searchConduit(ck)
+		var flush func()
+		cp, flush = sv.searchConduit(ck)
+		defer flush()
 	}
 	rep := sv.sess.DoCheckpointed(ctx, *req, cp)
 	if err := ctx.Err(); err != nil {
@@ -470,11 +479,18 @@ func (sv *Server) runJob(ctx context.Context, kind string, payload []byte, ck *j
 }
 
 // searchConduit adapts the job checkpoint handle to the search layer's
-// per-chain checkpoint stream: the latest checkpoint of every chain is
-// folded into one blob (sorted by chain index — the journal payload is
-// deterministic) and saved on each emission; on resume the blob is
-// decoded back into per-chain seeds.
-func (sv *Server) searchConduit(ck *jobs.Checkpoint) *sunmap.SearchCheckpoints {
+// per-chain checkpoint stream. Sink only records the chain's newest
+// checkpoint and kicks one writer goroutine; the writer folds every
+// chain's newest checkpoint into one blob (sorted by chain index — the
+// journal payload is deterministic) and saves it. Emissions that land
+// while a Save is in flight merge into the next one, newest wins, so
+// chains never wait on the journal and the fsync rate follows the disk.
+// Any checkpoint is a valid resume point, so saving fewer only changes
+// how much work a resume repeats. On resume the blob is decoded back
+// into per-chain seeds. The returned flush saves the newest blob and
+// joins the writer; call it after the search returns, before the job
+// records its outcome.
+func (sv *Server) searchConduit(ck *jobs.Checkpoint) (*sunmap.SearchCheckpoints, func()) {
 	cp := &sunmap.SearchCheckpoints{Every: sv.opts.CheckpointEvery}
 	latest := map[int]sunmap.SearchCheckpoint{}
 	if raw := ck.Latest(); raw != nil {
@@ -486,17 +502,35 @@ func (sv *Server) searchConduit(ck *jobs.Checkpoint) *sunmap.SearchCheckpoints {
 			}
 		}
 	}
-	var mu sync.Mutex
+	var (
+		mu    sync.Mutex
+		dirty bool // latest holds an emission not yet saved
+	)
+	kick, stop, exited := make(chan struct{}, 1), make(chan struct{}), make(chan struct{})
 	cp.Sink = func(c sunmap.SearchCheckpoint) {
 		mu.Lock()
 		latest[c.Chain] = c
+		dirty = true
+		mu.Unlock()
+		select {
+		case kick <- struct{}{}:
+		default: // a kick is already pending; it will see this emission
+		}
+	}
+	save := func() {
+		mu.Lock()
+		if !dirty {
+			mu.Unlock()
+			return
+		}
+		dirty = false
 		blob := make([]sunmap.SearchCheckpoint, 0, len(latest))
 		for _, v := range latest {
 			blob = append(blob, v)
 		}
+		mu.Unlock()
 		sort.Slice(blob, func(i, j int) bool { return blob[i].Chain < blob[j].Chain })
 		raw, err := json.Marshal(blob)
-		mu.Unlock()
 		if err != nil {
 			return
 		}
@@ -504,7 +538,23 @@ func (sv *Server) searchConduit(ck *jobs.Checkpoint) *sunmap.SearchCheckpoints {
 			sv.logf("serve: checkpoint not durable: %v", err)
 		}
 	}
-	return cp
+	go func() {
+		defer close(exited)
+		for {
+			select {
+			case <-kick:
+				save()
+			case <-stop:
+				return
+			}
+		}
+	}()
+	flush := func() {
+		close(stop)
+		<-exited
+		save()
+	}
+	return cp, flush
 }
 
 // retrySeconds rounds a cooldown up to whole seconds, minimum 1.

@@ -793,7 +793,8 @@ type SearchCheckpoint = search.ChainCheckpoint
 
 // SearchCheckpoints plumbs durable checkpointing into a search run:
 // Sink receives a checkpoint every Every evaluations of each chain
-// (concurrently — it must be safe and fast), and Resume seeds chains
+// (concurrently — it must be safe and fast; it decides which emissions
+// to make durable), and Resume seeds chains
 // from previously captured checkpoints. A resumed run must repeat the
 // original request's seed, budget, restarts, bounds and application.
 type SearchCheckpoints struct {
