@@ -68,6 +68,9 @@ type Config struct {
 	// Limit, when non-nil, bounds in-flight mapping evaluations across
 	// concurrent Select/explore calls sharing it (see engine.Options.Limit).
 	Limit *pool.Limiter
+	// Scratch, when non-nil, is the mapping scratch free list shared
+	// with other runs (see engine.Options.Scratch).
+	Scratch *pool.Free[mapping.Scratch]
 	// Fault, when non-nil, adds a reliability axis to Phase 2: every
 	// feasible candidate's survivability under the model's failure
 	// scenarios is computed by degraded-mode rerouting (internal/fault)
@@ -241,7 +244,7 @@ func SelectContext(ctx context.Context, cfg Config) (*Selection, error) {
 	if len(lib) == 0 {
 		return nil, fmt.Errorf("core: empty topology library")
 	}
-	eo := engine.Options{Parallelism: cfg.Parallelism, Cache: cfg.Cache, Progress: cfg.Progress, Limit: cfg.Limit}
+	eo := engine.Options{Parallelism: cfg.Parallelism, Cache: cfg.Cache, Progress: cfg.Progress, Limit: cfg.Limit, Scratch: cfg.Scratch}
 	if eo.Limit == nil {
 		// The fault-sweep helpers of applyReliability admit by borrowing
 		// idle slots from the shared limiter; without a session-provided

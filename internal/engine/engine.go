@@ -90,6 +90,14 @@ type Options struct {
 	// Session.Batch — share a single session-wide parallelism budget
 	// instead of multiplying their pools.
 	Limit *pool.Limiter
+	// Scratch, when non-nil, is the free list of mapping scratch sets
+	// (routers, LP arenas, path buffers) the run's evaluations borrow
+	// from. A Session passes one list to every engine run, so escalation
+	// rungs and later requests reuse warm scratch; an evaluation takes a
+	// set only while it holds a Limit slot, so a list used only under one
+	// Limit never grows past its capacity. Nil gives the run a list of
+	// its own.
+	Scratch *pool.Free[mapping.Scratch]
 }
 
 func (o Options) workers(jobs int) int {
@@ -151,10 +159,14 @@ func Evaluate(ctx context.Context, app *graph.CoreGraph, jobs []Job, eo Options)
 	workers := eo.workers(len(jobs))
 
 	// Per-worker mapping scratch: each running evaluation borrows a
-	// Scratch (routing solver + swap-loop buffers) for its duration, so a
-	// library sweep reuses at most `workers` scratch sets instead of
-	// allocating routing state per candidate mapping.
-	scratch := pool.NewFree(mapping.NewScratch)
+	// Scratch (routing solver + swap-loop buffers) for its duration, from
+	// the caller's list or else a run-local one, so a library sweep reuses
+	// at most `workers` scratch sets instead of allocating routing state
+	// per candidate mapping.
+	scratch := eo.Scratch
+	if scratch == nil {
+		scratch = pool.NewFree(mapping.NewScratch)
+	}
 
 	var progressMu sync.Mutex
 	done := 0

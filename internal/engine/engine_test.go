@@ -339,3 +339,48 @@ func TestIntraParallelism(t *testing.T) {
 		}
 	}
 }
+
+// TestSharedScratchBounded runs two Evaluate calls concurrently on one
+// scratch list and one limiter, the way a Session's requests share them.
+// Scratch sets are taken only inside a limiter slot, so together the runs
+// construct at most Parallelism sets, and reused scratch never reaches a
+// result: each run's outcomes match a run with scratch of its own.
+func TestSharedScratchBounded(t *testing.T) {
+	const par = 2
+	app := apps.VOPD()
+	lib := vopdLib(t)
+	split := vopdOpts()
+	split.Routing = route.SplitMin
+	optSets := []mapping.Options{vopdOpts(), split}
+
+	var built atomic.Int64
+	scratch := pool.NewFree(func() *mapping.Scratch {
+		built.Add(1)
+		return mapping.NewScratch()
+	})
+	eo := Options{Parallelism: par, Limit: pool.NewLimiter(par), Scratch: scratch}
+	got := make([][]Outcome, len(optSets))
+	errs := make([]error, len(optSets))
+	var wg sync.WaitGroup
+	for i, opts := range optSets {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i], errs[i] = Sweep(context.Background(), app, lib, opts, eo)
+		}()
+	}
+	wg.Wait()
+	for i, opts := range optSets {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		want, err := Sweep(context.Background(), app, lib, opts, Options{Parallelism: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameOutcomes(t, got[i], want)
+	}
+	if n := built.Load(); n < 1 || n > par {
+		t.Errorf("two runs sharing one list built %d scratch sets, want 1..%d", n, par)
+	}
+}

@@ -142,31 +142,61 @@ func (d *Digraph) HopDistance(src, dst int, allowed []bool) int {
 	return -1
 }
 
-// AllMinHopArcs returns the set of arc IDs that lie on at least one
-// minimum-hop src->dst path within `allowed`. Splitting across minimum
-// paths (routing function SM) restricts flow to this DAG.
-func (d *Digraph) AllMinHopArcs(src, dst int, allowed []bool) map[int]bool {
-	distS := d.bfsAll(src, allowed, false)
-	distT := d.bfsAll(dst, allowed, true)
-	out := make(map[int]bool)
-	if distS[dst] < 0 {
-		return out
+// MinHopArcsInto marks in mask (indexed by arc ID, all false on entry)
+// every arc that lies on at least one minimum-hop src->dst path within
+// `allowed` (nil = all). Splitting across minimum paths (routing function
+// SM) restricts flow to this DAG. dist, queue and on are caller-owned
+// scratch of at least NumVertices entries each; their contents on entry
+// are ignored. Nothing is marked when src == dst or dst is unreachable.
+//
+// One forward BFS from src settles hop distances up to dst's level. The
+// BFS queue is then walked backwards — non-increasing distance — marking
+// u->v whenever dist[v] == dist[u]+1 and v is on a minimum path to dst,
+// which is exactly the arc set dist(src,u)+1+dist(v,dst) == dist(src,dst).
+func (d *Digraph) MinHopArcsInto(mask []bool, src, dst int, allowed []bool, dist, queue []int, on []bool) {
+	if src == dst || (allowed != nil && !allowed[src]) {
+		return
 	}
-	total := distS[dst]
-	for u := range d.adj {
-		if distS[u] < 0 {
-			continue
-		}
+	n := len(d.adj)
+	for i := 0; i < n; i++ {
+		dist[i] = -1
+		on[i] = false
+	}
+	dist[src] = 0
+	queue[0] = src
+	head, tail := 0, 1
+	// Every vertex on a minimum path sits below dst's level, and that
+	// whole level is queued before dst is discovered, so the search stops
+	// there.
+bfs:
+	for head < tail {
+		u := queue[head]
+		head++
 		for _, a := range d.adj[u] {
-			if allowed != nil && !allowed[a.To] {
+			if (allowed != nil && !allowed[a.To]) || dist[a.To] != -1 {
 				continue
 			}
-			if distT[a.To] >= 0 && distS[u]+1+distT[a.To] == total {
-				out[a.ID] = true
+			dist[a.To] = dist[u] + 1
+			queue[tail] = a.To
+			tail++
+			if a.To == dst {
+				break bfs
 			}
 		}
 	}
-	return out
+	if dist[dst] < 0 {
+		return
+	}
+	on[dst] = true
+	for i := tail - 1; i >= 0; i-- {
+		u := queue[i]
+		for _, a := range d.adj[u] {
+			if on[a.To] && dist[a.To] == dist[u]+1 {
+				mask[a.ID] = true
+				on[u] = true
+			}
+		}
+	}
 }
 
 // BFSDistances returns hop distances from src to every vertex

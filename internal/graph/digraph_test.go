@@ -139,13 +139,58 @@ func TestHopDistance(t *testing.T) {
 	}
 }
 
+// minHopMask runs MinHopArcsInto with fresh buffers.
+func minHopMask(d *Digraph, numArcs, src, dst int, allowed []bool) []bool {
+	n := d.NumVertices()
+	mask := make([]bool, numArcs)
+	d.MinHopArcsInto(mask, src, dst, allowed, make([]int, n), make([]int, n), make([]bool, n))
+	return mask
+}
+
+// allMinHopArcs is the two-BFS oracle for MinHopArcsInto: the set of arc
+// IDs u->v with dist(src,u)+1+dist(v,dst) == dist(src,dst), distances
+// taken within `allowed`.
+func allMinHopArcs(d *Digraph, src, dst int, allowed []bool) map[int]bool {
+	distS := d.bfsAll(src, allowed, false)
+	distT := d.bfsAll(dst, allowed, true)
+	out := make(map[int]bool)
+	if distS[dst] < 0 {
+		return out
+	}
+	total := distS[dst]
+	for u := range d.adj {
+		if distS[u] < 0 {
+			continue
+		}
+		for _, a := range d.adj[u] {
+			if allowed != nil && !allowed[a.To] {
+				continue
+			}
+			if distT[a.To] >= 0 && distS[u]+1+distT[a.To] == total {
+				out[a.ID] = true
+			}
+		}
+	}
+	return out
+}
+
+func countTrue(mask []bool) int {
+	n := 0
+	for _, b := range mask {
+		if b {
+			n++
+		}
+	}
+	return n
+}
+
 func TestAllMinHopArcs(t *testing.T) {
 	d := grid(3, 3)
 	// 0 -> 8: all monotone right/down paths; the DAG has 12 arcs
 	// (each of the 12 rightward/downward arcs inside the box).
-	arcs := d.AllMinHopArcs(0, 8, nil)
-	if len(arcs) != 12 {
-		t.Errorf("min-hop DAG has %d arcs, want 12", len(arcs))
+	arcs := minHopMask(d, d.NumArcs(), 0, 8, nil)
+	if got := countTrue(arcs); got != 12 {
+		t.Errorf("min-hop DAG has %d arcs, want 12", got)
 	}
 	// Every arc in the DAG lies on a path of length 4: verify by checking
 	// dist(src,u)+1+dist(v,dst) == 4 for the arc u->v.
@@ -164,8 +209,50 @@ func TestAllMinHopArcs(t *testing.T) {
 	// Unreachable pair yields an empty set.
 	allowed := make([]bool, 9)
 	allowed[0], allowed[8] = true, true
-	if got := d.AllMinHopArcs(0, 8, allowed); len(got) != 0 {
-		t.Errorf("disconnected min-hop DAG has %d arcs, want 0", len(got))
+	if got := countTrue(minHopMask(d, d.NumArcs(), 0, 8, allowed)); got != 0 {
+		t.Errorf("disconnected min-hop DAG has %d arcs, want 0", got)
+	}
+}
+
+// Property: over random digraphs (parallel arcs and self-loops included),
+// with and without an allowed mask, for every vertex pair — src == dst and
+// unreachable dst among them — MinHopArcsInto marks exactly the oracle's
+// arc set. One set of buffers is reused across every query, so stale
+// scratch contents must never leak into a result.
+func TestMinHopArcsIntoMatchesOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	var dist, queue []int
+	var on []bool
+	for iter := 0; iter < 2000; iter++ {
+		n := 1 + rng.Intn(12)
+		d := NewDigraph(n)
+		arcs := rng.Intn(3*n + 1)
+		for id := 0; id < arcs; id++ {
+			d.AddArc(rng.Intn(n), rng.Intn(n), id)
+		}
+		var allowed []bool
+		if iter%2 == 1 {
+			allowed = make([]bool, n)
+			for v := range allowed {
+				allowed[v] = rng.Intn(4) != 0
+			}
+		}
+		if len(dist) < n {
+			dist, queue, on = make([]int, n), make([]int, n), make([]bool, n)
+		}
+		for src := 0; src < n; src++ {
+			for dst := 0; dst < n; dst++ {
+				mask := make([]bool, arcs)
+				d.MinHopArcsInto(mask, src, dst, allowed, dist, queue, on)
+				want := allMinHopArcs(d, src, dst, allowed)
+				for id, got := range mask {
+					if got != want[id] {
+						t.Fatalf("iter %d (n=%d, allowed=%v) %d->%d: arc %d marked=%v, oracle=%v",
+							iter, n, allowed, src, dst, id, got, want[id])
+					}
+				}
+			}
+		}
 	}
 }
 

@@ -197,6 +197,35 @@ func TestSplitRouteAllocFree(t *testing.T) {
 	}
 }
 
+// TestMinHopDAGFillAllocs gates the SM rung's per-pair setup: on a warm
+// Router (BFS buffers grown, quadrant masks cached), filling one new
+// terminal pair's min-hop DAG allocates exactly one object — the cached
+// mask itself.
+func TestMinHopDAGFillAllocs(t *testing.T) {
+	topo := mustTopo(topology.NewMesh(3, 4))
+	rt := route.NewRouter()
+	rt.Bind(topo)
+	numT := topo.NumTerminals()
+	var pairs [][2]int
+	for s := 0; s < numT; s++ {
+		for d := 0; d < numT; d++ {
+			rt.Quadrant(s, d)
+			pairs = append(pairs, [2]int{s, d})
+		}
+	}
+	rt.MinHopDAG(pairs[0][0], pairs[0][1]) // warm: grows the BFS buffers
+	next := 1
+	fill := func() {
+		p := pairs[next]
+		next++
+		rt.MinHopDAG(p[0], p[1])
+	}
+	// AllocsPerRun calls fill runs+1 times; each call is a first-seen pair.
+	if allocs := testing.AllocsPerRun(len(pairs)-2, fill); allocs != 1 {
+		t.Errorf("filling one min-hop DAG allocates %.2f objects, want exactly 1 (the mask)", allocs)
+	}
+}
+
 // BenchmarkRoute is covered in internal/route; this sibling measures the
 // route stack as the mapper drives it — scratch router, loads only —
 // against the allocating public entry point, on the mapped seed

@@ -43,6 +43,13 @@ func TestIncrementalMatchesReference(t *testing.T) {
 			{Routing: route.SplitMin, Objective: MinDelay, CapacityMBps: 500, SwapPasses: 2},
 			{Routing: route.SplitAll, Objective: MinDelay, CapacityMBps: 500, SwapPasses: 1},
 		}},
+		// Capacity far below vopd's heaviest flows: candidate loads cross
+		// the capacity mid-sweep, so the prune bound's overload term is
+		// live rather than exactly 0.
+		{"vopd-tight", apps.VOPD(), []Options{
+			{Routing: route.MinPath, Objective: MinDelay, CapacityMBps: 150},
+			{Routing: route.SplitMin, Objective: MinDelay, CapacityMBps: 150, SwapPasses: 2},
+		}},
 	}
 	ctx := context.Background()
 	// One shared Scratch across every fast-side run: reuse across apps,

@@ -112,6 +112,11 @@ type incState struct {
 	// bandwidth-weighted minimum-hop sum of commodities k.. under the
 	// candidate assignment.
 	hopSuffix []float64
+	// over records that some candidate link load has exceeded the
+	// capacity during this eval. Until it is set the prune bound's
+	// overload term is exactly 0, so only the links each commodity
+	// touched need checking.
+	over bool
 
 	// Baseline: the routed structure of every commodity under the
 	// currently accepted assignment.
@@ -256,9 +261,19 @@ const pruneSlack = 1e-10
 // link loads — which at commodity boundaries only ever grow toward the
 // final loads. So no completion of this partial evaluation can score
 // below the returned value.
-func (st *incState) hopBound(res *route.Result, k int) float64 {
+//
+// rec is commodity k-1's routing record: the only links whose loads that
+// commodity changed. The full overload scan runs only once one of them
+// has crossed the capacity.
+func (st *incState) hopBound(res *route.Result, k int, rec *flowRec) float64 {
 	lb := (res.HopSumMBps + st.hopSuffix[k]) / st.totalMBps
 	if limit := st.ev.opts.CapacityMBps; limit > 0 {
+		if !st.over {
+			st.over = recOverloaded(res.LinkLoads, rec, limit)
+			if !st.over {
+				return lb
+			}
+		}
 		var overload float64
 		for _, l := range res.LinkLoads {
 			if l > limit {
@@ -308,6 +323,7 @@ func (st *incState) eval(assign []int, ca, cb int, all bool, bound float64) (e *
 	st.dirtyEpoch++
 	st.dirtyIDs = st.dirtyIDs[:0]
 	st.reroutedIDs = st.reroutedIDs[:0]
+	st.over = false
 
 	for k := range st.comms {
 		c := st.comms[k]
@@ -330,7 +346,7 @@ func (st *incState) eval(assign []int, ca, cb int, all bool, bound float64) (e *
 		}
 		if !reroute {
 			st.applyRec(res, c, &st.base[k])
-			if prune && st.hopBound(res, k+1)*(1-pruneSlack) >= bound {
+			if prune && st.hopBound(res, k+1, &st.base[k])*(1-pruneSlack) >= bound {
 				return nil, true, nil
 			}
 			continue
@@ -367,7 +383,7 @@ func (st *incState) eval(assign []int, ca, cb int, all bool, bound float64) (e *
 			st.markRecDirty(&st.base[k])
 			st.markRecDirty(rec)
 		}
-		if prune && st.hopBound(res, k+1)*(1-pruneSlack) >= bound {
+		if prune && st.hopBound(res, k+1, rec)*(1-pruneSlack) >= bound {
 			return nil, true, nil
 		}
 	}
@@ -479,6 +495,19 @@ func (st *incState) dirtyOnDAG(dag []bool) bool {
 	for _, id := range st.dirtyIDs {
 		if dag[id] {
 			return true
+		}
+	}
+	return false
+}
+
+// recOverloaded reports whether any link on rec's paths carries more
+// than limit.
+func recOverloaded(loads []float64, rec *flowRec, limit float64) bool {
+	for i := 0; i < rec.n; i++ {
+		for _, id := range rec.arcs[i] {
+			if loads[id] > limit {
+				return true
+			}
 		}
 	}
 	return false

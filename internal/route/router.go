@@ -61,6 +61,10 @@ type Router struct {
 	topo  topology.Topology
 	quads [][]bool
 	dags  [][]bool
+
+	// BFS scratch for filling a min-hop-DAG cache entry.
+	hopDist, hopQueue []int
+	hopOn             []bool
 }
 
 // NewRouter returns a Router with empty scratch; buffers grow on first use.
@@ -106,11 +110,14 @@ func (rt *Router) MinHopDAG(srcT, dstT int) []bool {
 	if rt.dags[i] == nil {
 		mask := rt.Quadrant(srcT, dstT)
 		src, dst := rt.topo.InjectRouter(srcT), rt.topo.EjectRouter(dstT)
-		arcSet := rt.topo.Graph().AllMinHopArcs(src, dst, mask)
-		dense := make([]bool, len(rt.topo.Links())) //sunmap:alloc once-per-terminal-pair cache fill, cold after warmup
-		for id := range arcSet {
-			dense[id] = true
+		g := rt.topo.Graph()
+		if n := g.NumVertices(); len(rt.hopDist) < n {
+			rt.hopDist = make([]int, n)  //sunmap:alloc first-use growth, recycled across pairs and topologies
+			rt.hopQueue = make([]int, n) //sunmap:alloc first-use growth, recycled across pairs and topologies
+			rt.hopOn = make([]bool, n)   //sunmap:alloc first-use growth, recycled across pairs and topologies
 		}
+		dense := make([]bool, len(rt.topo.Links())) //sunmap:alloc once-per-terminal-pair cache fill, cold after warmup
+		g.MinHopArcsInto(dense, src, dst, mask, rt.hopDist, rt.hopQueue, rt.hopOn)
 		rt.dags[i] = dense
 	}
 	return rt.dags[i]

@@ -45,7 +45,11 @@ type Session struct {
 	fault       *FaultSpec
 	tech        tech.Tech
 	limit       *pool.Limiter
-	trace       *Trace
+	// scratch is the mapping scratch every engine run of the session
+	// borrows from; evaluations take a set only while holding a limit
+	// slot, so it never holds more sets than limit has slots.
+	scratch *pool.Free[mapping.Scratch]
+	trace   *Trace
 	// scope holds machine-discovered topologies registered by Search —
 	// session-local so serve processes never leak or collide names across
 	// tenants the way the process-wide registry would.
@@ -157,6 +161,7 @@ func NewSession(opts ...SessionOption) (*Session, error) {
 	}
 	s := c.Session
 	s.limit = pool.NewLimiter(s.parallelism)
+	s.scratch = pool.NewFree(mapping.NewScratch)
 	s.scope = topology.NewScope(topology.DefaultScopeLimit)
 	if p := s.progress; p != nil {
 		// Serialize callbacks across the session's concurrent engine runs
@@ -298,7 +303,7 @@ func (s *Session) Map(ctx context.Context, req MapRequest) (*DesignReport, error
 // full sweeps do.
 func (s *Session) evalMap(ctx context.Context, app *graph.CoreGraph, topo Topology, opts mapping.Options) (*mapping.Result, error) {
 	outcomes, err := engine.Evaluate(ctx, app, []engine.Job{{Topo: topo, Opts: opts}}, engine.Options{
-		Parallelism: 1, Cache: s.cache, Progress: s.progress, Limit: s.limit,
+		Parallelism: 1, Cache: s.cache, Progress: s.progress, Limit: s.limit, Scratch: s.scratch,
 	})
 	if err != nil {
 		return nil, err
@@ -404,7 +409,7 @@ func (s *Session) ParetoExplore(ctx context.Context, req ParetoRequest) (*Pareto
 }
 
 func (s *Session) explore() core.ExploreOptions {
-	return core.ExploreOptions{Parallelism: s.parallelism, Cache: s.cache, Progress: s.progress, Limit: s.limit}
+	return core.ExploreOptions{Parallelism: s.parallelism, Cache: s.cache, Progress: s.progress, Limit: s.limit, Scratch: s.scratch}
 }
 
 // coreConfig assembles a selection config carrying the session's engine
@@ -420,6 +425,7 @@ func (s *Session) coreConfig(app *graph.CoreGraph, opts mapping.Options, escalat
 		Cache:           s.cache,
 		Progress:        s.progress,
 		Limit:           s.limit,
+		Scratch:         s.scratch,
 	}
 }
 
