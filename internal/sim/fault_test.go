@@ -142,32 +142,7 @@ func TestFaultReroutesRecover(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Degraded table: masked MP rerouting per pair. Pairs that cannot
-	// avoid the failure (the center terminal itself) keep their original
-	// paths and stall.
-	n := topo.NumTerminals()
-	degraded := &RouteTable{n: n, paths: make([][]Path, n*n)}
-	for s := 0; s < n; s++ {
-		for d := 0; d < n; d++ {
-			if s == d {
-				continue
-			}
-			res, err := route.Route(topo, []int{s, d},
-				[]graph.Commodity{{ID: 0, Src: 0, Dst: 1, ValueMBps: 1}},
-				route.Options{Function: route.MinPath, DownLinks: downMask})
-			if err != nil {
-				degraded.paths[s*n+d] = cfg.Routes.Paths(s, d)
-				continue
-			}
-			for _, p := range res.Paths {
-				degraded.paths[s*n+d] = append(degraded.paths[s*n+d], Path{
-					LinkIDs: append([]int(nil), p.LinkIDs...),
-					Weight:  p.Fraction,
-				})
-			}
-		}
-	}
-	cfg.FaultRoutes = degraded
+	cfg.FaultRoutes = degradedRoutes(topo, downMask, cfg.Routes)
 	rerouted, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -180,6 +155,35 @@ func TestFaultReroutesRecover(t *testing.T) {
 		t.Errorf("rerouting stranded more packets (%d) than stalling (%d)",
 			rerouted.UnfinishedPackets, stalled.UnfinishedPackets)
 	}
+}
+
+// degradedRoutes is the degraded-mode table around the down links:
+// masked MP rerouting per pair. Pairs that cannot avoid the failure keep
+// their fallback paths and stall.
+func degradedRoutes(topo topology.Topology, down []bool, fallback *RouteTable) *RouteTable {
+	n := topo.NumTerminals()
+	degraded := &RouteTable{n: n, paths: make([][]Path, n*n)}
+	for s := 0; s < n; s++ {
+		for d := 0; d < n; d++ {
+			if s == d {
+				continue
+			}
+			res, err := route.Route(topo, []int{s, d},
+				[]graph.Commodity{{ID: 0, Src: 0, Dst: 1, ValueMBps: 1}},
+				route.Options{Function: route.MinPath, DownLinks: down})
+			if err != nil {
+				degraded.paths[s*n+d] = fallback.Paths(s, d)
+				continue
+			}
+			for _, p := range res.Paths {
+				degraded.paths[s*n+d] = append(degraded.paths[s*n+d], Path{
+					LinkIDs: append([]int(nil), p.LinkIDs...),
+					Weight:  p.Fraction,
+				})
+			}
+		}
+	}
+	return degraded
 }
 
 // TestFaultLinkValidation rejects out-of-range fault links.

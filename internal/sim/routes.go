@@ -18,11 +18,18 @@ import (
 // dimension-ordered single paths on direct topologies (the deterministic
 // routing of ×pipes-style switches), the unique path on butterflies, and
 // the full middle-stage spread on Clos networks (weight 1/m each) — the
-// path diversity that wins Fig. 8(b) for the Clos.
+// path diversity that wins Fig. 8(b) for the Clos. Every routed pair
+// reuses one route.Router and one route.Result, so the table costs its
+// own paths and little else.
 func BuildRoutes(topo topology.Topology) (*RouteTable, error) {
 	n := topo.NumTerminals()
 	rt := &RouteTable{n: n, paths: make([][]Path, n*n)}
 	cl, isClos := topo.(topology.ClosLike)
+	router := route.NewRouter()
+	var res route.Result
+	assign := make([]int, 2)
+	comms := []graph.Commodity{{ID: 0, Src: 0, Dst: 1, ValueMBps: 1}}
+	opts := route.Options{Function: route.DimensionOrdered}
 	for s := 0; s < n; s++ {
 		for d := 0; d < n; d++ {
 			if s == d {
@@ -46,14 +53,13 @@ func BuildRoutes(topo topology.Topology) (*RouteTable, error) {
 				}
 				continue
 			}
-			res, err := route.Route(topo, []int{s, d},
-				[]graph.Commodity{{ID: 0, Src: 0, Dst: 1, ValueMBps: 1}},
-				route.Options{Function: route.DimensionOrdered})
-			if err != nil {
+			assign[0], assign[1] = s, d
+			if err := router.RouteInto(&res, topo, assign, comms, opts); err != nil {
 				return nil, fmt.Errorf("sim: building route %d->%d on %s: %w", s, d, topo.Name(), err)
 			}
 			for _, p := range res.Paths {
 				rt.paths[s*n+d] = append(rt.paths[s*n+d], Path{
+					// Copied: res reuses its path buffers on the next pair.
 					LinkIDs: append([]int(nil), p.LinkIDs...),
 					Weight:  p.Fraction,
 				})

@@ -15,6 +15,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"sunmap/internal/topology"
 	"sunmap/internal/traffic"
@@ -166,13 +167,15 @@ type Stats struct {
 	Cycles int
 }
 
-// packet is one in-flight message.
+// packet is one in-flight message. A run recycles packets through a
+// free list once their tail flit ejects: wormhole order guarantees every
+// earlier flit of the packet has ejected by then, so nothing still
+// references it.
 type packet struct {
 	dst       int
 	links     []int
 	createdAt int
 	measured  bool
-	done      bool
 }
 
 // flit is the unit of flow control.
@@ -183,20 +186,41 @@ type flit struct {
 	tail bool
 }
 
-// fifo is a bounded flit queue.
+// fifo is a bounded flit queue: a ring over its fixed window q of the
+// run's flit slab, holding n flits from index start on. Callers never
+// push onto a full ring (credits and the injection full check bound
+// every buffer's occupancy).
 type fifo struct {
-	q   []flit
-	cap int
+	q        []flit
+	start, n int
 }
 
-func (f *fifo) full() bool  { return len(f.q) >= f.cap }
-func (f *fifo) empty() bool { return len(f.q) == 0 }
-func (f *fifo) head() *flit { return &f.q[0] }
-func (f *fifo) push(x flit) { f.q = append(f.q, x) }
+func (f *fifo) full() bool  { return f.n == len(f.q) }
+func (f *fifo) empty() bool { return f.n == 0 }
+func (f *fifo) head() *flit { return &f.q[f.start] }
+func (f *fifo) push(x flit) {
+	i := f.start + f.n
+	if i >= len(f.q) {
+		i -= len(f.q)
+	}
+	f.q[i] = x
+	f.n++
+}
 func (f *fifo) pop() flit {
-	x := f.q[0]
-	f.q = f.q[1:]
+	x := f.q[f.start]
+	f.q[f.start] = flit{}
+	if f.start++; f.start == len(f.q) {
+		f.start = 0
+	}
+	f.n--
 	return x
+}
+
+// srcQueue is a terminal's unbounded source queue, held per packet: the
+// flits of pkts[head] are fed one per cycle, seq being the next one.
+type srcQueue struct {
+	pkts      []*packet
+	head, seq int
 }
 
 // inTransit is a flit travelling on a channel.
@@ -270,11 +294,14 @@ func RunContext(ctx context.Context, cfg Config) (*Stats, error) {
 	}
 
 	// Buffer layout: one input buffer per link (at its To router) and one
-	// injection buffer per terminal (at its inject router).
+	// injection buffer per terminal (at its inject router), each a ring
+	// over its own window of one flit slab.
 	numBufs := len(links) + nTerm
+	depth := cfg.BufDepthFlits
+	slab := make([]flit, numBufs*depth)
 	bufs := make([]fifo, numBufs)
 	for i := range bufs {
-		bufs[i] = fifo{cap: cfg.BufDepthFlits}
+		bufs[i].q = slab[i*depth : (i+1)*depth : (i+1)*depth]
 	}
 	linkBuf := func(linkID int) int { return linkID }
 	injBuf := func(term int) int { return len(links) + term }
@@ -304,7 +331,8 @@ func RunContext(ctx context.Context, cfg Config) (*Stats, error) {
 	}
 
 	rng := cfg.rng()
-	srcQueues := make([][]flit, nTerm) // unbounded source queues
+	srcQueues := make([]srcQueue, nTerm)
+	var freePkts []*packet // packets whose tail has ejected, for reuse
 	var transit []inTransit
 	var latencies []float64
 	var measuredCreated, measuredDone int
@@ -373,12 +401,12 @@ func RunContext(ctx context.Context, cfg Config) (*Stats, error) {
 			ejOwner[term] = chosen
 			if fl.tail {
 				ejOwner[term] = -1
-				fl.pkt.done = true
 				inFlight--
 				if fl.pkt.measured {
 					measuredDone++
 					latencies = append(latencies, float64(cycle-fl.pkt.createdAt))
 				}
+				freePkts = append(freePkts, fl.pkt)
 				if cycle >= cfg.WarmupCycles && cycle < cfg.WarmupCycles+cfg.MeasureCycles {
 					measuredFlits += cfg.PacketFlits
 					if cfg.FaultCycle > 0 {
@@ -446,6 +474,7 @@ func RunContext(ctx context.Context, cfg Config) (*Stats, error) {
 		// 4. Injection: generate packets and feed injection buffers.
 		genRate := cfg.InjectionRate / float64(cfg.PacketFlits)
 		for _, term := range active {
+			q := &srcQueues[term]
 			if cycle < cfg.WarmupCycles+cfg.MeasureCycles && rng.Float64() < genRate*share[term] {
 				dst := cfg.Pattern.Dest(term, nTerm, rng)
 				if dst == term {
@@ -460,7 +489,13 @@ func RunContext(ctx context.Context, cfg Config) (*Stats, error) {
 					return nil, fmt.Errorf("sim: no route %d->%d", term, dst)
 				}
 				p := pickPath(paths, rng)
-				pk := &packet{
+				var pk *packet
+				if n := len(freePkts); n > 0 {
+					pk, freePkts = freePkts[n-1], freePkts[:n-1]
+				} else {
+					pk = new(packet)
+				}
+				*pk = packet{
 					dst:       dst,
 					links:     p.LinkIDs,
 					createdAt: cycle,
@@ -470,17 +505,20 @@ func RunContext(ctx context.Context, cfg Config) (*Stats, error) {
 					measuredCreated++
 				}
 				inFlight++
-				for s := 0; s < cfg.PacketFlits; s++ {
-					srcQueues[term] = append(srcQueues[term], flit{
-						pkt: pk, seq: s, tail: s == cfg.PacketFlits-1,
-					})
-				}
+				q.pkts = append(q.pkts, pk)
 			}
 			// One flit per cycle from the source queue into the inject
 			// buffer.
-			if len(srcQueues[term]) > 0 && !bufs[injBuf(term)].full() {
-				bufs[injBuf(term)].push(srcQueues[term][0])
-				srcQueues[term] = srcQueues[term][1:]
+			if q.head < len(q.pkts) && !bufs[injBuf(term)].full() {
+				tail := q.seq == cfg.PacketFlits-1
+				bufs[injBuf(term)].push(flit{pkt: q.pkts[q.head], seq: q.seq, tail: tail})
+				q.seq++
+				if tail {
+					q.head, q.seq = q.head+1, 0
+					if q.head == len(q.pkts) {
+						q.pkts, q.head = q.pkts[:0], 0
+					}
+				}
 			}
 		}
 
@@ -572,13 +610,10 @@ func pickPath(paths []Path, rng RNG) Path {
 	return paths[len(paths)-1]
 }
 
+// percentile returns the p-quantile of xs, taking the lower of the two
+// nearest ranks. It sorts xs in place: the set has one entry per
+// measured packet, unbounded in MeasureCycles.
 func percentile(xs []float64, p float64) float64 {
-	sorted := append([]float64(nil), xs...)
-	for i := 1; i < len(sorted); i++ { // insertion sort; latency sets are small
-		for j := i; j > 0 && sorted[j] < sorted[j-1]; j-- {
-			sorted[j], sorted[j-1] = sorted[j-1], sorted[j]
-		}
-	}
-	idx := int(p * float64(len(sorted)-1))
-	return sorted[idx]
+	slices.Sort(xs)
+	return xs[int(p*float64(len(xs)-1))]
 }

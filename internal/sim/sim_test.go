@@ -265,3 +265,42 @@ func TestStarHubSimulation(t *testing.T) {
 		t.Error("star delivered no packets")
 	}
 }
+
+// TestRunContextAllocsFlat pins the simulator's allocations to the run,
+// not the cycle: doubling the measurement window may add only the
+// amortized growth of the per-run latency and packet slices.
+func TestRunContextAllocsFlat(t *testing.T) {
+	topo := mustTopo(topology.NewMesh(4, 4))
+	cfg := baseCfg(topo, mustRoutes(t, topo))
+	cfg.InjectionRate = 0.2
+	allocs := func(measure int) float64 {
+		c := cfg
+		c.MeasureCycles = measure
+		return testing.AllocsPerRun(3, func() {
+			if _, err := Run(c); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	short, long := allocs(2000), allocs(4000)
+	if long-short > 16 {
+		t.Errorf("doubling MeasureCycles added %.0f allocations (%.0f -> %.0f), want <= 16", long-short, short, long)
+	}
+}
+
+// TestBuildRoutesAllocs pins route-table construction to a few
+// allocations per ordered pair: its own path records, not a fresh
+// router and terminal-pair cache for every pair.
+func TestBuildRoutesAllocs(t *testing.T) {
+	topo := mustTopo(topology.NewMesh(4, 4))
+	n := topo.NumTerminals()
+	pairs := float64(n * (n - 1))
+	allocs := testing.AllocsPerRun(3, func() {
+		if _, err := BuildRoutes(topo); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 3*pairs {
+		t.Errorf("BuildRoutes made %.0f allocations for %.0f pairs, want <= %.0f", allocs, pairs, 3*pairs)
+	}
+}
