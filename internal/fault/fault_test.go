@@ -2,6 +2,7 @@ package fault
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
@@ -382,4 +383,109 @@ func TestSweepCancellation(t *testing.T) {
 	if _, err := SweepContext(ctx, topo, assign, comms, opts, scens, true, 4, nil); err != context.Canceled {
 		t.Errorf("canceled sweep returned %v, want context.Canceled", err)
 	}
+}
+
+// TestSweepDedupMatchesPerScenario pins the distinct-scenario sweep to
+// the plain definition: fold over one fresh Evaluator per scenario. The
+// cases carry many repeated masks — k=2 "both" pairs of a switch with
+// one of its own channels, and independent Monte Carlo k=3 draws on a
+// small hypercube — under single-path and splitting reroutes, at one
+// and two workers. It also checks the sweeper evaluated exactly one
+// scenario per distinct mask.
+func TestSweepDedupMatchesPerScenario(t *testing.T) {
+	vopd := apps.VOPD()
+	cubeComms := []graph.Commodity{
+		comm(0, 0, 7, 200),
+		comm(1, 3, 4, 150),
+		comm(2, 5, 2, 100),
+		comm(3, 1, 6, 120),
+	}
+	ctx := context.Background()
+	for _, tc := range []struct {
+		name   string
+		topo   topology.Topology
+		assign []int
+		comms  []graph.Commodity
+		capMB  float64
+		model  Model
+	}{
+		{"mesh-4x4/k2-both", mustTopo(topology.NewMesh(4, 4)), identityAssign(vopd.NumCores()), vopd.Commodities(),
+			600, Model{K: 2, Elements: Both}},
+		{"hypercube-3/k3-mc512", mustTopo(topology.NewHypercube(3)), identityAssign(8), cubeComms,
+			300, Model{K: 3, Elements: Both, Samples: 512, Seed: 5}},
+	} {
+		scens, exhaustive, err := Scenarios(tc.topo, tc.model)
+		if err != nil {
+			t.Fatal(err)
+		}
+		masks := make(map[string]bool)
+		for _, s := range scens {
+			masks[fmt.Sprint(s.Links, s.Switches)] = true
+		}
+		if len(masks) == len(scens) {
+			t.Fatalf("%s: no repeated scenario to deduplicate", tc.name)
+		}
+		for _, fn := range []route.Function{route.MinPath, route.SplitAll} {
+			opts := Degraded(route.Options{Function: fn, CapacityMBps: tc.capMB})
+			outcomes := make([]Outcome, len(scens))
+			var baseline Outcome
+			for i, s := range scens {
+				ev, err := NewEvaluator(tc.topo, tc.assign, tc.comms, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				baseline = ev.Baseline()
+				outcomes[i] = ev.Eval(s)
+			}
+			want := fold(baseline, scens, outcomes, exhaustive)
+			if want.Feasible == 0 || want.Feasible == want.Connected || want.Disconnecting == nil {
+				t.Fatalf("%s/%v: degenerate report %+v", tc.name, fn, want)
+			}
+			for _, par := range []int{1, 2} {
+				sw := NewSweeper()
+				got, err := sw.SweepContext(ctx, tc.topo, tc.assign, tc.comms, opts, scens, exhaustive, par, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if d := reportDiff(got, want); d != "" {
+					t.Errorf("%s/%v/parallelism %d: %s", tc.name, fn, par, d)
+				}
+				if n := len(sw.distinct); n != len(masks) {
+					t.Errorf("%s/%v/parallelism %d: evaluated %d scenarios, want %d distinct of %d",
+						tc.name, fn, par, n, len(masks), len(scens))
+				}
+			}
+		}
+	}
+}
+
+// reportDiff names the first Report field where a and b differ, floats
+// compared by bit pattern; "" when they are identical.
+func reportDiff(a, b *Report) string {
+	bits := math.Float64bits
+	sameOutcome := func(x, y Outcome) bool {
+		return x.Connected == y.Connected && x.Feasible == y.Feasible &&
+			bits(x.MaxLinkLoadMBps) == bits(y.MaxLinkLoadMBps) && bits(x.AvgHops) == bits(y.AvgHops)
+	}
+	for _, f := range []struct {
+		name string
+		same bool
+	}{
+		{"Scenarios", a.Scenarios == b.Scenarios},
+		{"Exhaustive", a.Exhaustive == b.Exhaustive},
+		{"Connected", a.Connected == b.Connected},
+		{"Feasible", a.Feasible == b.Feasible},
+		{"Baseline", sameOutcome(a.Baseline, b.Baseline)},
+		{"WorstMaxLinkLoadMBps", bits(a.WorstMaxLinkLoadMBps) == bits(b.WorstMaxLinkLoadMBps)},
+		{"ExpMaxLinkLoadMBps", bits(a.ExpMaxLinkLoadMBps) == bits(b.ExpMaxLinkLoadMBps)},
+		{"WorstAvgHops", bits(a.WorstAvgHops) == bits(b.WorstAvgHops)},
+		{"ExpAvgHops", bits(a.ExpAvgHops) == bits(b.ExpAvgHops)},
+		{"WorstCase", reflect.DeepEqual(a.WorstCase, b.WorstCase)},
+		{"Disconnecting", reflect.DeepEqual(a.Disconnecting, b.Disconnecting)},
+	} {
+		if !f.same {
+			return fmt.Sprintf("%s differs:\ngot:  %+v\nwant: %+v", f.name, a, b)
+		}
+	}
+	return ""
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -221,13 +222,19 @@ func SweepContext(ctx context.Context, topo topology.Topology, assign []int, com
 }
 
 // Sweeper owns the reusable state of repeated survivability sweeps: the
-// calling goroutine's Evaluator and the index-addressed outcome buffer.
-// Once warm, a sequential sweep's steady state allocates only the Report
-// it returns (plus the rare disconnected-by-link reroute error). A
-// Sweeper is single-goroutine state, like the Evaluator it wraps.
+// calling goroutine's Evaluator, the index-addressed outcome buffer and
+// the index buffers that group repeated scenarios. Once warm, a
+// sequential sweep's steady state allocates only the Report it returns
+// (plus the rare disconnected-by-link reroute error). A Sweeper is
+// single-goroutine state, like the Evaluator it wraps.
 type Sweeper struct {
 	ev       *Evaluator
 	outcomes []Outcome
+	// first[i] is the lowest index of a scenario equal to scenarios[i];
+	// distinct lists the indices i with first[i] == i in ascending
+	// order, the only scenarios a sweep evaluates.
+	first    []int
+	distinct []int
 }
 
 // NewSweeper returns an empty Sweeper; buffers grow on first use.
@@ -235,6 +242,15 @@ func NewSweeper() *Sweeper { return &Sweeper{} }
 
 // SweepContext evaluates every failure scenario of one design point and
 // folds the outcomes into a Report.
+//
+// Eval is a pure function of the scenario's (Links, Switches) lists, so
+// each distinct scenario is evaluated once: Monte Carlo draws are
+// independent and repeat, and a k=2 "both" pair of a switch with one of
+// its own channels masks the same links as every other such pair. The
+// outcome of a group's first scenario is copied to its repeats before
+// the fold, which still walks every scenario in enumeration order, so
+// the Report (scenario counts, sums, WorstCase and Disconnecting) is
+// exactly what evaluating each scenario would give.
 //
 // Work distribution is an atomic next-scenario counter, so any worker
 // count yields the same index-addressed outcomes and the sequential fold
@@ -260,23 +276,25 @@ func (sw *Sweeper) SweepContext(ctx context.Context, topo topology.Topology, ass
 		sw.outcomes = make([]Outcome, len(scenarios))
 	}
 	outcomes := sw.outcomes[:len(scenarios)]
+	distinct := sw.group(scenarios)
 	workers := parallelism
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(scenarios) {
-		workers = len(scenarios)
+	if workers > len(distinct) {
+		workers = len(distinct)
 	}
 	var next atomic.Int64
 	run := func(ev *Evaluator) error {
 		for {
-			i := int(next.Add(1)) - 1
-			if i >= len(scenarios) {
+			d := int(next.Add(1)) - 1
+			if d >= len(distinct) {
 				return nil
 			}
 			if err := ctx.Err(); err != nil {
 				return err
 			}
+			i := distinct[d]
 			outcomes[i] = ev.Eval(scenarios[i])
 		}
 	}
@@ -290,7 +308,7 @@ func (sw *Sweeper) SweepContext(ctx context.Context, topo topology.Topology, ass
 			wg.Add(1)
 			go func(w int) {
 				defer wg.Done()
-				if !pool.PollAcquire(ctx, limit, func() bool { return next.Load() >= int64(len(scenarios)) }) {
+				if !pool.PollAcquire(ctx, limit, func() bool { return next.Load() >= int64(len(distinct)) }) {
 					return
 				}
 				defer limit.Release()
@@ -321,7 +339,48 @@ func (sw *Sweeper) SweepContext(ctx context.Context, topo topology.Topology, ass
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	for i, f := range sw.first {
+		outcomes[i] = outcomes[f]
+	}
 	return fold(sw.ev.Baseline(), scenarios, outcomes, exhaustive), nil
+}
+
+// group fills sw.first and sw.distinct for a scenario set and returns
+// the distinct indices. The builder keeps both lists of a scenario
+// sorted, so equal masks have equal lists: a stable sort of the indices
+// puts every group together with its lowest index first.
+func (sw *Sweeper) group(scenarios []Scenario) []int {
+	n := len(scenarios)
+	if cap(sw.first) < n {
+		sw.first = make([]int, n)
+		sw.distinct = make([]int, n)
+	}
+	first, order := sw.first[:n], sw.distinct[:n]
+	for i := range order {
+		order[i] = i
+	}
+	cmp := func(a, b int) int {
+		if c := slices.Compare(scenarios[a].Links, scenarios[b].Links); c != 0 {
+			return c
+		}
+		return slices.Compare(scenarios[a].Switches, scenarios[b].Switches)
+	}
+	slices.SortStableFunc(order, cmp)
+	for k, i := range order {
+		if k > 0 && cmp(order[k-1], i) == 0 {
+			first[i] = first[order[k-1]]
+		} else {
+			first[i] = i
+		}
+	}
+	distinct := order[:0]
+	for i, f := range first {
+		if f == i {
+			distinct = append(distinct, i)
+		}
+	}
+	sw.first, sw.distinct = first, distinct
+	return distinct
 }
 
 // fold aggregates per-scenario outcomes in scenario order, so the

@@ -215,6 +215,34 @@ var goldenCases = []goldenCase{
 		ThroughputFPC:    0.10444444444444445,
 		Cycles:           1808,
 	}},
+	{"mesh-near-idle", func(t *testing.T) Config {
+		cfg := goldenMesh(t)
+		cfg.InjectionRate = 0.01
+		cfg.Pattern = traffic.BitComplement{}
+		cfg.ActiveTerminals = []int{0, 5, 10, 15}
+		return cfg
+	}, Stats{
+		AvgLatencyCycles: 12.8,
+		P95LatencyCycles: 16,
+		MeasuredPackets:  15,
+		ThroughputFPC:    0.010666666666666666,
+		Cycles:           1801,
+	}},
+	{"fault-stall-low-rate", func(t *testing.T) Config {
+		cfg := goldenFault(t, false)
+		cfg.InjectionRate = 0.03
+		return cfg
+	}, Stats{
+		AvgLatencyCycles:  8,
+		P95LatencyCycles:  10,
+		MeasuredPackets:   65,
+		UnfinishedPackets: 22,
+		ThroughputFPC:     0.019555555555555555,
+		PreFaultFPC:       0.02785185185185185,
+		PostFaultFPC:      0.011259259259259259,
+		Saturated:         true,
+		Cycles:            3300,
+	}},
 	{"mesh-saturated", func(t *testing.T) Config {
 		cfg := goldenMesh(t)
 		cfg.InjectionRate = 0.8
@@ -235,8 +263,10 @@ var goldenCases = []goldenCase{
 // bit, so changes to the simulator's internals cannot move its output.
 // The table covers direct and Clos (multi-path) routing, the hub
 // topology's empty paths, fault injection with and without rerouting,
-// extreme packet and buffer sizes, a trace-driven skewed-source run and
-// a saturated load.
+// extreme packet and buffer sizes, a trace-driven skewed-source run, a
+// saturated load, and two mostly idle networks (a near-idle mesh with
+// four active terminals and a low-rate fault stall), where routers with
+// empty input buffers are the common case.
 func TestRunContextGolden(t *testing.T) {
 	for _, tc := range goldenCases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -306,14 +306,23 @@ func RunContext(ctx context.Context, cfg Config) (*Stats, error) {
 	linkBuf := func(linkID int) int { return linkID }
 	injBuf := func(term int) int { return len(links) + term }
 
-	// Router input ports: buffers feeding each router.
+	// Router input ports: buffers feeding each router. bufRouter maps a
+	// buffer back to its router, and occ[r] counts router r's non-empty
+	// input buffers: a router with occ 0 can neither eject nor forward,
+	// so the ejection and switch loops skip it. occ changes only where a
+	// buffer turns empty or non-empty (delivery and injection pushes,
+	// ejection and switch pops).
 	inputsOf := make([][]int, topo.NumRouters())
+	bufRouter := make([]int, numBufs)
 	for _, l := range links {
 		inputsOf[l.To] = append(inputsOf[l.To], linkBuf(l.ID))
+		bufRouter[linkBuf(l.ID)] = l.To
 	}
 	for t := 0; t < nTerm; t++ {
 		inputsOf[topo.InjectRouter(t)] = append(inputsOf[topo.InjectRouter(t)], injBuf(t))
+		bufRouter[injBuf(t)] = topo.InjectRouter(t)
 	}
+	occ := make([]int, topo.NumRouters())
 
 	// Output state per link: wormhole owner (buffer index or -1), credits
 	// (free downstream slots) and round-robin pointer.
@@ -363,6 +372,9 @@ func RunContext(ctx context.Context, cfg Config) (*Stats, error) {
 		keep := transit[:0]
 		for _, tr := range transit {
 			if tr.arrive <= cycle {
+				if bufs[tr.destBuf].empty() {
+					occ[bufRouter[tr.destBuf]]++
+				}
 				bufs[tr.destBuf].push(tr.fl)
 			} else {
 				keep = append(keep, tr)
@@ -375,11 +387,18 @@ func RunContext(ctx context.Context, cfg Config) (*Stats, error) {
 		// held by the owning packet until the tail passes.
 		for _, term := range active {
 			r := topo.EjectRouter(term)
+			if occ[r] == 0 {
+				continue
+			}
 			chosen := -1
 			ins := inputsOf[r]
 			n := len(ins)
 			for k := 0; k < n; k++ {
-				bi := ins[(rr[r]+k)%n]
+				j := rr[r] + k
+				if j >= n {
+					j -= n
+				}
+				bi := ins[j]
 				if bufs[bi].empty() {
 					continue
 				}
@@ -397,6 +416,9 @@ func RunContext(ctx context.Context, cfg Config) (*Stats, error) {
 				continue
 			}
 			fl := bufs[chosen].pop()
+			if bufs[chosen].empty() {
+				occ[r]--
+			}
 			returnCredit(chosen, len(links), credits)
 			ejOwner[term] = chosen
 			if fl.tail {
@@ -423,12 +445,18 @@ func RunContext(ctx context.Context, cfg Config) (*Stats, error) {
 		// 3. Switch allocation and traversal, per output link. Down links
 		// transmit nothing; packets wanting them stall where they are,
 		// holding their buffers and wormhole claims (head-of-line
-		// blocking under failure is the effect being measured).
+		// blocking under failure is the effect being measured). Links
+		// are visited in ID order, not grouped by router: returnCredit
+		// can raise the credits of a link visited later in the same
+		// cycle, so the visiting order is part of the result.
 		for li := range links {
 			if down[li] || credits[li] <= 0 {
 				continue
 			}
 			r := links[li].From
+			if occ[r] == 0 {
+				continue
+			}
 			ins := inputsOf[r]
 			n := len(ins)
 			chosen := -1
@@ -442,7 +470,11 @@ func RunContext(ctx context.Context, cfg Config) (*Stats, error) {
 				}
 			} else {
 				for k := 0; k < n; k++ {
-					bi := ins[(rr[r]+k)%n]
+					j := rr[r] + k
+					if j >= n {
+						j -= n
+					}
+					bi := ins[j]
 					if bufs[bi].empty() {
 						continue
 					}
@@ -461,6 +493,9 @@ func RunContext(ctx context.Context, cfg Config) (*Stats, error) {
 				continue
 			}
 			fl := bufs[chosen].pop()
+			if bufs[chosen].empty() {
+				occ[r]--
+			}
 			returnCredit(chosen, len(links), credits)
 			fl.hop++
 			credits[li]--
@@ -511,6 +546,9 @@ func RunContext(ctx context.Context, cfg Config) (*Stats, error) {
 			// buffer.
 			if q.head < len(q.pkts) && !bufs[injBuf(term)].full() {
 				tail := q.seq == cfg.PacketFlits-1
+				if bufs[injBuf(term)].empty() {
+					occ[bufRouter[injBuf(term)]]++
+				}
 				bufs[injBuf(term)].push(flit{pkt: q.pkts[q.head], seq: q.seq, tail: tail})
 				q.seq++
 				if tail {

@@ -49,7 +49,10 @@ type Session struct {
 	// borrows from; evaluations take a set only while holding a limit
 	// slot, so it never holds more sets than limit has slots.
 	scratch *pool.Free[mapping.Scratch]
-	trace   *Trace
+	// sweepers keeps FaultSweep's survivability sweepers warm across
+	// requests, one per concurrent sweep.
+	sweepers *pool.Free[fault.Sweeper]
+	trace    *Trace
 	// scope holds machine-discovered topologies registered by Search —
 	// session-local so serve processes never leak or collide names across
 	// tenants the way the process-wide registry would.
@@ -162,6 +165,7 @@ func NewSession(opts ...SessionOption) (*Session, error) {
 	s := c.Session
 	s.limit = pool.NewLimiter(s.parallelism)
 	s.scratch = pool.NewFree(mapping.NewScratch)
+	s.sweepers = pool.NewFree(fault.NewSweeper)
 	s.scope = topology.NewScope(topology.DefaultScopeLimit)
 	if p := s.progress; p != nil {
 		// Serialize callbacks across the session's concurrent engine runs
@@ -673,7 +677,9 @@ func (s *Session) FaultSweep(ctx context.Context, req FaultSweepRequest) (*Fault
 		return nil, fmt.Errorf("%w: %w", ErrBadRequest, err)
 	}
 	comms := app.Commodities()
-	frep, err := fault.SweepContext(ctx, topo, res.Assign, comms, ropts, scenarios, exhaustive, s.parallelism, s.limit)
+	sw := s.sweepers.Get()
+	frep, err := sw.SweepContext(ctx, topo, res.Assign, comms, ropts, scenarios, exhaustive, s.parallelism, s.limit)
+	s.sweepers.Put(sw)
 	if err != nil {
 		return nil, err
 	}
