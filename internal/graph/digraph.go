@@ -10,9 +10,9 @@ type Arc struct {
 }
 
 // Digraph is a minimal adjacency-list directed graph used for NoC router
-// graphs and quadrant graphs. Arc weights are supplied per query through a
-// WeightFunc so that congestion-aware routing can reuse one graph while the
-// loads evolve.
+// graphs and quadrant graphs. It carries no arc weights: SPSolver's search
+// takes a per-arc load vector indexed by arc ID, so congestion-aware
+// routing reuses one graph while the loads evolve.
 type Digraph struct {
 	adj     [][]Arc
 	numArcs int
@@ -63,48 +63,6 @@ func (d *Digraph) Reset(n int) {
 		d.adj[i] = d.adj[i][:0]
 	}
 	d.numArcs = 0
-}
-
-// WeightFunc maps an arc (by tail vertex and arc value) to a non-negative
-// cost. Returning math.Inf(1) removes the arc from consideration.
-type WeightFunc func(from int, a Arc) float64
-
-// UnitWeight weighs every arc 1; shortest paths become minimum-hop paths.
-func UnitWeight(int, Arc) float64 { return 1 }
-
-// Dijkstra computes single-source shortest paths from src under w. It
-// returns the distance vector and, for path recovery, the predecessor
-// vertex and the arc ID used to reach each vertex (-1 when unreached or at
-// the source). Vertices outside `allowed` (when non-nil) are skipped, which
-// is how quadrant-graph restriction is applied without copying graphs.
-//
-// Each call allocates fresh result slices; hot loops should hold an
-// SPSolver instead and query it in place.
-func (d *Digraph) Dijkstra(src int, w WeightFunc, allowed []bool) (dist []float64, prevV, prevArc []int) {
-	var s SPSolver
-	s.Dijkstra(d, src, w, allowed)
-	n := len(d.adj)
-	dist = make([]float64, n)
-	prevV = make([]int, n)
-	prevArc = make([]int, n)
-	for i := 0; i < n; i++ {
-		dist[i] = s.Dist(i)
-		prevV[i], prevArc[i] = s.Prev(i)
-	}
-	return dist, prevV, prevArc
-}
-
-// ShortestPath returns the vertex sequence and arc-ID sequence of a
-// shortest src->dst path under w restricted to `allowed` (nil = all). The
-// boolean reports reachability.
-func (d *Digraph) ShortestPath(src, dst int, w WeightFunc, allowed []bool) (verts, arcs []int, ok bool) {
-	var s SPSolver
-	s.Dijkstra(d, src, w, allowed)
-	verts, arcs, ok = s.PathTo(src, dst, nil, nil)
-	if !ok {
-		return nil, nil, false
-	}
-	return verts, arcs, true
 }
 
 // HopDistance returns the minimum hop count (arc count) from src to dst

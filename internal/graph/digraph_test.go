@@ -31,9 +31,32 @@ func grid(r, c int) *Digraph {
 	return d
 }
 
+// unitLoads returns the all-zero load vector that, with bias 1, weighs
+// every arc of d exactly 1 (arc IDs of the test graphs count up from 0).
+func unitLoads(d *Digraph) []float64 { return make([]float64, d.NumArcs()) }
+
+// distances runs a full search from src (dst -1 never settles) and
+// returns every vertex's distance.
+func distances(d *Digraph, src int, loads []float64, bias float64, allowed []bool) []float64 {
+	s := NewSPSolver()
+	s.DijkstraLoads(d, src, -1, loads, bias, nil, nil, allowed)
+	dist := make([]float64, d.NumVertices())
+	for v := range dist {
+		dist[v] = s.Dist(v)
+	}
+	return dist
+}
+
+// shortestPath returns the src->dst path under loads+bias.
+func shortestPath(d *Digraph, src, dst int, loads []float64, bias float64, down []bool) (verts, arcs []int, ok bool) {
+	s := NewSPSolver()
+	s.DijkstraLoads(d, src, dst, loads, bias, nil, down, nil)
+	return s.PathTo(src, dst, nil, nil)
+}
+
 func TestDijkstraUnitGrid(t *testing.T) {
 	d := grid(3, 4)
-	dist, _, _ := d.Dijkstra(0, UnitWeight, nil)
+	dist := distances(d, 0, unitLoads(d), 1, nil)
 	// Manhattan distance on grid.
 	for i := 0; i < 3; i++ {
 		for j := 0; j < 4; j++ {
@@ -47,7 +70,7 @@ func TestDijkstraUnitGrid(t *testing.T) {
 
 func TestShortestPathRecovery(t *testing.T) {
 	d := grid(3, 4)
-	verts, arcs, ok := d.ShortestPath(0, 11, UnitWeight, nil)
+	verts, arcs, ok := shortestPath(d, 0, 11, unitLoads(d), 1, nil)
 	if !ok {
 		t.Fatal("no path found")
 	}
@@ -78,7 +101,7 @@ func TestDijkstraRespectsAllowed(t *testing.T) {
 	for _, v := range []int{0, 1, 2, 5, 8} {
 		allowed[v] = true
 	}
-	dist, _, _ := d.Dijkstra(0, UnitWeight, allowed)
+	dist := distances(d, 0, unitLoads(d), 1, allowed)
 	if dist[8] != 4 {
 		t.Errorf("restricted dist = %g, want 4", dist[8])
 	}
@@ -87,7 +110,7 @@ func TestDijkstraRespectsAllowed(t *testing.T) {
 	}
 	// Unreachable when the source is excluded.
 	allowed[0] = false
-	dist, _, _ = d.Dijkstra(0, UnitWeight, allowed)
+	dist = distances(d, 0, unitLoads(d), 1, allowed)
 	if !math.IsInf(dist[8], 1) {
 		t.Error("path found from excluded source")
 	}
@@ -100,24 +123,13 @@ func TestDijkstraWeightFunc(t *testing.T) {
 	d.AddArc(0, 1, 1)
 	d.AddArc(1, 2, 2)
 	d.AddArc(2, 3, 3)
-	w := func(_ int, a Arc) float64 {
-		if a.ID == 0 {
-			return 10
-		}
-		return 1
-	}
-	verts, _, ok := d.ShortestPath(0, 3, w, nil)
+	loads := []float64{9, 0, 0, 0}
+	verts, _, ok := shortestPath(d, 0, 3, loads, 1, nil)
 	if !ok || len(verts) != 4 {
 		t.Fatalf("path %v ok=%v, want detour of 4 vertices", verts, ok)
 	}
-	// Infinite weight removes the arc entirely.
-	w2 := func(_ int, a Arc) float64 {
-		if a.ID != 0 {
-			return math.Inf(1)
-		}
-		return 10
-	}
-	verts, _, ok = d.ShortestPath(0, 3, w2, nil)
+	// A down arc is removed entirely.
+	verts, _, ok = shortestPath(d, 0, 3, loads, 1, []bool{false, true, true, true})
 	if !ok || len(verts) != 2 {
 		t.Fatalf("direct path %v ok=%v, want 0->3", verts, ok)
 	}
@@ -274,7 +286,7 @@ func TestDijkstraPanicsOnNegativeWeight(t *testing.T) {
 	}()
 	d := NewDigraph(2)
 	d.AddArc(0, 1, 0)
-	d.Dijkstra(0, func(int, Arc) float64 { return -1 }, nil)
+	NewSPSolver().DijkstraLoads(d, 0, 1, []float64{-2}, 1, nil, nil, nil)
 }
 
 // Property: on random graphs with random positive weights, Dijkstra
@@ -285,19 +297,16 @@ func TestDijkstraTriangleProperty(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		n := 2 + rng.Intn(12)
 		d := NewDigraph(n)
-		weights := make(map[int]float64)
-		id := 0
+		var weights []float64 // loads indexed by arc ID, with bias 0
 		for i := 0; i < 3*n; i++ {
 			u, v := rng.Intn(n), rng.Intn(n)
 			if u == v {
 				continue
 			}
-			weights[id] = rng.Float64()*10 + 0.01
-			d.AddArc(u, v, id)
-			id++
+			weights = append(weights, rng.Float64()*10+0.01)
+			d.AddArc(u, v, len(weights)-1)
 		}
-		w := func(_ int, a Arc) float64 { return weights[a.ID] }
-		dist, _, _ := d.Dijkstra(0, w, nil)
+		dist := distances(d, 0, weights, 0, nil)
 		for u := 0; u < n; u++ {
 			if math.IsInf(dist[u], 1) {
 				continue
@@ -330,7 +339,7 @@ func TestHopDistanceMatchesDijkstraProperty(t *testing.T) {
 			d.AddArc(u, v, id)
 			id++
 		}
-		dist, _, _ := d.Dijkstra(0, UnitWeight, nil)
+		dist := distances(d, 0, unitLoads(d), 1, nil)
 		for v := 0; v < n; v++ {
 			hd := d.HopDistance(0, v, nil)
 			if hd == -1 {

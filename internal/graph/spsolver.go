@@ -122,131 +122,19 @@ func (s *SPSolver) Dist(v int) float64 {
 	return s.dist[v]
 }
 
-// Prev returns the predecessor vertex and arc ID on the shortest path to v
-// from the last run (-1, -1 when unreached or at the source).
-func (s *SPSolver) Prev(v int) (prevV, prevArc int) {
-	if s.stamp[v] != s.epoch {
-		return -1, -1
-	}
-	return s.prevV[v], s.prevArc[v]
-}
-
-// Dijkstra computes single-source shortest paths from src under w,
-// restricted to `allowed` (nil = all vertices), leaving the results
-// readable through Dist/Prev until the next run. The relaxation rules and
-// heap discipline are identical to Digraph.Dijkstra — the two must agree
-// bit-for-bit on every path so scratch-based and allocating callers see the
-// same routing decisions.
+// DijkstraLoads is the solver's one search: shortest paths from src under
+// the weight loads[arc]+bias, restricted to `allowed` vertices (nil = all),
+// leaving the results readable through Dist/PathTo until the next run.
+// Arcs excluded by the dag mask (nil = no restriction) or marked in down
+// (nil = none) are unreachable. Routing passes the live link loads with a
+// commodity-scaled tie-break bias; unit-weight (minimum-hop) callers pass
+// all-zero loads with bias 1, so every arc weighs exactly 1.
 //
-//sunmap:hotpath
-func (s *SPSolver) Dijkstra(d *Digraph, src int, w WeightFunc, allowed []bool) {
-	n := len(d.adj)
-	s.reset(n)
-	if src < 0 || src >= n {
-		panic(fmt.Sprintf("graph: Dijkstra source %d out of range", src)) //sunmap:alloc panic path
-	}
-	if allowed != nil && !allowed[src] {
-		return
-	}
-	s.dist[src] = 0
-	s.prevV[src] = -1
-	s.prevArc[src] = -1
-	s.stamp[src] = s.epoch
-	heapPush(&s.heap, pqItem{v: src, dist: 0})
-	for len(s.heap) > 0 {
-		it := heapPop(&s.heap)
-		u := it.v
-		if s.settled[u] == s.epoch || it.dist > s.dist[u] {
-			continue
-		}
-		s.settled[u] = s.epoch
-		du := s.dist[u]
-		for _, a := range d.adj[u] {
-			if allowed != nil && !allowed[a.To] {
-				continue
-			}
-			wt := w(u, a)
-			if math.IsInf(wt, 1) {
-				continue
-			}
-			if wt < 0 {
-				panic(fmt.Sprintf("graph: negative arc weight %g on %d->%d", wt, u, a.To)) //sunmap:alloc panic path
-			}
-			if nd := du + wt; nd < s.Dist(a.To) {
-				s.dist[a.To] = nd
-				s.prevV[a.To] = u
-				s.prevArc[a.To] = a.ID
-				s.stamp[a.To] = s.epoch
-				heapPush(&s.heap, pqItem{v: a.To, dist: nd})
-			}
-		}
-	}
-}
-
-// DijkstraTo runs Dijkstra from src but stops as soon as dst is settled.
-// Distances and predecessor chains of vertices settled before dst are
-// final and identical to a full run's; dst's own chain — the only thing a
-// subsequent PathTo(src, dst, ...) reads — is final at settlement, so
-// single-destination callers get bit-identical paths at a fraction of the
-// work (the router graph's search frontier stops growing at dst instead
-// of sweeping the whole topology).
-//
-//sunmap:hotpath
-func (s *SPSolver) DijkstraTo(d *Digraph, src, dst int, w WeightFunc, allowed []bool) {
-	n := len(d.adj)
-	s.reset(n)
-	if src < 0 || src >= n {
-		panic(fmt.Sprintf("graph: Dijkstra source %d out of range", src)) //sunmap:alloc panic path
-	}
-	if allowed != nil && !allowed[src] {
-		return
-	}
-	s.dist[src] = 0
-	s.prevV[src] = -1
-	s.prevArc[src] = -1
-	s.stamp[src] = s.epoch
-	heapPush(&s.heap, pqItem{v: src, dist: 0})
-	for len(s.heap) > 0 {
-		it := heapPop(&s.heap)
-		u := it.v
-		if s.settled[u] == s.epoch || it.dist > s.dist[u] {
-			continue
-		}
-		s.settled[u] = s.epoch
-		if u == dst {
-			return
-		}
-		du := s.dist[u]
-		for _, a := range d.adj[u] {
-			if allowed != nil && !allowed[a.To] {
-				continue
-			}
-			wt := w(u, a)
-			if math.IsInf(wt, 1) {
-				continue
-			}
-			if wt < 0 {
-				panic(fmt.Sprintf("graph: negative arc weight %g on %d->%d", wt, u, a.To)) //sunmap:alloc panic path
-			}
-			if nd := du + wt; nd < s.Dist(a.To) {
-				s.dist[a.To] = nd
-				s.prevV[a.To] = u
-				s.prevArc[a.To] = a.ID
-				s.stamp[a.To] = s.epoch
-				heapPush(&s.heap, pqItem{v: a.To, dist: nd})
-			}
-		}
-	}
-}
-
-// DijkstraLoads is DijkstraTo specialized to the routing hot path's
-// congestion weight, loads[arc]+bias, with the weight and its masks
-// inlined instead of going through a WeightFunc closure: arcs excluded by
-// the dag mask (nil = no restriction) or marked down are unreachable
-// (exactly the closure's +Inf), everything else relaxes in the same order
-// with the same arithmetic, so paths stay bit-identical to the generic
-// solver's. This removes the indirect call per arc from the innermost
-// loop of the mapper's swap sweep.
+// The search stops as soon as dst settles. Distances and predecessor
+// chains of vertices settled before dst are final and identical to a full
+// run's, and dst's own chain — the only thing a subsequent PathTo(src,
+// dst, ...) reads — is final at settlement. A dst that is not a vertex
+// (say -1) never settles, so the search then covers everything reachable.
 //
 //sunmap:hotpath
 func (s *SPSolver) DijkstraLoads(d *Digraph, src, dst int, loads []float64, bias float64, dag, down, allowed []bool) {

@@ -4,6 +4,7 @@ import (
 	"container/heap"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -26,9 +27,14 @@ func (q *oraclePQ) Pop() interface{} {
 	return it
 }
 
+// weightFunc maps an arc (by tail vertex and arc value) to a non-negative
+// cost; +Inf removes the arc. It is the oracle's weight interface, the
+// per-arc closure the solver took before its weights became arguments.
+type weightFunc func(from int, a Arc) float64
+
 // oracleDijkstra is the pre-rewrite Dijkstra verbatim (container/heap,
-// fresh allocations).
-func oracleDijkstra(d *Digraph, src int, w WeightFunc, allowed []bool) (dist []float64, prevV, prevArc []int) {
+// fresh allocations, a full run to every vertex).
+func oracleDijkstra(d *Digraph, src int, w weightFunc, allowed []bool) (dist []float64, prevV, prevArc []int) {
 	n := d.NumVertices()
 	dist = make([]float64, n)
 	prevV = make([]int, n)
@@ -70,29 +76,66 @@ func oracleDijkstra(d *Digraph, src int, w WeightFunc, allowed []bool) (dist []f
 	return dist, prevV, prevArc
 }
 
+// oraclePath recovers the src->dst path from the oracle's predecessor
+// arrays.
+func oraclePath(src, dst int, dist []float64, prevV, prevArc []int) (verts, arcs []int, ok bool) {
+	if math.IsInf(dist[dst], 1) {
+		return nil, nil, false
+	}
+	for u := dst; u != src; u = prevV[u] {
+		verts = append(verts, u)
+		arcs = append(arcs, prevArc[u])
+	}
+	verts = append(verts, src)
+	slices.Reverse(verts)
+	slices.Reverse(arcs)
+	return verts, arcs, true
+}
+
+// randomArcMask returns a mask over arc IDs [0, numArcs) with each entry
+// set with probability pct/100, or nil on a third of the calls.
+func randomArcMask(rng *rand.Rand, numArcs, pct int) []bool {
+	if rng.Intn(3) == 0 {
+		return nil
+	}
+	m := make([]bool, numArcs)
+	for i := range m {
+		m[i] = rng.Intn(100) < pct
+	}
+	return m
+}
+
 // TestSPSolverMatchesContainerHeapOracle stresses tie-breaking: random
-// graphs whose arc weights are drawn from a tiny set, so many equal-cost
-// paths exist and the predecessor choice is decided purely by heap pop
-// order. The solver (and therefore Digraph.Dijkstra, which wraps it) must
-// agree with the container/heap oracle on every distance AND every
-// predecessor.
+// graphs whose loads are drawn from {0, 1, 2} with bias 0 or 1e-9, so
+// many equal-cost paths exist and the predecessor choice is decided purely
+// by heap pop order. With random dag, down and allowed masks, DijkstraLoads
+// must agree with the full-run container/heap oracle — whose closure gives
+// masked arcs +Inf — on Dist(dst) and on the recovered path, for every
+// (src, dst) pair.
 func TestSPSolverMatchesContainerHeapOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	s := NewSPSolver()
+	var verts, arcs []int
 	for trial := 0; trial < 200; trial++ {
 		n := 4 + rng.Intn(24)
 		d := NewDigraph(n)
-		weights := make(map[int]float64)
-		arcs := 2 * n
-		for i := 0; i < arcs; i++ {
+		for i := 0; i < 2*n; i++ {
 			u, v := rng.Intn(n), rng.Intn(n)
 			if u == v {
 				continue
 			}
-			id := d.NumArcs()
-			d.AddArc(u, v, id)
-			weights[id] = float64(rng.Intn(3)) // heavy tie pressure
+			d.AddArc(u, v, d.NumArcs())
 		}
+		loads := make([]float64, d.NumArcs())
+		for i := range loads {
+			loads[i] = float64(rng.Intn(3)) // heavy tie pressure
+		}
+		bias := 0.0
+		if trial%2 == 1 {
+			bias = 1e-9
+		}
+		dag := randomArcMask(rng, d.NumArcs(), 75)
+		down := randomArcMask(rng, d.NumArcs(), 20)
 		var allowed []bool
 		if trial%3 == 0 {
 			allowed = make([]bool, n)
@@ -100,21 +143,26 @@ func TestSPSolverMatchesContainerHeapOracle(t *testing.T) {
 				allowed[i] = rng.Intn(4) > 0
 			}
 		}
-		w := func(_ int, a Arc) float64 { return weights[a.ID] }
-		src := rng.Intn(n)
-		if allowed != nil && !allowed[src] {
-			continue
-		}
-		wantDist, wantPrevV, wantPrevArc := oracleDijkstra(d, src, w, allowed)
-		s.Dijkstra(d, src, w, allowed)
-		for v := 0; v < n; v++ {
-			if got := s.Dist(v); got != wantDist[v] && !(math.IsInf(got, 1) && math.IsInf(wantDist[v], 1)) {
-				t.Fatalf("trial %d: dist[%d] = %v, oracle %v", trial, v, got, wantDist[v])
+		w := func(_ int, a Arc) float64 {
+			if (dag != nil && !dag[a.ID]) || (down != nil && down[a.ID]) {
+				return math.Inf(1)
 			}
-			gotPV, gotPA := s.Prev(v)
-			if gotPV != wantPrevV[v] || gotPA != wantPrevArc[v] {
-				t.Fatalf("trial %d: prev[%d] = (%d,%d), oracle (%d,%d)",
-					trial, v, gotPV, gotPA, wantPrevV[v], wantPrevArc[v])
+			return loads[a.ID] + bias
+		}
+		for src := 0; src < n; src++ {
+			wantDist, wantPrevV, wantPrevArc := oracleDijkstra(d, src, w, allowed)
+			for dst := 0; dst < n; dst++ {
+				s.DijkstraLoads(d, src, dst, loads, bias, dag, down, allowed)
+				if got := s.Dist(dst); got != wantDist[dst] {
+					t.Fatalf("trial %d: dist(%d->%d) = %v, oracle %v", trial, src, dst, got, wantDist[dst])
+				}
+				var ok bool
+				verts, arcs, ok = s.PathTo(src, dst, verts, arcs)
+				wantVerts, wantArcs, wantOK := oraclePath(src, dst, wantDist, wantPrevV, wantPrevArc)
+				if ok != wantOK || !slices.Equal(verts, wantVerts) || !slices.Equal(arcs, wantArcs) {
+					t.Fatalf("trial %d: path %d->%d = %v %v %v, oracle %v %v %v",
+						trial, src, dst, verts, arcs, ok, wantVerts, wantArcs, wantOK)
+				}
 			}
 		}
 	}
@@ -129,13 +177,13 @@ func TestSPSolverReuseAcrossSizes(t *testing.T) {
 	for i := 0; i+1 < 10; i++ {
 		big.AddArc(i, i+1, i)
 	}
-	s.Dijkstra(big, 0, UnitWeight, nil)
+	s.DijkstraLoads(big, 0, -1, unitLoads(big), 1, nil, nil, nil)
 	if got := s.Dist(9); got != 9 {
 		t.Fatalf("chain dist = %v, want 9", got)
 	}
 	small := NewDigraph(3)
 	small.AddArc(0, 1, 0)
-	s.Dijkstra(small, 0, UnitWeight, nil)
+	s.DijkstraLoads(small, 0, -1, unitLoads(small), 1, nil, nil, nil)
 	if got := s.Dist(1); got != 1 {
 		t.Errorf("small dist[1] = %v, want 1", got)
 	}

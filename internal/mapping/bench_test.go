@@ -175,25 +175,39 @@ func TestFullEvalAllocBudget(t *testing.T) {
 	}
 }
 
-// TestSplitRouteAllocFree gates the SM rung as the mapper drives it:
-// once the router's min-hop DAG caches are warm, re-routing the whole
-// commodity set with split-minimal must not allocate at all.
+// TestSplitRouteAllocFree gates whole-commodity-set re-routing on a warm
+// router: once its quadrant and min-hop DAG caches are filled, routing
+// must not allocate at all. It covers the SM rung as the mapper drives it
+// and the oblivious DO fallback (butterfly, star, octagon), whose
+// unit-weight search reuses one zero-load vector.
 func TestSplitRouteAllocFree(t *testing.T) {
-	g := apps.VOPD()
-	topo := mustTopo(topology.NewMesh(3, 4))
-	assign := greedyInitial(g, topo, NewScratch())
-	comms := g.Commodities()
-	opts := route.Options{Function: route.SplitMin, CapacityMBps: 500, LoadsOnly: true}
-	rt := route.NewRouter()
-	var res route.Result
-	routeOnce := func() {
-		if err := rt.RouteInto(&res, topo, assign, comms, opts); err != nil {
-			t.Fatal(err)
+	for _, tc := range []struct {
+		fn   route.Function
+		app  func() *graph.CoreGraph
+		topo string
+	}{
+		{route.SplitMin, apps.VOPD, "mesh-3x4"},
+		{route.DimensionOrdered, apps.VOPD, "butterfly-4ary2fly"},
+		{route.DimensionOrdered, apps.DSPFilter, "star-8"},
+		{route.DimensionOrdered, apps.DSPFilter, "octagon"},
+	} {
+		g := tc.app()
+		topo := mustTopo(topology.ByName(tc.topo))
+		assign := greedyInitial(g, topo, NewScratch())
+		comms := g.Commodities()
+		opts := route.Options{Function: tc.fn, CapacityMBps: 500, LoadsOnly: true}
+		rt := route.NewRouter()
+		var res route.Result
+		routeOnce := func() {
+			if err := rt.RouteInto(&res, topo, assign, comms, opts); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	routeOnce() // warm: builds and caches the per-pair min-hop DAGs
-	if allocs := testing.AllocsPerRun(200, routeOnce); allocs != 0 {
-		t.Errorf("SM split routing allocates %.1f objects/op on a warm router, want 0", allocs)
+		routeOnce() // warm: fills the quadrant and min-hop DAG caches
+		if allocs := testing.AllocsPerRun(200, routeOnce); allocs != 0 {
+			t.Errorf("%v %s on %s allocates %.1f objects/op on a warm router, want 0",
+				tc.fn, g.Name(), tc.topo, allocs)
+		}
 	}
 }
 

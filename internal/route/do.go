@@ -55,7 +55,15 @@ func (rt *Router) PathDO(srcT, dstT int, c graph.Commodity) (verts, arcs []int, 
 	default:
 		// Butterfly (unique path), star (hub) and any future kinds:
 		// oblivious minimum-hop routing, deterministic by construction.
-		v, a, ok := rt.shortest(src, dst, graph.UnitWeight, rt.Quadrant(srcT, dstT))
+		// Zero loads with bias 1 weigh every arc exactly 1. Neither the
+		// live loads nor the down mask reach the search: the path stays
+		// load-independent, and routeDO fails on a down link instead of
+		// rerouting. The vector is sized here, not in Bind, because Bind
+		// skips a search topology rebuilt in place.
+		if n := len(topo.Links()); len(rt.zeros) < n {
+			rt.zeros = make([]float64, n) //sunmap:alloc first-use growth, recycled across commodities and topologies
+		}
+		v, a, ok := rt.shortest(src, dst, rt.zeros, 1, nil, nil, rt.Quadrant(srcT, dstT))
 		if !ok {
 			return nil, nil, fmt.Errorf("route: DO found no path for commodity %d on %s", c.ID, topo.Name()) //sunmap:alloc error path
 		}

@@ -4,10 +4,11 @@ package route
 // survivability sweep depends on. They pin that congestion-aware routing
 // reroutes around DownLinks (leaving masked links untouched), that split
 // routing keeps every chunk off masked links, that the oblivious DO
-// discipline and a cut SM DAG fail loudly, and that a malformed mask is
-// rejected.
+// discipline (grid walk and minimum-hop fallback alike) and a cut SM DAG
+// fail loudly, and that a malformed mask is rejected.
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -166,6 +167,54 @@ func TestDOFailsOnDownLink(t *testing.T) {
 	}
 	if got := res.Paths[0].Hops(); got != 3 {
 		t.Errorf("DO path has %d hops, want 3", got)
+	}
+
+	// The oblivious minimum-hop fallback (octagon) fails the same way. DO
+	// 0->3 takes one of the two 2-hop routes (via 4 or via 7); with a
+	// link of that route down, DO must not move to the other one.
+	oct := mustTopo(topology.NewOctagon())
+	octComms := []graph.Commodity{comm(0, 0, 3, 100)}
+	base, err := Route(oct, identityAssign(8), octComms, Options{Function: DimensionOrdered})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := base.Paths[0].Hops(); got != 3 {
+		t.Fatalf("octagon DO path %v has %d routers, want 3", base.Paths[0].Routers, got)
+	}
+	_, err = Route(oct, identityAssign(8), octComms,
+		Options{Function: DimensionOrdered, DownLinks: maskFor(oct, base.Paths[0].LinkIDs[1])})
+	if err == nil {
+		t.Fatal("octagon DO rerouted around a down link")
+	}
+	if !strings.Contains(err.Error(), "down link") {
+		t.Errorf("octagon error %q does not name the down link", err)
+	}
+}
+
+// TestDOFallbackIgnoresLoads pins that the oblivious minimum-hop fallback
+// (octagon) is load-independent: a commodity's DO path is the same when
+// routed alone and when routed after a heavy commodity that loads its
+// first hop. The mapper's delta evaluator relies on this to splice DO
+// commodities without re-routing them.
+func TestDOFallbackIgnoresLoads(t *testing.T) {
+	oct := mustTopo(topology.NewOctagon())
+	assign := identityAssign(8)
+	light := comm(1, 0, 3, 10)
+	alone, err := Route(oct, assign, []graph.Commodity{light}, Options{Function: DimensionOrdered})
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := oct.Links()[alone.Paths[0].LinkIDs[0]]
+	heavy := comm(0, first.From, first.To, 1000)
+	both, err := Route(oct, assign, []graph.Commodity{heavy, light}, Options{Function: DimensionOrdered})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := both.Paths[0].LinkIDs; !slices.Equal(got, []int{first.ID}) {
+		t.Fatalf("heavy commodity took links %v, want the light one's first hop %d", got, first.ID)
+	}
+	if got, want := both.Paths[1].Routers, alone.Paths[0].Routers; !slices.Equal(got, want) {
+		t.Errorf("DO path %v after a heavy commodity, %v alone", got, want)
 	}
 }
 

@@ -281,15 +281,12 @@ type accum struct {
 func (rt *Router) routeSplit(srcT, dstT int, c graph.Commodity, res *Result, chunks int, minOnly, collect bool) error {
 	topo := rt.topo
 	src, dst := topo.InjectRouter(srcT), topo.EjectRouter(dstT)
-	var mask []bool
-	rt.dag = nil
+	var mask, dag []bool
 	if minOnly {
 		mask = rt.Quadrant(srcT, dstT)
-		rt.dag = rt.MinHopDAG(srcT, dstT)
+		dag = rt.MinHopDAG(srcT, dstT)
 	}
-	rt.loads = res.LinkLoads
-	rt.bias = hopBiasFor(c.ValueMBps)
-	defer rt.clearLoads()
+	bias := hopBiasFor(c.ValueMBps)
 	// Accumulate identical consecutive chunk paths into one FlowPath to
 	// keep Paths compact; loads must still be updated per chunk so later
 	// chunks see the congestion earlier ones created.
@@ -297,7 +294,7 @@ func (rt *Router) routeSplit(srcT, dstT int, c graph.Commodity, res *Result, chu
 	acc := rt.accs[:0]
 	rt.chunkAcc = rt.chunkAcc[:0]
 	for i := 0; i < chunks; i++ {
-		verts, arcs, ok := rt.shortestLoads(src, dst, rt.dag, mask)
+		verts, arcs, ok := rt.shortest(src, dst, res.LinkLoads, bias, dag, rt.down, mask)
 		if !ok {
 			rt.accs = acc
 			return fmt.Errorf("route: no path for commodity %d chunk %d on %s", c.ID, i, topo.Name()) //sunmap:alloc error path

@@ -7,6 +7,9 @@
 // commodity. A Router owns all of that scratch — a graph.SPSolver, path
 // buffers, a per-terminal-pair quadrant-mask cache and the split-routing
 // accumulator arena — so steady-state routing work allocates nothing.
+// Every search takes its weights as arguments: the live link loads plus a
+// commodity-scaled tie-break bias for the load-aware functions, and an
+// all-zero load vector with bias 1 for the unit-weight DO fallback.
 //
 // Ownership contract: a Router is single-goroutine state. The mapper owns
 // one per Map call (or borrows one through mapping.Scratch), and
@@ -31,22 +34,16 @@ type Router struct {
 	// Path scratch shared by the single-path primitives.
 	verts, arcs []int
 
-	// Congestion weight state for the load-aware searches: per-link loads
-	// plus a commodity-scaled tie-break bias, consumed inline by the
-	// solver's specialized DijkstraLoads (no per-arc closure call).
-	loads []float64
-	bias  float64
+	// zeros is the all-zero load vector of the oblivious DO fallback's
+	// unit-weight search, grown on use to the bound topology's link count.
+	zeros []float64
 
 	// Split-routing (SM/SA) merged-path arena.
 	accs []accum
 
-	// dag, when non-nil, restricts load-aware searches to the active
-	// minimum-hop arc mask (SM routing).
-	dag []bool
-
 	// down, when non-nil, is the active failed-link mask
-	// (Options.DownLinks): both weight closures treat masked arcs as
-	// unreachable, so every weight-based search reroutes around them.
+	// (Options.DownLinks): the load-aware searches treat masked arcs as
+	// unreachable, so they reroute around them.
 	down []bool
 
 	// chunkAcc records, for the last split-routed commodity, which merged
@@ -133,10 +130,7 @@ func (rt *Router) PathMP(srcT, dstT int, c graph.Commodity, linkLoads []float64,
 		mask = rt.Quadrant(srcT, dstT)
 	}
 	src, dst := rt.topo.InjectRouter(srcT), rt.topo.EjectRouter(dstT)
-	rt.loads = linkLoads
-	rt.bias = hopBiasFor(c.ValueMBps)
-	verts, arcs, ok := rt.shortestLoads(src, dst, nil, mask)
-	rt.loads = nil
+	verts, arcs, ok := rt.shortest(src, dst, linkLoads, hopBiasFor(c.ValueMBps), nil, rt.down, mask)
 	if !ok {
 		return nil, nil, fmt.Errorf("route: no path for commodity %d (terminals %d->%d) on %s", //sunmap:alloc error path
 			c.ID, srcT, dstT, rt.topo.Name())
@@ -144,34 +138,19 @@ func (rt *Router) PathMP(srcT, dstT int, c graph.Commodity, linkLoads []float64,
 	return verts, arcs, nil
 }
 
-func (rt *Router) clearLoads() { rt.loads = nil }
-
-// shortest runs the solver over the bound topology's router graph, handling
-// the degenerate case where inject and eject are the same router (a
-// one-router path, as on the star hub). The search stops once dst settles.
-func (rt *Router) shortest(src, dst int, w graph.WeightFunc, mask []bool) (verts, arcs []int, ok bool) {
+// shortest runs the solver over the bound topology's router graph under
+// the weight loads[arc]+bias, restricted to the dag arc mask and the mask
+// of routers (nil = no restriction) and skipping arcs marked in down. It
+// handles the degenerate case where inject and eject are the same router
+// (a one-router path, as on the star hub). The search stops once dst
+// settles.
+func (rt *Router) shortest(src, dst int, loads []float64, bias float64, dag, down, mask []bool) (verts, arcs []int, ok bool) {
 	if src == dst {
 		rt.verts = append(rt.verts[:0], src)
 		rt.arcs = rt.arcs[:0]
 		return rt.verts, rt.arcs, true
 	}
-	rt.sp.DijkstraTo(rt.topo.Graph(), src, dst, w, mask)
-	rt.verts, rt.arcs, ok = rt.sp.PathTo(src, dst, rt.verts, rt.arcs)
-	return rt.verts, rt.arcs, ok
-}
-
-// shortestLoads is shortest specialized to the congestion weight
-// loads+bias (rt.loads/rt.bias), optionally restricted to a minimum-hop
-// dag arc mask and always honoring the active down-link mask. It drives
-// the solver's closure-free fast path; results are bit-identical to the
-// generic search under the equivalent WeightFunc.
-func (rt *Router) shortestLoads(src, dst int, dag, mask []bool) (verts, arcs []int, ok bool) {
-	if src == dst {
-		rt.verts = append(rt.verts[:0], src)
-		rt.arcs = rt.arcs[:0]
-		return rt.verts, rt.arcs, true
-	}
-	rt.sp.DijkstraLoads(rt.topo.Graph(), src, dst, rt.loads, rt.bias, dag, rt.down, mask)
+	rt.sp.DijkstraLoads(rt.topo.Graph(), src, dst, loads, bias, dag, down, mask)
 	rt.verts, rt.arcs, ok = rt.sp.PathTo(src, dst, rt.verts, rt.arcs)
 	return rt.verts, rt.arcs, ok
 }
