@@ -16,10 +16,10 @@ var (
 	// exist. Returned by AppByName and by requests referencing an app by
 	// name.
 	ErrUnknownApp = errors.New("unknown application")
-	// ErrUnknownTopology reports a topology name that neither parses as a
-	// library configuration nor resolves in the custom-topology registry.
-	// Returned by TopologyByName and by requests referencing a topology by
-	// name.
+	// ErrUnknownTopology reports a topology name that neither builds a
+	// library configuration nor, in a Session request, resolves in that
+	// session's scope of synthesized and discovered topologies. Returned
+	// by TopologyByName and by requests referencing a topology by name.
 	ErrUnknownTopology = errors.New("unknown topology")
 	// ErrInfeasible reports a selection in which no candidate satisfied
 	// the bandwidth/area/aspect constraints. Session.Select returns it
@@ -50,15 +50,16 @@ func AppByName(name string) (*CoreGraph, error) {
 	return g, nil
 }
 
-// TopologyByName rebuilds a topology from its canonical name
-// (e.g. "mesh-3x4", "butterfly-4ary2fly", "clos-m4n4r4"), including
-// synthesized topologies registered by SynthCandidates or a Select run
-// with Synth enabled. Unresolvable names return an error wrapping
-// ErrUnknownTopology.
+// TopologyByName rebuilds a library topology from its canonical name
+// (e.g. "mesh-3x4", "butterfly-4ary2fly", "clos-m4n4r4"). Synthesized
+// and discovered topologies are not library members: only the Session
+// that built them resolves their names. Unresolvable names, including
+// library names past the 4096-terminal size bound, return an error
+// wrapping ErrUnknownTopology.
 func TopologyByName(name string) (Topology, error) {
 	t, err := topology.ByName(name)
 	if err != nil {
-		return nil, fmt.Errorf("sunmap: %w %q", ErrUnknownTopology, name)
+		return nil, fmt.Errorf("sunmap: %w %q: %w", ErrUnknownTopology, name, err)
 	}
 	return t, nil
 }

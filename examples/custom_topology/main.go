@@ -32,8 +32,15 @@ func main() {
 	}
 	fmt.Println("application:", app)
 
+	// A synthesis-enabled session: its Select requests sweep the full
+	// standard library plus the synthesized candidates.
+	sess, err := sunmap.NewSession(sunmap.WithSynth(sunmap.SynthOptions{}))
+	if err != nil {
+		log.Fatal(err)
+	}
+
 	// Inspect the synthesized candidates on their own first.
-	cands, err := sunmap.SynthCandidates(app, sunmap.SynthOptions{})
+	cands, err := sess.SynthCandidates(app, sunmap.SynthOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -43,12 +50,7 @@ func main() {
 			c.Name(), c.NumRouters(), sunmap.PhysicalLinks(c), c.NumTerminals())
 	}
 
-	// One Select request on a synthesis-enabled session: the full standard
-	// library plus the synthesized candidates, 700 MB/s links, min-delay.
-	sess, err := sunmap.NewSession(sunmap.WithSynth(sunmap.SynthOptions{}))
-	if err != nil {
-		log.Fatal(err)
-	}
+	// One Select request: 700 MB/s links, min-delay.
 	rep, err := sess.Select(ctx, sunmap.SelectRequest{
 		App: sunmap.AppSpec{Name: "mpeg4"},
 		Mapping: sunmap.MapSpec{
@@ -75,8 +77,7 @@ func main() {
 		rep.Topology, best.AvgHops, best.DesignAreaMM2, best.PowerMW)
 
 	// Synthesized winners flow through the rest of the pipeline unchanged:
-	// the Select run registered the winner in the topology name registry,
-	// so a simulate request can reference it by name.
+	// Select registered them in the session, so it can simulate by name.
 	simRep, err := sess.Simulate(ctx, sunmap.SimRequest{
 		Topology:      rep.Topology,
 		Pattern:       "uniform",

@@ -38,13 +38,13 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// Register the synthesized candidates so they are addressable by
-	// name, and pick the cluster topology.
+	// Synthesize the candidates in the session, which makes them
+	// addressable by name in its requests, and pick the cluster topology.
 	app, err := sunmap.AppByName("mpeg4")
 	if err != nil {
 		log.Fatal(err)
 	}
-	cands, err := sunmap.SynthCandidates(app, sunmap.SynthOptions{})
+	cands, err := sess.SynthCandidates(app, sunmap.SynthOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -20,10 +20,12 @@
 //     least.
 //
 // Every candidate implements topology.Topology via topology.NewCustom
-// (Kind Synth), registers in the topology name registry, and carries the
-// structural digest internal/engine keys its evaluation cache on — so
-// synthesized candidates flow through Library/Select, the concurrent
-// engine, the cache and the simulator exactly like library members.
+// (Kind Synth, validated where it is built) and carries the structural
+// digest internal/engine keys its evaluation cache on — so synthesized
+// candidates flow through Library/Select, the concurrent engine, the
+// cache and the simulator exactly like library members. No name can
+// rebuild a candidate: the package registers nothing, and the sunmap
+// Session that asked for them registers them in its own topology.Scope.
 // Synthesis is pure and deterministic: the same core graph and options
 // always produce byte-identical candidates, keeping Select results
 // independent of parallelism and cache state.
@@ -70,11 +72,10 @@ func (o Options) withDefaults() (Options, error) {
 }
 
 // Candidates synthesizes every applicable candidate topology for the
-// application and registers each in the topology name registry (so
-// topology.ByName resolves them for the rest of the process). Candidates
-// are returned in deterministic order: cluster candidates in ClusterSizes
-// order, then the trimmed mesh, then the sparse Hamming graph. Candidates
-// whose names repeat (e.g. duplicate cluster sizes) are emitted once.
+// application. Candidates are returned in deterministic order: cluster
+// candidates in ClusterSizes order, then the trimmed mesh, then the
+// sparse Hamming graph. Candidates whose names repeat (e.g. duplicate
+// cluster sizes) are emitted once.
 func Candidates(g *graph.CoreGraph, opts Options) ([]topology.Topology, error) {
 	if g == nil {
 		return nil, fmt.Errorf("synth: nil application")
@@ -94,9 +95,6 @@ func Candidates(g *graph.CoreGraph, opts Options) ([]topology.Topology, error) {
 		}
 		if seen[t.Name()] {
 			return nil
-		}
-		if err := topology.Register(t); err != nil {
-			return err
 		}
 		seen[t.Name()] = true
 		out = append(out, t)

@@ -160,22 +160,21 @@ func TestCandidatesDeterministic(t *testing.T) {
 	}
 }
 
-// TestCandidatesRegistered asserts every synthesized candidate resolves
-// through the topology name registry.
-func TestCandidatesRegistered(t *testing.T) {
+// TestCandidatesValidate asserts every synthesized candidate passes the
+// structural checks shared by all topologies, and that no candidate name
+// resolves through the library grammar.
+func TestCandidatesValidate(t *testing.T) {
 	g := app(t, "vopd")
 	cands, err := Candidates(g, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, c := range cands {
-		got, err := topology.ByName(c.Name())
-		if err != nil {
-			t.Errorf("ByName(%q): %v", c.Name(), err)
-			continue
+		if err := topology.Validate(c); err != nil {
+			t.Errorf("%s: %v", c.Name(), err)
 		}
-		if got.NumRouters() != c.NumRouters() || len(got.Links()) != len(c.Links()) {
-			t.Errorf("ByName(%q) returned a different structure", c.Name())
+		if _, err := topology.ByName(c.Name()); err == nil {
+			t.Errorf("ByName(%q) resolved a synthesized name", c.Name())
 		}
 	}
 }

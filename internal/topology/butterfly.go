@@ -24,16 +24,17 @@ func NewButterfly(k, n int) (Topology, error) {
 	if k < 2 || n < 2 {
 		return nil, fmt.Errorf("topology: invalid butterfly %d-ary %d-fly", k, n)
 	}
-	perStage := 1
-	for i := 0; i < n-1; i++ {
-		perStage *= k
+	name := fmt.Sprintf("butterfly-%dary%dfly", k, n)
+	numTerm := 1 // k^n
+	for i := 0; i < n; i++ {
+		var err error
+		if numTerm, err = checkSize(name, "terminals", numTerm, k); err != nil {
+			return nil, err
+		}
 	}
-	numTerm := perStage * k
-	if numTerm > 4096 {
-		return nil, fmt.Errorf("topology: butterfly %d-ary %d-fly too large (%d terminals)", k, n, numTerm)
-	}
+	perStage := numTerm / k
 	b := &butterflyTopology{
-		base:     newBase(fmt.Sprintf("butterfly-%dary%dfly", k, n), Butterfly, perStage*n, numTerm),
+		base:     newBase(name, Butterfly, perStage*n, numTerm),
 		k:        k,
 		n:        n,
 		perStage: perStage,

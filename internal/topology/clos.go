@@ -15,11 +15,20 @@ type closTopology struct {
 // NewClos constructs a Clos(m, n, r) with m middle switches, n terminals
 // per ingress/egress switch and r ingress (and egress) switches.
 func NewClos(m, n, r int) (Topology, error) {
-	if m < 1 || n < 1 || r < 1 || n*r < 2 {
+	if m < 1 || n < 1 || r < 1 || n == 1 && r == 1 {
 		return nil, fmt.Errorf("topology: invalid clos(m=%d,n=%d,r=%d)", m, n, r)
 	}
+	name := fmt.Sprintf("clos-m%dn%dr%d", m, n, r)
+	terms, err := checkSize(name, "terminals", n, r)
+	if err != nil {
+		return nil, err
+	}
+	// Each stage has m·r channels; bound them like the terminals.
+	if _, err := checkSize(name, "channels per stage", m, r); err != nil {
+		return nil, err
+	}
 	c := &closTopology{
-		base: newBase(fmt.Sprintf("clos-m%dn%dr%d", m, n, r), Clos, 2*r+m, n*r),
+		base: newBase(name, Clos, 2*r+m, terms),
 		m:    m, n: n, r: r,
 	}
 	// Router indices: ingress 0..r-1, middle r..r+m-1, egress r+m..2r+m-1.

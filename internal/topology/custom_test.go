@@ -72,55 +72,6 @@ func TestNewCustomRejectsBadSpecs(t *testing.T) {
 	}
 }
 
-func TestRegisterAndByName(t *testing.T) {
-	const name = "custom-registry-ring"
-	topo, err := NewCustom(ringSpec(name))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := Register(topo); err != nil {
-		t.Fatal(err)
-	}
-	defer Unregister(name)
-
-	got, err := ByName(name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Name() != name || got.NumRouters() != 4 {
-		t.Errorf("ByName returned %s with %d routers", got.Name(), got.NumRouters())
-	}
-	found := false
-	for _, r := range Registered() {
-		if r.Name() == name {
-			found = true
-		}
-	}
-	if !found {
-		t.Error("Registered() does not list the custom topology")
-	}
-
-	// Library names are still resolved by construction, never shadowed.
-	if err := Register(mustCustomNamed(t, "mesh-2x2")); err == nil {
-		t.Error("registry accepted a library-grammar name")
-	}
-
-	Unregister(name)
-	if _, err := ByName(name); err == nil {
-		t.Error("ByName still resolves an unregistered custom topology")
-	}
-}
-
-func mustCustomNamed(t *testing.T, name string) Topology {
-	t.Helper()
-	spec := ringSpec(name)
-	c, err := NewCustom(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return c
-}
-
 // TestLibraryOptionsRejectInvalid is the regression test for the silent
 // coercion bug: explicit MaxButterflyRadix/MaxClosFanIn values below 2
 // used to be bumped to the default 4; they must surface as errors.

@@ -9,14 +9,22 @@ type hypercubeTopology struct {
 	dim int
 }
 
-// NewHypercube constructs a hypercube of the given dimension (>= 1).
+// NewHypercube constructs a hypercube of the given dimension: at least 1
+// and, under the 4096-terminal bound, at most 12.
 func NewHypercube(dim int) (Topology, error) {
-	if dim < 1 || dim > 16 {
+	if dim < 1 {
 		return nil, fmt.Errorf("topology: invalid hypercube dimension %d", dim)
 	}
-	n := 1 << dim
+	name := fmt.Sprintf("hypercube-%d", dim)
+	n := 1
+	for i := 0; i < dim; i++ {
+		var err error
+		if n, err = checkSize(name, "terminals", n, 2); err != nil {
+			return nil, err
+		}
+	}
 	h := &hypercubeTopology{
-		base: newBase(fmt.Sprintf("hypercube-%d", dim), Hypercube, n, n),
+		base: newBase(name, Hypercube, n, n),
 		dim:  dim,
 	}
 	// Project onto a 2-D grid for placement: the low half of the address

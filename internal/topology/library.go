@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
 )
 
 // LibraryOptions tunes the configuration enumeration of Enumerate and
@@ -157,16 +156,7 @@ func Enumerate(kind Kind, numCores int, opts LibraryOptions) ([]Topology, error)
 		}
 		return out[i].Name() < out[j].Name()
 	})
-	// Deduplicate by name (clos m=n and m=2n-1 collide when n=1, etc.).
-	dedup := out[:0]
-	seen := make(map[string]bool)
-	for _, t := range out {
-		if !seen[t.Name()] {
-			seen[t.Name()] = true
-			dedup = append(dedup, t)
-		}
-	}
-	return dedup, nil
+	return out, nil
 }
 
 // Library returns every configuration of the paper's five-family topology
@@ -189,94 +179,11 @@ func Library(numCores int, opts LibraryOptions) ([]Topology, error) {
 
 // ByName constructs a topology from its canonical name (e.g. "mesh-3x4",
 // "butterfly-4ary2fly", "clos-m4n4r4", "hypercube-4", "octagon",
-// "star-12"), the format produced by Topology.Name. Names outside the
-// library grammar resolve against the custom-topology registry, so
-// synthesized networks registered in this process (internal/synth) are
-// addressable the same way as library members.
+// "star-12"), the format produced by Topology.Name. It parses the library
+// grammar only: synthesized and machine-discovered networks are
+// application-specific instances, so they are resolved by the Scope of
+// the session that built them, never by name alone.
 func ByName(name string) (Topology, error) {
-	if t, err := byLibraryName(name); err == nil {
-		return t, nil
-	}
-	if t, ok := lookupCustom(name); ok {
-		return t, nil
-	}
-	return nil, fmt.Errorf("topology: unrecognized name %q", name)
-}
-
-// customReg holds custom (synthesized) topologies registered by name.
-// Unlike the library families — reconstructible from their name alone —
-// custom topologies are application-specific instances, so the registry
-// stores them directly for the life of the process.
-var customReg struct {
-	sync.RWMutex
-	m map[string]Topology
-}
-
-// Register validates a custom topology and makes it retrievable through
-// ByName. Re-registering a name replaces the earlier entry; that is safe
-// because the evaluation cache keys on the full structural digest, never
-// on the name alone. Library-grammar names are rejected so a custom entry
-// can never shadow a standard configuration.
-//
-// The registry is process-wide and unbounded, which is the right contract
-// for the handful of synthesized candidates an interactive run names. It
-// is the wrong contract for machine-generated topologies: a long-running
-// serve process running topology search would leak one entry per
-// discovered candidate and let two sessions silently overwrite each
-// other's names. Search workloads register into a per-session Scope
-// instead.
-func Register(t Topology) error {
-	if err := Validate(t); err != nil {
-		return err
-	}
-	name := t.Name()
-	if name == "" {
-		return fmt.Errorf("topology: cannot register a topology with an empty name")
-	}
-	if builtin, err := byLibraryName(name); err == nil {
-		return fmt.Errorf("topology: cannot register %q: name is taken by library topology %s",
-			name, builtin.Name())
-	}
-	customReg.Lock()
-	if customReg.m == nil {
-		customReg.m = make(map[string]Topology)
-	}
-	customReg.m[name] = t
-	customReg.Unlock()
-	return nil
-}
-
-// Registered returns the currently registered custom topologies sorted by
-// name.
-func Registered() []Topology {
-	customReg.RLock()
-	out := make([]Topology, 0, len(customReg.m))
-	for _, t := range customReg.m {
-		out = append(out, t)
-	}
-	customReg.RUnlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].Name() < out[j].Name() })
-	return out
-}
-
-// Unregister removes a custom topology by name (a no-op for unknown
-// names). Tests use it to keep the process-wide registry isolated.
-func Unregister(name string) {
-	customReg.Lock()
-	delete(customReg.m, name)
-	customReg.Unlock()
-}
-
-func lookupCustom(name string) (Topology, bool) {
-	customReg.RLock()
-	t, ok := customReg.m[name]
-	customReg.RUnlock()
-	return t, ok
-}
-
-// byLibraryName is ByName restricted to the library grammar (no custom
-// registry fallback); Register uses it to detect name collisions.
-func byLibraryName(name string) (Topology, error) {
 	var a, b, c int
 	switch {
 	case matched(name, "mesh-%dx%d", &a, &b):

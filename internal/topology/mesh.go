@@ -12,11 +12,16 @@ type meshTopology struct {
 // NewMesh constructs a rows x cols mesh. Both dimensions must be at least 1
 // and the mesh must contain at least 2 routers.
 func NewMesh(rows, cols int) (Topology, error) {
-	if rows < 1 || cols < 1 || rows*cols < 2 {
+	if rows < 1 || cols < 1 || rows == 1 && cols == 1 {
 		return nil, fmt.Errorf("topology: invalid mesh %dx%d", rows, cols)
 	}
+	name := fmt.Sprintf("mesh-%dx%d", rows, cols)
+	n, err := checkSize(name, "terminals", rows, cols)
+	if err != nil {
+		return nil, err
+	}
 	m := &meshTopology{
-		base: newBase(fmt.Sprintf("mesh-%dx%d", rows, cols), Mesh, rows*cols, rows*cols),
+		base: newBase(name, Mesh, n, n),
 		rows: rows,
 		cols: cols,
 	}

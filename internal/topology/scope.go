@@ -2,27 +2,26 @@ package topology
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 )
 
-// Scope is a bounded, session-local registry of custom topologies. It
-// exists for machine-generated networks — topology search emits one
-// candidate per (app, seed, structure) — where the process-wide Register
-// map has the wrong lifecycle: entries would accumulate for the life of a
-// serve process, and identically named candidates from concurrent
-// sessions would overwrite each other. A Scope is owned by one Session,
-// so lookups cannot observe another session's candidates, and eviction of
-// the oldest entries bounds memory under sustained search load.
+// Scope is a bounded, session-local registry of custom topologies:
+// synthesized candidates and topology-search winners, which are
+// application-specific instances that no name can rebuild. A Scope is
+// owned by one Session, so lookups cannot observe another session's
+// candidates and two tenants' same-named candidates never collide, and
+// eviction of the least recently registered entries bounds memory in a
+// long-running serve process.
 //
-// Scope applies the same safety rules as Register: entries are validated
-// and may not shadow a library-grammar name. All methods are safe for
-// concurrent use.
+// Entries may not shadow a library-grammar name. Callers validate a
+// topology where they build it; Register only keeps the books. All
+// methods are safe for concurrent use.
 type Scope struct {
 	mu    sync.Mutex
 	limit int
 	m     map[string]Topology
-	order []string // registration order, oldest first
+	order []string // registration order, least recent first
 }
 
 // DefaultScopeLimit is the entry cap a zero/negative NewScope limit
@@ -31,7 +30,7 @@ const DefaultScopeLimit = 256
 
 // NewScope returns an empty scope holding at most limit entries
 // (DefaultScopeLimit when limit <= 0). When full, registering a new name
-// evicts the oldest entry.
+// evicts the least recently registered entry.
 func NewScope(limit int) *Scope {
 	if limit <= 0 {
 		limit = DefaultScopeLimit
@@ -39,30 +38,29 @@ func NewScope(limit int) *Scope {
 	return &Scope{limit: limit, m: make(map[string]Topology)}
 }
 
-// Register validates t and adds it to the scope. Re-registering an
-// existing name replaces the entry in place (keeping its age); a new name
-// may evict the scope's oldest entry to stay within the limit.
+// Register adds t to the scope as its newest entry. Re-registering a
+// name replaces the entry and makes it the newest, so the candidates of
+// an app that is selected again are the last to be evicted; a new name
+// may evict the oldest entry to stay within the limit.
 func (sc *Scope) Register(t Topology) error {
-	if err := Validate(t); err != nil {
-		return err
-	}
 	name := t.Name()
 	if name == "" {
 		return fmt.Errorf("topology: cannot register a topology with an empty name")
 	}
-	if builtin, err := byLibraryName(name); err == nil {
+	if builtin, err := ByName(name); err == nil {
 		return fmt.Errorf("topology: cannot register %q: name is taken by library topology %s",
 			name, builtin.Name())
 	}
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
-	if _, exists := sc.m[name]; !exists {
-		sc.order = append(sc.order, name)
-		for len(sc.order) > sc.limit {
-			delete(sc.m, sc.order[0])
-			copy(sc.order, sc.order[1:])
-			sc.order = sc.order[:len(sc.order)-1]
-		}
+	if _, exists := sc.m[name]; exists {
+		i := slices.Index(sc.order, name)
+		sc.order = slices.Delete(sc.order, i, i+1)
+	}
+	sc.order = append(sc.order, name)
+	for len(sc.order) > sc.limit {
+		delete(sc.m, sc.order[0])
+		sc.order = slices.Delete(sc.order, 0, 1)
 	}
 	sc.m[name] = t
 	return nil
@@ -74,23 +72,4 @@ func (sc *Scope) Lookup(name string) (Topology, bool) {
 	t, ok := sc.m[name]
 	sc.mu.Unlock()
 	return t, ok
-}
-
-// Names returns the registered names sorted lexicographically.
-func (sc *Scope) Names() []string {
-	sc.mu.Lock()
-	out := make([]string, 0, len(sc.m))
-	for name := range sc.m {
-		out = append(out, name)
-	}
-	sc.mu.Unlock()
-	sort.Strings(out)
-	return out
-}
-
-// Len returns the number of registered entries.
-func (sc *Scope) Len() int {
-	sc.mu.Lock()
-	defer sc.mu.Unlock()
-	return len(sc.m)
 }

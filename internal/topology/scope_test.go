@@ -2,6 +2,7 @@ package topology
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -22,6 +23,11 @@ func scopedCustom(t *testing.T, name string) Topology {
 	return topo
 }
 
+// unnamed hides a topology's name; NewCustom itself refuses empty names.
+type unnamed struct{ Topology }
+
+func (unnamed) Name() string { return "" }
+
 func TestScopeRegisterLookup(t *testing.T) {
 	sc := NewScope(0)
 	topo := scopedCustom(t, "scoped-a")
@@ -35,64 +41,67 @@ func TestScopeRegisterLookup(t *testing.T) {
 	if _, ok := sc.Lookup("scoped-missing"); ok {
 		t.Error("Lookup found an unregistered name")
 	}
-	// Scoped entries must stay invisible to the process-wide resolver.
+	// Scoped entries stay invisible to the name grammar.
 	if _, err := ByName("scoped-a"); err == nil {
-		t.Error("scoped entry resolved through the global registry")
+		t.Error("scoped entry resolved through ByName")
 	}
-	if sc.Len() != 1 {
-		t.Errorf("Len = %d, want 1", sc.Len())
+	if len(sc.m) != 1 {
+		t.Errorf("len = %d, want 1", len(sc.m))
 	}
 }
 
-// TestScopeRejectsUnsafeNames mirrors the global Register safety rules:
-// no empty names, no shadowing the library grammar.
+// TestScopeRejectsUnsafeNames pins the naming rules: no empty names, no
+// shadowing the library grammar.
 func TestScopeRejectsUnsafeNames(t *testing.T) {
 	sc := NewScope(0)
 	if err := sc.Register(scopedCustom(t, "mesh-1x2")); err == nil {
 		t.Error("Register accepted a library-grammar name")
 	}
-	if sc.Len() != 0 {
-		t.Errorf("rejected registration still stored: Len = %d", sc.Len())
+	if err := sc.Register(unnamed{scopedCustom(t, "scoped-u")}); err == nil {
+		t.Error("Register accepted an empty name")
+	}
+	if len(sc.m) != 0 || len(sc.order) != 0 {
+		t.Errorf("rejected registration still stored: %v", sc.order)
 	}
 }
 
-// TestScopeEviction pins the bounded-memory contract: the oldest entry
-// goes first, re-registering refreshes content without growing the scope.
+// TestScopeEviction pins the bounded-memory contract: the least recently
+// registered entry goes first, and re-registering a name makes it the
+// newest without growing the scope.
 func TestScopeEviction(t *testing.T) {
 	sc := NewScope(3)
-	for i := 0; i < 4; i++ {
-		if err := sc.Register(scopedCustom(t, fmt.Sprintf("scoped-%d", i))); err != nil {
+	register := func(name string) {
+		t.Helper()
+		if err := sc.Register(scopedCustom(t, name)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if sc.Len() != 3 {
-		t.Fatalf("Len = %d, want 3", sc.Len())
+	wantOrder := func(want ...string) {
+		t.Helper()
+		if !slices.Equal(sc.order, want) || len(sc.m) != len(want) {
+			t.Fatalf("order = %v (%d entries), want %v", sc.order, len(sc.m), want)
+		}
+		for _, name := range want {
+			if _, ok := sc.Lookup(name); !ok {
+				t.Fatalf("%s missing", name)
+			}
+		}
 	}
+	for i := 0; i < 4; i++ {
+		register(fmt.Sprintf("scoped-%d", i))
+	}
+	wantOrder("scoped-1", "scoped-2", "scoped-3")
 	if _, ok := sc.Lookup("scoped-0"); ok {
 		t.Error("oldest entry survived eviction")
 	}
-	for i := 1; i < 4; i++ {
-		if _, ok := sc.Lookup(fmt.Sprintf("scoped-%d", i)); !ok {
-			t.Errorf("scoped-%d missing after eviction", i)
-		}
-	}
-	// Replacing in place keeps the count and the entry's age.
-	if err := sc.Register(scopedCustom(t, "scoped-2")); err != nil {
-		t.Fatal(err)
-	}
-	if sc.Len() != 3 {
-		t.Errorf("re-registration grew the scope to %d", sc.Len())
-	}
-	want := []string{"scoped-1", "scoped-2", "scoped-3"}
-	names := sc.Names()
-	if len(names) != len(want) {
-		t.Fatalf("Names = %v, want %v", names, want)
-	}
-	for i := range want {
-		if names[i] != want[i] {
-			t.Fatalf("Names = %v, want %v", names, want)
-		}
-	}
+	// Re-registering refreshes the entry: it moves to the newest slot,
+	// so the next new name evicts scoped-1, then scoped-3.
+	register("scoped-2")
+	wantOrder("scoped-1", "scoped-3", "scoped-2")
+	register("scoped-4")
+	wantOrder("scoped-3", "scoped-2", "scoped-4")
+	register("scoped-5")
+	wantOrder("scoped-2", "scoped-4", "scoped-5")
 }
 
 // TestScopeConcurrent hammers one scope from many goroutines — the race
@@ -115,12 +124,11 @@ func TestScopeConcurrent(t *testing.T) {
 					return
 				}
 				sc.Lookup(topo.Name())
-				sc.Names()
 			}
 		}(g)
 	}
 	wg.Wait()
-	if sc.Len() > 8 {
-		t.Errorf("Len = %d exceeds limit 8", sc.Len())
+	if len(sc.m) > 8 || len(sc.order) != len(sc.m) {
+		t.Errorf("%d entries, %d in order, limit 8", len(sc.m), len(sc.order))
 	}
 }

@@ -16,7 +16,11 @@ func NewStar(n int) (Topology, error) {
 	if n < 2 {
 		return nil, fmt.Errorf("topology: invalid star with %d terminals", n)
 	}
-	s := &starTopology{base: newBase(fmt.Sprintf("star-%d", n), Star, 1, n)}
+	name := fmt.Sprintf("star-%d", n)
+	if _, err := checkSize(name, "terminals", n); err != nil {
+		return nil, err
+	}
+	s := &starTopology{base: newBase(name, Star, 1, n)}
 	// The hub sits at the centre of a ring of cores.
 	side := (n + 3) / 4 // cores per side of the surrounding square, roughly
 	if side < 1 {

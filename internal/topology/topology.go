@@ -190,6 +190,27 @@ func newBase(name string, kind Kind, numRouters, numTerminals int) *base {
 	}
 }
 
+// maxTerminals bounds every library family. Construction and the
+// terminal-pair min-hop table (terminals² entries) grow with it, so an
+// oversized name must fail before anything is allocated: one map request
+// onto mesh-1000x1000 would otherwise exhaust memory and kill the process.
+const maxTerminals = 4096
+
+// checkSize returns the product of factors, one size of the named
+// topology (what), or an error once the product would pass maxTerminals.
+// Each factor is checked before it is multiplied in, so the product never
+// overflows. Factors must be >= 1.
+func checkSize(name, what string, factors ...int) (int, error) {
+	n := 1
+	for _, f := range factors {
+		if f > maxTerminals/n {
+			return 0, fmt.Errorf("topology: %s is too large (more than %d %s)", name, maxTerminals, what)
+		}
+		n *= f
+	}
+	return n, nil
+}
+
 // addLink inserts one directed channel u->v.
 func (b *base) addLink(u, v int) {
 	id := len(b.links)
@@ -302,8 +323,9 @@ func Channels(t Topology) [][]int {
 	return chans
 }
 
-// Validate checks structural invariants shared by all topologies. It is
-// exercised by tests and by the registry after construction.
+// Validate checks structural invariants shared by all topologies.
+// NewCustom runs it on every custom topology it builds; tests run it on
+// the library families.
 func Validate(t Topology) error {
 	if t.NumTerminals() <= 0 {
 		return fmt.Errorf("topology %s: no terminals", t.Name())

@@ -2,6 +2,7 @@ package topology
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -76,6 +77,35 @@ func TestConstructorRejectsBadParams(t *testing.T) {
 	}
 	if _, err := NewStar(1); err == nil {
 		t.Error("star-1 accepted")
+	}
+}
+
+// TestSizeBound pins the one size cap every library family shares: at
+// most maxTerminals terminals (and, for Clos, channels per stage),
+// checked before anything is allocated and without overflowing on huge
+// names.
+func TestSizeBound(t *testing.T) {
+	for _, name := range []string{"mesh-64x64", "torus-64x64", "hypercube-12", "butterfly-4ary6fly",
+		"butterfly-2ary12fly", "clos-m2n2r2048", "star-4096"} {
+		topo, err := ByName(name)
+		if err != nil {
+			t.Errorf("ByName(%q) at the bound: %v", name, err)
+			continue
+		}
+		if topo.NumTerminals() > maxTerminals {
+			t.Errorf("%s has %d terminals", name, topo.NumTerminals())
+		}
+	}
+	for _, name := range []string{
+		"mesh-1000x1000", "mesh-64x65", "mesh-4294967296x4294967296", "mesh-9223372036854775807x2",
+		"torus-65x64", "hypercube-13", "hypercube-16", "hypercube-64", "hypercube-9223372036854775807",
+		"butterfly-2ary13fly", "butterfly-1000000ary2fly", "butterfly-2ary9223372036854775807fly",
+		"clos-m2n1000r1000", "clos-m2n2r2049", "clos-m1000000000n1r2", "clos-m3n2r2048",
+		"star-1000000", "star-4097",
+	} {
+		if _, err := ByName(name); err == nil || !strings.Contains(err.Error(), "too large") {
+			t.Errorf("ByName(%q) = %v, want a too-large error", name, err)
+		}
 	}
 }
 
@@ -376,6 +406,22 @@ func TestEnumerateShapes(t *testing.T) {
 	}
 	if got := names(Octagon, 9); len(got) != 0 {
 		t.Errorf("octagon offered for 9 cores: %v", got)
+	}
+	// Every shape has its own parameters, so names never repeat and
+	// Enumerate needs no deduplication.
+	wide := LibraryOptions{IncludeExtras: true, MaxAspect: 100, MaxButterflyRadix: 16, MaxClosFanIn: 16, MaxTerminalSlack: 100}
+	for n := 2; n <= 40; n++ {
+		lib, err := Library(n, wide)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seen := make(map[string]bool)
+		for _, topo := range lib {
+			if seen[topo.Name()] {
+				t.Errorf("Library(%d) lists %s twice", n, topo.Name())
+			}
+			seen[topo.Name()] = true
+		}
 	}
 }
 

@@ -15,8 +15,13 @@ func NewTorus(rows, cols int) (Topology, error) {
 	if rows < 3 || cols < 3 {
 		return nil, fmt.Errorf("topology: invalid torus %dx%d (dims must be >= 3)", rows, cols)
 	}
+	name := fmt.Sprintf("torus-%dx%d", rows, cols)
+	n, err := checkSize(name, "terminals", rows, cols)
+	if err != nil {
+		return nil, err
+	}
 	t := &torusTopology{
-		base: newBase(fmt.Sprintf("torus-%dx%d", rows, cols), Torus, rows*cols, rows*cols),
+		base: newBase(name, Torus, n, n),
 		rows: rows,
 		cols: cols,
 	}

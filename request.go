@@ -63,13 +63,13 @@ type FlowSpec struct {
 // structured inline graph; Label names it, defaulting to "app").
 //
 // The app's name/label also names any topologies synthesized for it
-// (e.g. "synth-cluster4r4-mpeg4") in the process-wide registry behind
-// TopologyByName, where the newest registration of a name wins. In a
-// long-running synthesis-enabled service, give distinct inline apps
-// distinct labels, or later by-name lookups (map/simulate a reported
-// winner) may resolve a newer same-named app's topology. The evaluation
-// cache itself is collision-proof — it keys on structural digests, not
-// names.
+// (e.g. "synth-cluster4r4-mpeg4") in the scope of the Session that ran
+// the request, where the newest registration of a name wins. Sessions
+// never see each other's names. Within one synthesis-enabled session,
+// give distinct inline apps distinct labels, or later by-name lookups
+// (map/simulate a reported winner) may resolve a newer same-named app's
+// topology. The evaluation cache itself is collision-proof — it keys on
+// structural digests, not names.
 type AppSpec struct {
 	Name  string     `json:"name,omitempty"`
 	Text  string     `json:"text,omitempty"`

@@ -1,6 +1,7 @@
 package sunmap_test
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"reflect"
@@ -78,6 +79,29 @@ func TestParseRequestRejects(t *testing.T) {
 	for _, tc := range cases {
 		if _, err := sunmap.ParseRequest([]byte(tc.body)); !errors.Is(err, sunmap.ErrBadRequest) {
 			t.Errorf("%s: err = %v, want ErrBadRequest", tc.name, err)
+		}
+	}
+}
+
+// TestOversizedTopologyRejected is the regression test for a 69-byte
+// request that killed the process: a map onto mesh-1000x1000 built a
+// terminals² min-hop table and died with a fatal out-of-memory error,
+// which no recover can catch. Every family now shares one 4096-terminal
+// bound, so each such name is a bad request.
+func TestOversizedTopologyRejected(t *testing.T) {
+	sess, err := sunmap.NewSession()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, topo := range []string{"mesh-1000x1000", "hypercube-16", "star-1000000", "clos-m2n1000r1000"} {
+		body := `{"op":"map","map":{"app":{"name":"dsp"},"topology":"` + topo + `"}}`
+		req, err := sunmap.ParseRequest([]byte(body))
+		if err != nil {
+			t.Fatalf("%s: %v", topo, err)
+		}
+		rep := sess.Do(context.Background(), *req)
+		if rep.ErrorKind != sunmap.ErrorKindBadRequest {
+			t.Errorf("%s: error kind %q, want bad_request (%s)", topo, rep.ErrorKind, rep.Error)
 		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"runtime"
+	"strings"
 	"testing"
 
 	"sunmap"
@@ -48,54 +49,120 @@ func TestSearchIdenticalAcrossParallelism(t *testing.T) {
 	}
 }
 
-// TestSearchScopeIsolation is the regression test for the registry fix:
-// discovered topologies live in the owning session's scope — resolvable
-// by that session's follow-up requests, invisible to other sessions and
-// to the process-wide registry a serve process would otherwise leak
-// names into.
+// TestSearchScopeIsolation pins where synthesized and discovered names
+// live, for every way one is created: in the owning session's scope —
+// resolvable by that session's follow-up requests, invisible to other
+// sessions and to TopologyByName, so a serve process can neither leak
+// names nor let tenants collide on them.
 func TestSearchScopeIsolation(t *testing.T) {
-	sess, err := sunmap.NewSession()
-	if err != nil {
-		t.Fatal(err)
+	ctx := context.Background()
+	mapping := sunmap.MapSpec{Routing: "MP", Objective: "delay", CapacityMBps: 700}
+	newSession := func(t *testing.T, opts ...sunmap.SessionOption) *sunmap.Session {
+		t.Helper()
+		sess, err := sunmap.NewSession(opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sess
 	}
-	rep, err := sess.Search(context.Background(), searchReq(2000))
-	if err != nil {
-		t.Fatal(err)
+	// selectSynth runs a synthesis-enabled mpeg4 selection, where a
+	// synthesized cluster topology wins at 700 MB/s.
+	selectSynth := func(t *testing.T, sess *sunmap.Session, req sunmap.SelectRequest) *sunmap.SelectReport {
+		t.Helper()
+		req.App, req.Mapping = sunmap.AppSpec{Name: "mpeg4"}, mapping
+		rep, err := sess.Select(ctx, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Synthesized == 0 {
+			t.Fatalf("selection synthesized no candidates: %+v", rep)
+		}
+		return rep
 	}
-	if rep.Topology == "" || rep.Best == nil || rep.Best.Topology != rep.Topology {
-		t.Fatalf("inconsistent report: %+v", rep)
+	synthRow := func(t *testing.T, rep *sunmap.SelectReport, winner bool) string {
+		t.Helper()
+		for _, r := range rep.Rows {
+			if r.Kind == "synth" && (r.Topology == rep.Topology) == winner {
+				return r.Topology
+			}
+		}
+		t.Fatalf("no synth row (winner %v) in %+v", winner, rep.Rows)
+		return ""
 	}
+	cases := []struct {
+		name string
+		// create makes a name in sess's scope and returns it.
+		create func(t *testing.T) (*sunmap.Session, string)
+	}{
+		{"search winner", func(t *testing.T) (*sunmap.Session, string) {
+			sess := newSession(t)
+			rep, err := sess.Search(ctx, searchReq(2000))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.Topology == "" || rep.Best == nil || rep.Best.Topology != rep.Topology {
+				t.Fatalf("inconsistent report: %+v", rep)
+			}
+			return sess, rep.Topology
+		}},
+		{"WithSynth select winner", func(t *testing.T) (*sunmap.Session, string) {
+			sess := newSession(t, sunmap.WithSynth(sunmap.SynthOptions{}))
+			return sess, synthRow(t, selectSynth(t, sess, sunmap.SelectRequest{}), true)
+		}},
+		{"WithSynth select losing row", func(t *testing.T) (*sunmap.Session, string) {
+			sess := newSession(t, sunmap.WithSynth(sunmap.SynthOptions{}))
+			return sess, synthRow(t, selectSynth(t, sess, sunmap.SelectRequest{}), false)
+		}},
+		{"request-level synth select", func(t *testing.T) (*sunmap.Session, string) {
+			sess := newSession(t)
+			return sess, synthRow(t, selectSynth(t, sess, sunmap.SelectRequest{Synth: &sunmap.SynthSpec{}}), true)
+		}},
+		{"generate without topology", func(t *testing.T) (*sunmap.Session, string) {
+			sess := newSession(t, sunmap.WithSynth(sunmap.SynthOptions{}))
+			rep, err := sess.Generate(ctx, sunmap.GenerateRequest{App: sunmap.AppSpec{Name: "mpeg4"}, Mapping: mapping})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !strings.HasPrefix(rep.Topology, "synth-") {
+				t.Fatalf("generated %q, want a synthesized winner", rep.Topology)
+			}
+			return sess, rep.Topology
+		}},
+		{"SynthCandidates", func(t *testing.T) (*sunmap.Session, string) {
+			sess := newSession(t)
+			app, err := sunmap.AppByName("mpeg4")
+			if err != nil {
+				t.Fatal(err)
+			}
+			cands, err := sess.SynthCandidates(app, sunmap.SynthOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return sess, cands[len(cands)-1].Name()
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			sess, name := tc.create(t)
+			req := sunmap.MapRequest{App: sunmap.AppSpec{Name: "mpeg4"}, Topology: name, Mapping: mapping}
 
-	// The owning session resolves the name for follow-up operations.
-	des, err := sess.Map(context.Background(), sunmap.MapRequest{
-		App:      sunmap.AppSpec{Name: "mpeg4"},
-		Topology: rep.Topology,
-		Mapping:  sunmap.MapSpec{Routing: "MP", CapacityMBps: 1000},
-	})
-	if err != nil {
-		t.Fatalf("owning session cannot map onto %s: %v", rep.Topology, err)
-	}
-	if des.Topology != rep.Topology {
-		t.Errorf("mapped %q, want %q", des.Topology, rep.Topology)
-	}
+			// The owning session resolves the name for follow-up operations.
+			des, err := sess.Map(ctx, req)
+			if err != nil {
+				t.Fatalf("owning session cannot map onto %s: %v", name, err)
+			}
+			if des.Topology != name {
+				t.Errorf("mapped %q, want %q", des.Topology, name)
+			}
 
-	// The process-wide registry must not have been touched.
-	if _, err := sunmap.TopologyByName(rep.Topology); !errors.Is(err, sunmap.ErrUnknownTopology) {
-		t.Errorf("discovered topology leaked into the process-wide registry: %v", err)
-	}
-
-	// A different session must not see it either.
-	other, err := sunmap.NewSession()
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = other.Map(context.Background(), sunmap.MapRequest{
-		App:      sunmap.AppSpec{Name: "mpeg4"},
-		Topology: rep.Topology,
-		Mapping:  sunmap.MapSpec{},
-	})
-	if !errors.Is(err, sunmap.ErrUnknownTopology) {
-		t.Errorf("foreign session resolved a scoped topology: %v", err)
+			// Neither the library grammar nor another session knows it.
+			if _, err := sunmap.TopologyByName(name); !errors.Is(err, sunmap.ErrUnknownTopology) {
+				t.Errorf("TopologyByName(%q) = %v, want ErrUnknownTopology", name, err)
+			}
+			if _, err := newSession(t).Map(ctx, req); !errors.Is(err, sunmap.ErrUnknownTopology) {
+				t.Errorf("foreign session resolved %q: %v", name, err)
+			}
+		})
 	}
 }
 

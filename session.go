@@ -19,6 +19,7 @@ import (
 	"sunmap/internal/route"
 	"sunmap/internal/search"
 	"sunmap/internal/sim"
+	"sunmap/internal/synth"
 	"sunmap/internal/tech"
 	"sunmap/internal/topology"
 	"sunmap/internal/traffic"
@@ -53,9 +54,10 @@ type Session struct {
 	// requests, one per concurrent sweep.
 	sweepers *pool.Free[fault.Sweeper]
 	trace    *Trace
-	// scope holds machine-discovered topologies registered by Search —
-	// session-local so serve processes never leak or collide names across
-	// tenants the way the process-wide registry would.
+	// scope holds the session's synthesized candidates and search
+	// winners, the only topologies no name can rebuild. It is bounded and
+	// session-local, so a serve process never leaks names and tenants
+	// never collide on them.
 	scope *topology.Scope
 }
 
@@ -226,18 +228,33 @@ func (s *Session) workers(n int) int {
 	return w
 }
 
-// topologyByName resolves a topology name for this session: machine-
-// discovered topologies registered in the session scope take precedence,
-// then the process-wide library/custom registry. Scope names can never
-// shadow library names (Scope.Register rejects the library grammar), so
-// the precedence is safe.
+// topologyByName resolves a topology name for this session: the
+// session scope's synthesized and discovered topologies first, then the
+// library grammar. Scope names can never shadow library names
+// (Scope.Register rejects the library grammar), so the precedence is safe.
 func (s *Session) topologyByName(name string) (Topology, error) {
-	if s.scope != nil {
-		if t, ok := s.scope.Lookup(name); ok {
-			return t, nil
-		}
+	if t, ok := s.scope.Lookup(name); ok {
+		return t, nil
 	}
 	return TopologyByName(name)
+}
+
+// SynthCandidates synthesizes the application-specific candidate
+// topologies for an app without running a selection and registers each
+// in the session scope, so this session's requests can name them. Use it
+// to inspect or simulate synthesized networks directly; Select performs
+// the same synthesis when the session or request enables it.
+func (s *Session) SynthCandidates(app *CoreGraph, opts SynthOptions) ([]Topology, error) {
+	cands, err := synth.Candidates(app, opts)
+	if err != nil {
+		return nil, err
+	}
+	for _, t := range cands {
+		if err := s.scope.Register(t); err != nil {
+			return nil, err
+		}
+	}
+	return cands, nil
 }
 
 // Select runs SUNMAP Phases 1 and 2 for one request: map the application
@@ -261,11 +278,7 @@ func (s *Session) Select(ctx context.Context, req SelectRequest) (*SelectReport,
 		o := req.Synth.options()
 		synthOpts = &o
 	}
-	cfg := s.coreConfig(app, opts, req.Escalate, synthOpts)
-	if err := applyFaultSpec(&cfg, s.faultSpec(req.Fault)); err != nil {
-		return nil, err
-	}
-	sel, err := core.SelectContext(ctx, cfg)
+	sel, err := s.selectDesign(ctx, app, opts, req.Escalate, synthOpts, s.faultSpec(req.Fault))
 	if err != nil {
 		return nil, err
 	}
@@ -416,10 +429,13 @@ func (s *Session) explore() core.ExploreOptions {
 	return core.ExploreOptions{Parallelism: s.parallelism, Cache: s.cache, Progress: s.progress, Limit: s.limit, Scratch: s.scratch}
 }
 
-// coreConfig assembles a selection config carrying the session's engine
-// resources — the single place session knobs map onto core.Config.
-func (s *Session) coreConfig(app *graph.CoreGraph, opts mapping.Options, escalate bool, synthOpts *SynthOptions) core.Config {
-	return core.Config{
+// selectDesign runs one selection on the session's engine resources —
+// the single place session knobs map onto core.Config — under an
+// optional failure model, and registers every synthesized candidate it
+// evaluated in the session scope, so each synth row of the report
+// resolves by name in follow-up requests.
+func (s *Session) selectDesign(ctx context.Context, app *graph.CoreGraph, opts mapping.Options, escalate bool, synthOpts *SynthOptions, spec *FaultSpec) (*Selection, error) {
+	cfg := core.Config{
 		App:             app,
 		LibraryOpts:     s.libOpts,
 		Synth:           synthOpts,
@@ -431,6 +447,26 @@ func (s *Session) coreConfig(app *graph.CoreGraph, opts mapping.Options, escalat
 		Limit:           s.limit,
 		Scratch:         s.scratch,
 	}
+	if spec != nil {
+		m, err := spec.model()
+		if err != nil {
+			return nil, err
+		}
+		cfg.Fault = &m
+		cfg.ReliabilityWeight = spec.ReliabilityWeight
+	}
+	sel, err := core.SelectContext(ctx, cfg)
+	if err != nil {
+		return nil, err
+	}
+	for _, c := range sel.Candidates {
+		if c.Result != nil && c.Result.Topology.Kind() == topology.Synth {
+			if err := s.scope.Register(c.Result.Topology); err != nil {
+				return nil, err
+			}
+		}
+	}
+	return sel, nil
 }
 
 // faultSpec resolves the failure model for one request: the request's
@@ -441,20 +477,6 @@ func (s *Session) faultSpec(req *FaultSpec) *FaultSpec {
 		return req
 	}
 	return s.fault
-}
-
-// applyFaultSpec lowers a failure spec onto a selection config.
-func applyFaultSpec(cfg *core.Config, spec *FaultSpec) error {
-	if spec == nil {
-		return nil
-	}
-	m, err := spec.model()
-	if err != nil {
-		return err
-	}
-	cfg.Fault = &m
-	cfg.ReliabilityWeight = spec.ReliabilityWeight
-	return nil
 }
 
 // Simulate sweeps the request's injection rates over the named topology
@@ -598,11 +620,7 @@ func (s *Session) Generate(ctx context.Context, req GenerateRequest) (*GenerateR
 	}
 	var res *mapping.Result
 	if req.Topology == "" {
-		cfg := s.coreConfig(app, opts, req.Escalate, s.synth)
-		if err := applyFaultSpec(&cfg, s.fault); err != nil {
-			return nil, err
-		}
-		sel, err := core.SelectContext(ctx, cfg)
+		sel, err := s.selectDesign(ctx, app, opts, req.Escalate, s.synth, s.fault)
 		if err != nil {
 			return nil, err
 		}

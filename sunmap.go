@@ -17,7 +17,7 @@
 // partitions of the communication graph, a trimmed mesh shedding the
 // links the application never uses, and a radix-bounded sparse Hamming
 // graph are generated from the core graph and compete with the library
-// in the same Select call. See SynthOptions and SynthCandidates.
+// in the same Select call. See SynthOptions and Session.SynthCandidates.
 //
 // Phase 1 is embarrassingly parallel — every topology maps independently —
 // and runs on a concurrent evaluation engine: SelectConfig.Parallelism
@@ -155,15 +155,6 @@ type (
 	// mesh and a sparse Hamming graph — to the library sweep.
 	SynthOptions = synth.Options
 )
-
-// SynthCandidates synthesizes the application-specific candidate
-// topologies for an app without running a selection, registering each so
-// TopologyByName resolves their names for the rest of the process. Use it
-// to inspect or simulate synthesized networks directly; Select performs
-// the same synthesis internally when SelectConfig.Synth is set.
-func SynthCandidates(app *CoreGraph, opts SynthOptions) ([]Topology, error) {
-	return synth.Candidates(app, opts)
-}
 
 // NewEvalCache returns an empty evaluation cache for sharing design-point
 // evaluations across selection and exploration calls.
