@@ -19,7 +19,7 @@ import (
 	"strings"
 	"time"
 
-	"sunmap"
+	"sunmap/internal/engine"
 	"sunmap/internal/exp"
 )
 
@@ -64,15 +64,13 @@ func run(args []string, out io.Writer) error {
 		ctx, cancel = context.WithTimeout(ctx, *timeout)
 		defer cancel()
 	}
-	// One session across all figures: experiments that revisit the same
-	// application and options (e.g. fig10 and fig11's DSP selection)
-	// reuse design points memoized in the session cache instead of
-	// re-mapping them.
-	sess, err := sunmap.NewSession(sunmap.WithParallelism(*jobs))
-	if err != nil {
-		return err
+	if *jobs < 0 {
+		return fmt.Errorf("negative -j %d", *jobs)
 	}
-	runner := exp.Runner{Parallelism: sess.Parallelism(), Cache: sess.Cache()}
+	// One cache across all figures: experiments that revisit the same
+	// application and options (e.g. fig10 and fig11's DSP selection)
+	// reuse memoized design points instead of re-mapping them.
+	runner := exp.Runner{Parallelism: *jobs, Cache: engine.NewCache()}
 	var rateList []float64
 	for _, part := range strings.Split(*rates, ",") {
 		part = strings.TrimSpace(part)

@@ -115,4 +115,7 @@ func TestRunUnknownExperiment(t *testing.T) {
 	if err := run([]string{"-rates", "xx"}, &sb); err == nil {
 		t.Error("bad rates accepted")
 	}
+	if err := run([]string{"-j", "-1", "-exp", "fig3d"}, &sb); err == nil {
+		t.Error("negative -j accepted")
+	}
 }

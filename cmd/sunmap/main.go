@@ -16,7 +16,7 @@
 //	sunmap serve -addr :8080 -j 8          # HTTP/JSON batch service
 //	sunmap serve -metrics -pprof           # + GET /metrics and /debug/pprof/
 //	sunmap -app vopd -trace                # per-stage span table on stderr
-//	sunmap serve -data /var/lib/sunmap -cache-file /var/lib/sunmap/cache.jsonl  # durable jobs + warm cache
+//	sunmap serve -data /var/lib/sunmap      # durable jobs
 //	sunmap submit -server http://host:8080 -req search.json -wait  # durable async job
 //	sunmap jobs -server http://host:8080   # list; -id j-1 [-result|-cancel|-wait]
 //	sunmap -app vopd -cpuprofile cpu.out -memprofile mem.out  # field profiling
@@ -88,7 +88,6 @@ func runServe(args []string, out io.Writer) error {
 	dataDir := fs.String("data", "", "job journal directory: async jobs survive restarts (empty = memory-only)")
 	jobWorkers := fs.Int("job-workers", 2, "concurrent async job executions")
 	retention := fs.Duration("retention", time.Hour, "how long finished jobs stay fetchable")
-	cacheFile := fs.String("cache-file", "", "persist the evaluation cache here across restarts")
 	queueDepth := fs.Int("max-queue-depth", 0, "shed synchronous requests past this many queued evaluations (0 = 4x parallelism, negative = never)")
 	ckptEvery := fs.Int("checkpoint-every", 500, "annealing evaluations between search checkpoint emissions; the newest is journaled")
 	metrics := fs.Bool("metrics", false, "expose Prometheus text metrics at GET /metrics")
@@ -119,7 +118,6 @@ func runServe(args []string, out io.Writer) error {
 		JobWorkers:      *jobWorkers,
 		JobRetention:    *retention,
 		CheckpointEvery: *ckptEvery,
-		CacheFile:       *cacheFile,
 		EnableMetrics:   *metrics,
 		EnablePprof:     *pprofOn,
 		Logger:          obs.NewLogger(os.Stderr, level),

@@ -3,7 +3,6 @@ package engine
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"sync"
 
@@ -14,13 +13,11 @@ import (
 
 // Process-wide cache-effectiveness counters, mirroring the per-Cache
 // CacheStats snapshot so /metrics can show hit rates without reaching
-// into any particular session's cache. "spill" counts lookups served by
-// promoting a disk-loaded record (a subset of "hit").
+// into any particular session's cache.
 var (
 	cacheLookups   = obs.Default.CounterVec("sunmap_evalcache_lookups_total", "evaluation-cache lookups by outcome", "outcome")
 	cacheHitCount  = cacheLookups.With("hit")
 	cacheMissCount = cacheLookups.With("miss")
-	cacheSpillHits = cacheLookups.With("spill")
 )
 
 // Key content-addresses one evaluation: the application digest, the
@@ -70,11 +67,6 @@ type Cache struct {
 	mu           sync.RWMutex
 	m            map[string]entry
 	hits, misses uint64
-	// spill is the lazy disk-loaded tier (see spill.go): raw spill-file
-	// records decoded and promoted into m only when a lookup hits their
-	// key. spillHits counts promotions.
-	spill     map[string][]byte
-	spillHits uint64
 }
 
 // NewCache returns an empty evaluation cache.
@@ -83,29 +75,10 @@ func NewCache() *Cache {
 }
 
 // get returns the memoized evaluation and bumps the hit/miss counters.
-// topo is the live topology the caller is about to evaluate: a miss in
-// memory falls through to the spill tier, whose stored result is
-// rehydrated with topo (sound because the key content-addresses the
-// topology's structure — see spill.go) and promoted into memory.
-func (c *Cache) get(key string, topo topology.Topology) (entry, bool) {
-	if c == nil {
-		return entry{}, false
-	}
+func (c *Cache) get(key string) (entry, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	e, ok := c.m[key]
-	if !ok {
-		if raw, spilled := c.spill[key]; spilled {
-			delete(c.spill, key)
-			var s spillResult
-			if err := json.Unmarshal(raw, &s); err == nil {
-				e, ok = entry{res: s.toResult(topo)}, true
-				c.m[key] = e
-				c.spillHits++
-				cacheSpillHits.Inc()
-			}
-		}
-	}
 	if ok {
 		c.hits++
 		cacheHitCount.Inc()
@@ -134,10 +107,6 @@ type CacheStats struct {
 	Misses uint64 `json:"misses"`
 	// Entries is the number of memoized evaluations.
 	Entries int `json:"entries"`
-	// SpillEntries is the number of disk-loaded records not yet promoted
-	// into memory; SpillHits counts lookups served by promoting one.
-	SpillEntries int    `json:"spill_entries,omitempty"`
-	SpillHits    uint64 `json:"spill_hits,omitempty"`
 }
 
 // Stats returns a snapshot of the cache counters.
@@ -147,18 +116,5 @@ func (c *Cache) Stats() CacheStats {
 	}
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	return CacheStats{
-		Hits: c.hits, Misses: c.misses, Entries: len(c.m),
-		SpillEntries: len(c.spill), SpillHits: c.spillHits,
-	}
-}
-
-// Len returns the number of memoized evaluations.
-func (c *Cache) Len() int {
-	if c == nil {
-		return 0
-	}
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return len(c.m)
+	return CacheStats{Hits: c.hits, Misses: c.misses, Entries: len(c.m)}
 }

@@ -192,7 +192,7 @@ func Evaluate(ctx context.Context, app *graph.CoreGraph, jobs []Job, eo Options)
 		var key string
 		if eo.Cache != nil {
 			key = Key(digest, j.Topo, j.Opts)
-			if e, ok := eo.Cache.get(key, j.Topo); ok {
+			if e, ok := eo.Cache.get(key); ok {
 				rec.CacheHit()
 				out[i] = Outcome{Result: e.res, Err: e.err}
 				ev.CacheHit = true

@@ -177,8 +177,8 @@ func TestCacheSharedUnderConcurrency(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if cache.Len() != len(lib) {
-		t.Errorf("cache entries = %d, want %d", cache.Len(), len(lib))
+	if n := cache.Stats().Entries; n != len(lib) {
+		t.Errorf("cache entries = %d, want %d", n, len(lib))
 	}
 }
 

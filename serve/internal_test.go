@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"log/slog"
 	"net/http"
@@ -37,7 +38,11 @@ func TestWriteJSONFailuresCounted(t *testing.T) {
 		t.Fatal(err)
 	}
 	var logged bytes.Buffer
-	sv := &Server{sess: sess, opts: Options{Logger: slog.New(slog.NewTextHandler(&logged, nil))}.withDefaults()}
+	sv, err := NewServer(context.Background(), sess, Options{Logger: slog.New(slog.NewTextHandler(&logged, nil))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { sv.Close() })
 
 	sv.writeJSON(&brokenWriter{}, http.StatusOK, map[string]string{"status": "ok"})
 	if got := sv.writeFails.Load(); got != 1 {

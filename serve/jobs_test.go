@@ -282,62 +282,6 @@ func TestServeSheddingAndClientBackoff(t *testing.T) {
 	}
 }
 
-// TestServeCacheFileWarmStart: a server Close persists the eval cache,
-// and a fresh server over the same file answers repeat work from the
-// spill instead of recomputing.
-func TestServeCacheFileWarmStart(t *testing.T) {
-	cacheFile := t.TempDir() + "/cache.jsonl"
-	req := sunmap.Request{
-		Op: sunmap.OpMap,
-		Map: &sunmap.MapRequest{
-			App: sunmap.AppSpec{Name: "dsp"}, Topology: "mesh-2x3",
-			Mapping: sunmap.MapSpec{CapacityMBps: 1000},
-		},
-	}
-	blob, _ := json.Marshal(req)
-
-	sess1, err := sunmap.NewSession()
-	if err != nil {
-		t.Fatal(err)
-	}
-	sv1, err := serve.NewServer(context.Background(), sess1, serve.Options{CacheFile: cacheFile})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv1 := httptest.NewServer(sv1.Handler())
-	status, first := post(t, srv1.URL+"/v1/do", blob)
-	if status != http.StatusOK {
-		t.Fatalf("status %d", status)
-	}
-	srv1.Close()
-	if err := sv1.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	sess2, err := sunmap.NewSession()
-	if err != nil {
-		t.Fatal(err)
-	}
-	sv2, err := serve.NewServer(context.Background(), sess2, serve.Options{CacheFile: cacheFile})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv2 := httptest.NewServer(sv2.Handler())
-	defer srv2.Close()
-	defer sv2.Close()
-	status, second := post(t, srv2.URL+"/v1/do", blob)
-	if status != http.StatusOK {
-		t.Fatalf("status %d", status)
-	}
-	if !bytes.Equal(first, second) {
-		t.Errorf("warm-start report differs:\n%s\n%s", first, second)
-	}
-	st := sess2.CacheStats()
-	if st.SpillHits == 0 {
-		t.Errorf("repeat request not served from the cache spill: %+v", st)
-	}
-}
-
 // TestServeBatchTimeoutClampEdges pins the clamp's boundary behavior:
 // negative budgets pass through to validation (bad_request, not
 // silently repaired), a budget exactly at the server default is kept,

@@ -10,7 +10,7 @@
 //	POST /v1/batch  {"requests": [...]} -> {"reports": [...], "cache": {...}, "serve": {...}}
 //	GET  /healthz   liveness probe
 //
-// Asynchronous job endpoints (NewServer with a jobs store):
+// Asynchronous job endpoints:
 //
 //	POST   /v1/jobs             one Request -> 202 + job snapshot
 //	GET    /v1/jobs             list live jobs
@@ -81,9 +81,6 @@ type Options struct {
 	// journaled one by one: a per-job writer journals the newest blob of
 	// all chains whenever the previous write has finished.
 	CheckpointEvery int
-	// CacheFile, when set, persists the session's eval cache: loaded on
-	// NewServer, saved on Close, so a restarted server is warm.
-	CacheFile string
 	// OnListen, when set, receives the bound address before serving
 	// starts — the way a ":0" server's actual port becomes observable.
 	OnListen func(net.Addr)
@@ -159,36 +156,24 @@ type errorBody struct {
 	Error string `json:"error"`
 }
 
-// Server is the serving front-end with a lifecycle: it owns the durable
-// job store and the persisted eval cache. Create with NewServer, serve
-// its Handler, Close on the way out.
+// Server is the serving front-end with a lifecycle: it owns the job
+// store. Create with NewServer, serve its Handler, Close on the way out.
 type Server struct {
 	sess       *sunmap.Session
 	opts       Options
-	store      *jobs.Store // nil when jobs are disabled (NewHandler path)
-	mux        *http.ServeMux
-	root       http.Handler // mux wrapped in the request-id middleware
+	store      *jobs.Store
+	root       http.Handler // route mux wrapped in the request-id middleware
 	reg        *obs.Registry
 	writeFails atomic.Uint64
 	shedCount  atomic.Uint64
-	closeOnce  sync.Once
-	closeErr   error
 }
 
-// NewServer builds a Server: loads the eval-cache spill (Options.
-// CacheFile), opens the job store (journal replay re-queues interrupted
-// jobs), and registers all endpoints. ctx scopes construction; the job
-// workers run until Close.
+// NewServer builds a Server: opens the job store (journal replay
+// re-queues interrupted jobs) and registers all endpoints. ctx scopes
+// construction; the job workers run until Close.
 func NewServer(ctx context.Context, s *sunmap.Session, opts Options) (*Server, error) {
 	opts = opts.withDefaults()
 	sv := &Server{sess: s, opts: opts}
-	if opts.CacheFile != "" {
-		if n, err := s.Cache().LoadFile(opts.CacheFile); err != nil {
-			sv.logf("serve: cache spill not loaded: %v", err)
-		} else if n > 0 {
-			sv.logf("serve: warm start: %d cached evaluations from %s", n, opts.CacheFile)
-		}
-	}
 	store, err := jobs.Open(ctx, jobs.Options{
 		Dir:              opts.JobsDir,
 		Workers:          opts.JobWorkers,
@@ -208,41 +193,11 @@ func NewServer(ctx context.Context, s *sunmap.Session, opts Options) (*Server, e
 
 // Handler returns the server's HTTP handler (the route mux wrapped in
 // the request-id middleware).
-func (sv *Server) Handler() http.Handler {
-	if sv.root != nil {
-		return sv.root
-	}
-	return sv.mux
-}
+func (sv *Server) Handler() http.Handler { return sv.root }
 
-// Close stops the job store (interrupted jobs stay re-runnable in the
-// journal) and saves the eval-cache spill.
-func (sv *Server) Close() error {
-	sv.closeOnce.Do(func() {
-		var errs []error
-		if sv.store != nil {
-			if err := sv.store.Close(); err != nil {
-				errs = append(errs, err)
-			}
-		}
-		if sv.opts.CacheFile != "" {
-			if _, err := sv.sess.Cache().SaveFile(sv.opts.CacheFile); err != nil {
-				errs = append(errs, err)
-			}
-		}
-		sv.closeErr = errors.Join(errs...)
-	})
-	return sv.closeErr
-}
-
-// NewHandler builds the HTTP handler serving a session synchronously —
-// the lifecycle-free compatibility surface (no durable jobs, no cache
-// persistence). Use NewServer for the full service.
-func NewHandler(s *sunmap.Session, opts Options) http.Handler {
-	sv := &Server{sess: s, opts: opts.withDefaults()}
-	sv.buildMux()
-	return sv.Handler()
-}
+// Close stops the job store; interrupted jobs stay re-runnable in the
+// journal. Calls after the first return nil.
+func (sv *Server) Close() error { return sv.store.Close() }
 
 // defaultLogger is the fallback structured logger shared by servers
 // whose Options carry no Logger.
@@ -264,7 +219,6 @@ func (sv *Server) logf(format string, args ...any) {
 
 func (sv *Server) buildMux() {
 	mux := http.NewServeMux()
-	sv.mux = mux
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		// Health probes are never shed: a saturated server is alive.
 		sv.writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
@@ -330,9 +284,7 @@ func (sv *Server) buildMux() {
 			Serve:   sv.stats(),
 		})
 	})
-	if sv.store != nil {
-		sv.registerJobRoutes(mux)
-	}
+	sv.registerJobRoutes(mux)
 	sv.registerObsRoutes(mux)
 	sv.root = sv.withRequestID(mux)
 }
@@ -412,16 +364,13 @@ func (sv *Server) registerJobRoutes(mux *http.ServeMux) {
 
 // stats snapshots the serve-layer health envelope.
 func (sv *Server) stats() *ServeStats {
-	st := &ServeStats{
+	js := sv.store.Stats()
+	return &ServeStats{
 		Load:          sv.sess.Load(),
 		Shed:          sv.shedCount.Load(),
 		WriteFailures: sv.writeFails.Load(),
+		Jobs:          &js,
 	}
-	if sv.store != nil {
-		js := sv.store.Stats()
-		st.Jobs = &js
-	}
-	return st
 }
 
 // shed applies admission control to a synchronous request: when more
@@ -604,9 +553,9 @@ func (sv *Server) writeJSON(w http.ResponseWriter, status int, v any) {
 
 // ListenAndServe runs the service on addr until ctx is cancelled, then
 // shuts down gracefully: listeners close immediately, in-flight requests
-// get drainTimeout to finish, then the job store and cache spill are
-// closed. The listener is opened explicitly before serving and reported
-// through Options.OnListen, so ":0" servers can discover their port.
+// get drainTimeout to finish, then the job store is closed. The
+// listener is opened explicitly before serving and reported through
+// Options.OnListen, so ":0" servers can discover their port.
 func ListenAndServe(ctx context.Context, addr string, s *sunmap.Session, opts Options, drainTimeout time.Duration) error {
 	if drainTimeout <= 0 {
 		drainTimeout = 10 * time.Second

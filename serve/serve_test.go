@@ -21,8 +21,17 @@ func newServer(t *testing.T, opts serve.Options, sessOpts ...sunmap.SessionOptio
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(serve.NewHandler(sess, opts))
-	t.Cleanup(srv.Close)
+	sv, err := serve.NewServer(context.Background(), sess, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(sv.Handler())
+	t.Cleanup(func() {
+		srv.Close()
+		if err := sv.Close(); err != nil {
+			t.Error(err)
+		}
+	})
 	return srv, sess
 }
 

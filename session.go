@@ -66,7 +66,6 @@ type SessionOption func(*sessionConfig) error
 
 type sessionConfig struct {
 	Session
-	cacheSet bool
 }
 
 // WithParallelism bounds the session's evaluation pool: at most n mapping
@@ -79,17 +78,6 @@ func WithParallelism(n int) SessionOption {
 			return fmt.Errorf("%w: negative parallelism %d", ErrBadRequest, n)
 		}
 		c.parallelism = n
-		return nil
-	}
-}
-
-// WithCache installs a caller-owned evaluation cache, sharing memoized
-// design points across sessions. Passing nil disables memoization. By
-// default each session owns a fresh cache for its lifetime.
-func WithCache(cache *EvalCache) SessionOption {
-	return func(c *sessionConfig) error {
-		c.cache = cache
-		c.cacheSet = true
 		return nil
 	}
 }
@@ -161,10 +149,8 @@ func NewSession(opts ...SessionOption) (*Session, error) {
 			return nil, err
 		}
 	}
-	if !c.cacheSet {
-		c.cache = engine.NewCache()
-	}
 	s := c.Session
+	s.cache = engine.NewCache()
 	s.limit = pool.NewLimiter(s.parallelism)
 	s.scratch = pool.NewFree(mapping.NewScratch)
 	s.sweepers = pool.NewFree(fault.NewSweeper)
@@ -185,10 +171,6 @@ func NewSession(opts ...SessionOption) (*Session, error) {
 // Parallelism returns the session's configured evaluation-pool bound
 // (0 = GOMAXPROCS).
 func (s *Session) Parallelism() int { return s.parallelism }
-
-// Cache returns the session's evaluation cache (nil when memoization is
-// disabled via WithCache(nil)).
-func (s *Session) Cache() *EvalCache { return s.cache }
 
 // CacheStats snapshots the session cache's effectiveness counters.
 func (s *Session) CacheStats() EvalCacheStats { return s.cache.Stats() }

@@ -210,20 +210,6 @@ func TestSessionOptionValidation(t *testing.T) {
 	if _, err := sunmap.NewSession(sunmap.WithParallelism(-1)); err == nil {
 		t.Error("negative parallelism accepted")
 	}
-	// WithCache(nil) disables memoization without breaking calls.
-	sess, err := sunmap.NewSession(sunmap.WithCache(nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sess.Cache() != nil {
-		t.Error("WithCache(nil) kept a cache")
-	}
-	if _, err := sess.Map(context.Background(), sunmap.MapRequest{
-		App: sunmap.AppSpec{Name: "dsp"}, Topology: "mesh-2x3",
-		Mapping: sunmap.MapSpec{CapacityMBps: 1000},
-	}); err != nil {
-		t.Errorf("cacheless session: %v", err)
-	}
 }
 
 // TestInlineGraphSources checks the three AppSpec sources agree.
