@@ -84,12 +84,12 @@ func benchSwap(b *testing.B, passes int) {
 	b.ResetTimer()
 	var hops float64
 	for i := 0; i < b.N; i++ {
-		res, err := mapping.MapContext(context.Background(), app, topo, mapping.Options{
+		res, err := mapping.MapContextWith(context.Background(), app, topo, mapping.Options{
 			Routing:      route.MinPath,
 			Objective:    mapping.MinDelay,
 			CapacityMBps: apps.DefaultCapacityMBps,
 			SwapPasses:   passes,
-		})
+		}, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -111,12 +111,12 @@ func benchChunks(b *testing.B, chunks int) {
 	b.ResetTimer()
 	var maxLoad float64
 	for i := 0; i < b.N; i++ {
-		res, err := mapping.MapContext(context.Background(), app, topo, mapping.Options{
+		res, err := mapping.MapContextWith(context.Background(), app, topo, mapping.Options{
 			Routing:      route.SplitMin,
 			Objective:    mapping.MinDelay,
 			CapacityMBps: apps.DefaultCapacityMBps,
 			Chunks:       chunks,
-		})
+		}, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -140,13 +140,13 @@ func benchFloorplan(b *testing.B, exact bool) {
 	b.ResetTimer()
 	var area float64
 	for i := 0; i < b.N; i++ {
-		res, err := mapping.MapContext(context.Background(), app, topo, mapping.Options{
+		res, err := mapping.MapContextWith(context.Background(), app, topo, mapping.Options{
 			Routing:              route.MinPath,
 			Objective:            mapping.MinPower,
 			CapacityMBps:         apps.DSPCapacityMBps,
 			ExactFloorplanInLoop: exact,
 			SwapPasses:           2,
-		})
+		}, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -171,10 +171,10 @@ func BenchmarkAblationLibraryBreadth(b *testing.B) {
 					b.Fatal(err)
 				}
 				for _, t := range lib {
-					if _, err := mapping.MapContext(context.Background(), app, t, mapping.Options{
+					if _, err := mapping.MapContextWith(context.Background(), app, t, mapping.Options{
 						Routing:      route.MinPath,
 						CapacityMBps: apps.DSPCapacityMBps,
-					}); err != nil {
+					}, nil); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -195,10 +195,10 @@ func BenchmarkMappingScaling(b *testing.B) {
 		topo := benchTopo(topology.NewMesh(rows, (n+rows-1)/rows))
 		b.Run(fmt.Sprintf("n%d-%s", n, topo.Name()), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := mapping.MapContext(context.Background(), app, topo, mapping.Options{
+				if _, err := mapping.MapContextWith(context.Background(), app, topo, mapping.Options{
 					Routing:      route.MinPath,
 					CapacityMBps: 0,
-				}); err != nil {
+				}, nil); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -57,13 +57,20 @@ func TestServerKillRestartResumesSearchBitIdentical(t *testing.T) {
 		t.Skip("multi-second kill/restart harness")
 	}
 	dir := t.TempDir()
+	// The budget sets how long the search outlives its first checkpoint
+	// (emitted after CheckpointEvery evaluations per chain). It must
+	// dwarf the kill latency — poll interval, HTTP round trip, server
+	// teardown — even on a loaded machine, or the job can finish and
+	// journal its result before the kill lands. 200,000 evaluations run
+	// for roughly half a second on one core, against a few milliseconds
+	// of latency.
 	req := sunmap.Request{
 		ID: "durable-search",
 		Op: sunmap.OpSearch,
 		Search: &sunmap.SearchRequest{
 			App:     sunmap.AppSpec{Name: "vopd"},
 			Mapping: sunmap.MapSpec{Routing: "MP", Objective: "delay", CapacityMBps: 1000},
-			Search:  sunmap.SearchOptions{Budget: 20000, Seed: 42},
+			Search:  sunmap.SearchOptions{Budget: 200000, Seed: 42},
 		},
 	}
 
@@ -115,6 +122,9 @@ func TestServerKillRestartResumesSearchBitIdentical(t *testing.T) {
 	got, err := cl2.Job(context.Background(), jb.ID)
 	if err != nil {
 		t.Fatalf("job lost across restart: %v", err)
+	}
+	if got.State.Terminal() {
+		t.Fatalf("job finished before the kill — raise the budget (state %s)", got.State)
 	}
 	if !got.HasCheckpoint {
 		t.Fatal("checkpoint lost across restart")

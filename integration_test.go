@@ -1,71 +1,105 @@
 package sunmap_test
 
 // Cross-module integration tests: full SUNMAP flows on synthetic
-// applications across the whole topology library, checking the invariants
-// that individual package tests cannot see end to end.
+// applications across the whole topology library, driven through the
+// Session, checking the invariants that individual package tests cannot
+// see end to end.
 
 import (
 	"context"
+	"errors"
 	"fmt"
-	"math"
 	"strings"
 	"testing"
 
 	"sunmap"
 	"sunmap/internal/apps"
-	"sunmap/internal/mapping"
-	"sunmap/internal/route"
-	"sunmap/internal/sim"
 	"sunmap/internal/topology"
-	"sunmap/internal/traffic"
 )
 
+// inlineApp is a core graph as an inline request app.
+func inlineApp(g *sunmap.CoreGraph) sunmap.AppSpec {
+	a := sunmap.AppSpec{Label: g.Name()}
+	for _, c := range g.Cores() {
+		a.Cores = append(a.Cores, sunmap.CoreSpec{
+			Name: c.Name, AreaMM2: c.AreaMM2, Soft: c.Soft,
+			MinAspect: c.MinAspect, MaxAspect: c.MaxAspect,
+		})
+	}
+	for _, e := range g.Edges() {
+		a.Flows = append(a.Flows, sunmap.FlowSpec{From: g.Core(e.From).Name, To: g.Core(e.To).Name, MBps: e.BandwidthMBps})
+	}
+	return a
+}
+
+// newSession is sunmap.NewSession for tests, failing t on error.
+func newSession(t testing.TB, opts ...sunmap.SessionOption) *sunmap.Session {
+	t.Helper()
+	sess, err := sunmap.NewSession(opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sess
+}
+
 // TestFullFlowSyntheticApps runs selection end to end on random apps of
-// several sizes and validates structural invariants of every candidate.
+// several sizes and validates structural invariants of every candidate:
+// each table row re-maps through the same session to the design it
+// summarizes, and that design is physically sound.
 func TestFullFlowSyntheticApps(t *testing.T) {
+	ctx := context.Background()
 	for _, n := range []int{4, 7, 12} {
 		n := n
 		t.Run(fmt.Sprintf("cores=%d", n), func(t *testing.T) {
-			app := apps.Synthetic(n, 0.2, 450, int64(100+n))
-			sel, err := sunmap.Select(sunmap.SelectConfig{
-				App: app,
-				Mapping: sunmap.MapOptions{
-					Routing:      sunmap.SplitMin,
-					Objective:    sunmap.MinPower,
-					CapacityMBps: 500,
-				},
-				EscalateRouting: true,
+			app := inlineApp(apps.Synthetic(n, 0.2, 450, int64(100+n)))
+			sess := newSession(t)
+			sel, err := sess.Select(ctx, sunmap.SelectRequest{
+				App:      app,
+				Mapping:  sunmap.MapSpec{Routing: "SM", Objective: "power", CapacityMBps: 500},
+				Escalate: true,
 			})
-			if err != nil {
+			if err != nil && !errors.Is(err, sunmap.ErrInfeasible) {
 				t.Fatal(err)
 			}
-			for _, c := range sel.Candidates {
-				if c.Result == nil {
-					continue
+			if len(sel.Rows) == 0 {
+				t.Fatal("no candidate mapped")
+			}
+			for _, row := range sel.Rows {
+				r, err := sess.Map(ctx, sunmap.MapRequest{
+					App:      app,
+					Topology: row.Topology,
+					Mapping:  sunmap.MapSpec{Routing: sel.RoutingUsed, Objective: "power", CapacityMBps: 500},
+				})
+				if err != nil {
+					t.Fatalf("%s: %v", row.Topology, err)
 				}
-				r := c.Result
+				if r.AvgHops != row.AvgHops || r.MaxLinkLoadMBps != row.MaxLoadMBps || r.Feasible != row.Feasible {
+					t.Errorf("%s: row %+v disagrees with its design %+v", row.Topology, row, r)
+				}
+				topo, err := sunmap.TopologyByName(row.Topology)
+				if err != nil {
+					t.Fatal(err)
+				}
 				// Mapping is injective onto valid terminals.
-				seen := make(map[int]bool)
-				for _, term := range r.Assign {
-					if term < 0 || term >= r.Topology.NumTerminals() || seen[term] {
-						t.Fatalf("%s: invalid assignment %v", r.Topology.Name(), r.Assign)
-					}
-					seen[term] = true
+				if len(r.Assign) != n {
+					t.Fatalf("%s: %d of %d cores assigned", row.Topology, len(r.Assign), n)
 				}
-				// Conservation: routed traffic equals the app total.
-				if math.Abs(r.Route.TotalMBps-app.TotalBandwidthMBps()) > 1e-6 {
-					t.Errorf("%s: routed %g MB/s, app has %g",
-						r.Topology.Name(), r.Route.TotalMBps, app.TotalBandwidthMBps())
+				seen := make(map[int]bool)
+				for _, a := range r.Assign {
+					if a.Terminal < 0 || a.Terminal >= topo.NumTerminals() || seen[a.Terminal] {
+						t.Fatalf("%s: invalid assignment %v", row.Topology, r.Assign)
+					}
+					seen[a.Terminal] = true
 				}
 				// Metrics are physical.
 				if r.AvgHops < 1 || r.DesignAreaMM2 <= 0 || r.PowerMW <= 0 {
 					t.Errorf("%s: non-physical metrics hops=%g area=%g power=%g",
-						r.Topology.Name(), r.AvgHops, r.DesignAreaMM2, r.PowerMW)
+						row.Topology, r.AvgHops, r.DesignAreaMM2, r.PowerMW)
 				}
 				// Feasibility flag consistent with the measured max load.
-				if r.BandwidthOK != (r.Route.MaxLinkLoad <= 500+1e-6) {
+				if r.BandwidthOK != (r.MaxLinkLoadMBps <= 500+1e-6) {
 					t.Errorf("%s: BandwidthOK=%v but max load %g",
-						r.Topology.Name(), r.BandwidthOK, r.Route.MaxLinkLoad)
+						row.Topology, r.BandwidthOK, r.MaxLinkLoadMBps)
 				}
 			}
 		})
@@ -74,58 +108,45 @@ func TestFullFlowSyntheticApps(t *testing.T) {
 
 // TestMappedDesignSimulates closes the loop: every feasible VOPD candidate
 // must be simulable with trace traffic derived from its own mapping, and
-// the simulator must conserve packets (delivered + unfinished = created).
+// the simulator must deliver packets without saturating at 10% load.
 func TestMappedDesignSimulates(t *testing.T) {
-	app := apps.VOPD()
-	sel, err := sunmap.Select(sunmap.SelectConfig{
-		App: app,
-		Mapping: sunmap.MapOptions{
-			Routing:      sunmap.MinPath,
-			Objective:    sunmap.MinDelay,
-			CapacityMBps: 500,
-		},
-	})
+	ctx := context.Background()
+	sess := newSession(t)
+	vopd := sunmap.AppSpec{Name: "vopd"}
+	mapping := sunmap.MapSpec{Routing: "MP", Objective: "delay", CapacityMBps: 500}
+	sel, err := sess.Select(ctx, sunmap.SelectRequest{App: vopd, Mapping: mapping})
 	if err != nil {
 		t.Fatal(err)
 	}
 	tested := 0
-	for _, c := range sel.Candidates {
-		if c.Result == nil || !c.Feasible() || tested >= 4 {
+	for _, row := range sel.Rows {
+		if !row.Feasible || tested >= 4 {
 			continue
 		}
-		r := c.Result
-		rt, err := sim.BuildRoutesFromResult(r.Topology, r.Assign, r.Route)
-		if err != nil {
-			t.Fatalf("%s: %v", r.Topology.Name(), err)
-		}
-		tr, err := traffic.NewTrace(app, r.Assign)
-		if err != nil {
-			t.Fatalf("%s: %v", r.Topology.Name(), err)
-		}
-		st, err := sim.RunContext(context.Background(), sim.Config{
-			Topo:            r.Topology,
-			Routes:          rt,
-			Pattern:         tr,
-			SourceShare:     tr.SourceShare(),
-			ActiveTerminals: r.Assign,
-			InjectionRate:   0.1,
-			Seed:            5,
-			WarmupCycles:    300,
-			MeasureCycles:   1000,
-			DrainCycles:     3000,
+		rep, err := sess.Simulate(ctx, sunmap.SimRequest{
+			Topology:      row.Topology,
+			Pattern:       "trace",
+			App:           &vopd,
+			Mapping:       &mapping,
+			Rates:         []float64{0.1},
+			Seed:          5,
+			WarmupCycles:  300,
+			MeasureCycles: 1000,
+			DrainCycles:   3000,
 		})
 		if err != nil {
-			t.Fatalf("%s: %v", r.Topology.Name(), err)
+			t.Fatalf("%s: %v", row.Topology, err)
 		}
+		st := rep.Rows[0]
 		if st.MeasuredPackets == 0 {
-			t.Errorf("%s: no packets delivered", r.Topology.Name())
+			t.Errorf("%s: no packets delivered", row.Topology)
 		}
 		if st.UnfinishedPackets < 0 {
-			t.Errorf("%s: negative unfinished count %d", r.Topology.Name(), st.UnfinishedPackets)
+			t.Errorf("%s: negative unfinished count %d", row.Topology, st.UnfinishedPackets)
 		}
 		// At 10% offered load a feasible mapping must not saturate.
 		if st.Saturated {
-			t.Errorf("%s: saturated at 10%% load", r.Topology.Name())
+			t.Errorf("%s: saturated at 10%% load", row.Topology)
 		}
 		tested++
 	}
@@ -142,24 +163,27 @@ func TestGenerateForEveryFamily(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	sess := newSession(t)
 	families := make(map[topology.Kind]bool)
 	for _, topo := range lib {
 		if families[topo.Kind()] {
 			continue
 		}
 		families[topo.Kind()] = true
-		res, err := sunmap.Map(app, topo, sunmap.MapOptions{
-			Routing:      sunmap.MinPath,
-			CapacityMBps: 0,
+		gen, err := sess.Generate(context.Background(), sunmap.GenerateRequest{
+			App:      inlineApp(app),
+			Topology: topo.Name(),
+			Mapping:  sunmap.MapSpec{Routing: "MP"},
 		})
 		if err != nil {
 			t.Fatalf("%s: %v", topo.Name(), err)
 		}
-		gen, err := sunmap.Generate(app, res, sunmap.Tech100nm())
-		if err != nil {
-			t.Fatalf("%s: %v", topo.Name(), err)
+		var top string
+		for _, f := range gen.Files {
+			if f.Name == gen.TopModule+".cpp" {
+				top = f.Content
+			}
 		}
-		top := gen.Files[gen.TopModule+".cpp"]
 		if !strings.Contains(top, "sc_main") {
 			t.Errorf("%s: top module missing sc_main", topo.Name())
 		}
@@ -178,15 +202,12 @@ func TestGenerateForEveryFamily(t *testing.T) {
 // TestRoutingEscalationConsistency verifies that escalation never reports
 // a routing function under which the winner would be infeasible.
 func TestRoutingEscalationConsistency(t *testing.T) {
-	app := apps.MPEG4()
-	sel, err := sunmap.Select(sunmap.SelectConfig{
-		App: app,
-		Mapping: sunmap.MapOptions{
-			Routing:      route.DimensionOrdered,
-			Objective:    mapping.MinDelay,
-			CapacityMBps: 500,
-		},
-		EscalateRouting: true,
+	ctx := context.Background()
+	mpeg4 := sunmap.AppSpec{Name: "mpeg4"}
+	sel, err := newSession(t).Select(ctx, sunmap.SelectRequest{
+		App:      mpeg4,
+		Mapping:  sunmap.MapSpec{Routing: "DO", Objective: "delay", CapacityMBps: 500},
+		Escalate: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -194,19 +215,19 @@ func TestRoutingEscalationConsistency(t *testing.T) {
 	if sel.Best == nil {
 		t.Fatal("escalation failed to find a feasible mapping")
 	}
-	// Re-map the winner under the reported routing function: it must
+	// Re-map the winner under the reported routing function on a fresh
+	// session, so nothing replays from the selection's cache: it must
 	// still be feasible (determinism check across the escalation loop).
-	again, err := sunmap.Map(app, sel.Best.Topology, sunmap.MapOptions{
-		Routing:      sel.RoutingUsed,
-		Objective:    mapping.MinDelay,
-		CapacityMBps: 500,
+	again, err := newSession(t).Map(ctx, sunmap.MapRequest{
+		App:      mpeg4,
+		Topology: sel.Topology,
+		Mapping:  sunmap.MapSpec{Routing: sel.RoutingUsed, Objective: "delay", CapacityMBps: 500},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !again.BandwidthOK {
-		t.Errorf("winner %s infeasible when re-mapped under %v",
-			sel.Best.Topology.Name(), sel.RoutingUsed)
+		t.Errorf("winner %s infeasible when re-mapped under %s", sel.Topology, sel.RoutingUsed)
 	}
 	if again.AvgHops != sel.Best.AvgHops {
 		t.Errorf("non-deterministic re-map: hops %g vs %g", again.AvgHops, sel.Best.AvgHops)

@@ -11,7 +11,7 @@
 // pre-built children with a map lookup or switch. Two call classes are
 // checked, everywhere in the repository:
 //
-//  1. metric constructors on *obs.Registry (Counter, Gauge, GaugeFunc,
+//  1. metric constructors on *obs.Registry (Counter, GaugeFunc,
 //     CounterFunc, Histogram, CounterVec, HistogramVec) — the name
 //     argument must be constant, and for the vec forms every label-name
 //     argument too;
@@ -34,7 +34,6 @@ const obsPath = "sunmap/internal/obs"
 // name at index 0 is checked).
 var constructors = map[string]int{
 	"Counter":      -1,
-	"Gauge":        -1,
 	"GaugeFunc":    -1,
 	"CounterFunc":  -1,
 	"Histogram":    -1,

@@ -24,8 +24,8 @@ func RoutingSweep(app *graph.CoreGraph, topo topology.Topology, opts mapping.Opt
 	return RoutingSweepContext(context.Background(), app, topo, opts, ExploreOptions{})
 }
 
-// ParetoExplore runs ParetoExploreContext under a background context with
-// default exploration options.
+// ParetoExplore runs ParetoExploreFault without a fault model under a
+// background context with default exploration options.
 func ParetoExplore(app *graph.CoreGraph, topo topology.Topology, opts mapping.Options, steps int) ([]ParetoPoint, error) {
-	return ParetoExploreContext(context.Background(), app, topo, opts, steps, ExploreOptions{})
+	return ParetoExploreFault(context.Background(), app, topo, opts, steps, nil, ExploreOptions{})
 }

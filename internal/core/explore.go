@@ -83,28 +83,24 @@ type ParetoPoint struct {
 	Dominant bool
 }
 
-// ParetoExploreContext sweeps weighted delay/area/power objectives and
+// ParetoExploreFault sweeps weighted delay/area/power objectives and
 // switch buffer depths over one topology and returns the evaluated design
-// points with the area-power Pareto front marked — the exploration of
-// Fig. 9(b). Steps controls the weight-grid resolution (default 5 per
-// axis); buffer depths 2, 4 and 8 flits span the switch-configuration
-// axis (deeper buffers cost area, shallower ones concentrate traffic onto
-// fewer alternatives). It runs on the engine pool: every
-// (weight vector, buffer depth) grid point is an independent evaluation,
-// fanned out across xo.Parallelism workers and memoized in xo.Cache, so
-// repeated explorations and overlapping grids stop re-mapping identical
-// design points. Point order and front marking match the sequential path.
-func ParetoExploreContext(ctx context.Context, app *graph.CoreGraph, topo topology.Topology, opts mapping.Options, steps int, xo ExploreOptions) ([]ParetoPoint, error) {
-	return ParetoExploreFault(ctx, app, topo, opts, steps, nil, xo)
-}
-
-// ParetoExploreFault is ParetoExploreContext with reliability as a third
-// objective: when fm is non-nil every surviving design point carries its
-// survivability under the fault model (degraded-mode rerouting sweep,
-// see internal/fault) and the Pareto front is marked in the
-// (area, power, survivability) space, so a designer reads off how much
-// area or power buying fault tolerance costs. A nil fm reproduces the
-// two-objective exploration exactly.
+// points with the Pareto front marked — the exploration of Fig. 9(b).
+// Steps controls the weight-grid resolution (default 5 per axis); buffer
+// depths 2, 4 and 8 flits span the switch-configuration axis (deeper
+// buffers cost area, shallower ones concentrate traffic onto fewer
+// alternatives). It runs on the engine pool: every (weight vector, buffer
+// depth) grid point is an independent evaluation, fanned out across
+// xo.Parallelism workers and memoized in xo.Cache, so repeated
+// explorations and overlapping grids stop re-mapping identical design
+// points. Point order and front marking match the sequential path.
+//
+// Reliability is an optional third objective: when fm is non-nil every
+// surviving design point carries its survivability under the fault model
+// (degraded-mode rerouting sweep, see internal/fault) and the Pareto
+// front is marked in the (area, power, survivability) space, so a
+// designer reads off how much area or power buying fault tolerance
+// costs. A nil fm gives the two-objective area-power exploration.
 func ParetoExploreFault(ctx context.Context, app *graph.CoreGraph, topo topology.Topology, opts mapping.Options, steps int, fm *fault.Model, xo ExploreOptions) ([]ParetoPoint, error) {
 	if steps < 2 {
 		steps = 5

@@ -133,7 +133,7 @@ func TestParetoReliabilityAxis(t *testing.T) {
 	topo := mustMesh34(t)
 	opts := mapping.Options{Routing: route.MinPath, CapacityMBps: 500}
 
-	plain, err := ParetoExploreContext(context.Background(), app, topo, opts, 3, ExploreOptions{Parallelism: 4})
+	plain, err := ParetoExploreFault(context.Background(), app, topo, opts, 3, nil, ExploreOptions{Parallelism: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -267,10 +267,10 @@ func (r Runner) Fig9b(ctx context.Context) (*Fig9bResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	pts, err := core.ParetoExploreContext(ctx, apps.MPEG4(), mesh, mapping.Options{
+	pts, err := core.ParetoExploreFault(ctx, apps.MPEG4(), mesh, mapping.Options{
 		Routing:      route.SplitMin,
 		CapacityMBps: apps.DefaultCapacityMBps,
-	}, 5, r.explore())
+	}, 5, nil, r.explore())
 	if err != nil {
 		return nil, err
 	}

@@ -65,7 +65,7 @@ func (r Runner) Fig8b(ctx context.Context, rates []float64) (*Fig8bResult, error
 		if err != nil {
 			return nil, err
 		}
-		stats, err := sim.SweepContext(ctx, sim.Config{
+		stats, err := sim.SweepLimited(ctx, sim.Config{
 			Topo:          topo,
 			Routes:        rt,
 			Pattern:       traffic.Adversarial(topo),
@@ -73,7 +73,7 @@ func (r Runner) Fig8b(ctx context.Context, rates []float64) (*Fig8bResult, error
 			WarmupCycles:  1000,
 			MeasureCycles: 4000,
 			DrainCycles:   6000,
-		}, rates, r.Parallelism)
+		}, rates, r.Parallelism, nil)
 		if err != nil {
 			return nil, err
 		}

@@ -99,7 +99,7 @@ func TestMapContextCancellation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = MapContext(ctx, apps.VOPD(), mesh, Options{Routing: route.MinPath})
+	_, err = MapContextWith(ctx, apps.VOPD(), mesh, Options{Routing: route.MinPath}, nil)
 	if err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -114,7 +114,7 @@ func TestMapContextDeadlineMidSearch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = MapContext(ctx, apps.VOPD(), mesh, Options{Routing: route.MinPath})
+	_, err = MapContextWith(ctx, apps.VOPD(), mesh, Options{Routing: route.MinPath}, nil)
 	if err != context.DeadlineExceeded {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}

@@ -1,7 +1,7 @@
 package mapping
 
 // Test-only ctx-less entry point: the shipped package exposes only
-// MapContext (ctxdiscipline forbids library code from minting a
+// MapContextWith (ctxdiscipline forbids library code from minting a
 // context); the in-package tests keep the shorter spelling.
 
 import (
@@ -11,7 +11,8 @@ import (
 	"sunmap/internal/topology"
 )
 
-// Map runs MapContext under a background context.
+// Map runs MapContextWith under a background context with private
+// scratch.
 func Map(g *graph.CoreGraph, topo topology.Topology, opts Options) (*Result, error) {
-	return MapContext(context.Background(), g, topo, opts)
+	return MapContextWith(context.Background(), g, topo, opts, nil)
 }

@@ -152,21 +152,19 @@ type Result struct {
 // Feasible reports whether all constraints hold.
 func (r *Result) Feasible() bool { return r.BandwidthOK && r.AreaOK && r.AspectOK }
 
-// MapContext runs the Fig. 5 algorithm: greedy initial mapping, commodity
-// routing in decreasing order, cost evaluation, pairwise-swap improvement,
-// and a final exact floorplan + feasibility check. The swap-improvement search checks
-// ctx between sweep rows and aborts with the context's error, so a long
-// library sweep can be cut short by a deadline or a user interrupt.
-func MapContext(ctx context.Context, g *graph.CoreGraph, topo topology.Topology, opts Options) (*Result, error) {
-	return mapContext(ctx, g, topo, opts, nil, false)
-}
-
-// MapContextWith is MapContext with caller-owned scratch: the routing
-// solver, candidate-load arrays and baseline-path buffers of the swap
-// search come from sc and are reused by the next call, so a worker mapping
-// many design points performs no steady-state allocations. A Scratch
-// serves one call at a time; internal/engine keeps a free list with one
-// per evaluation worker.
+// MapContextWith runs the Fig. 5 algorithm: greedy initial mapping,
+// commodity routing in decreasing order, cost evaluation, pairwise-swap
+// improvement, and a final exact floorplan + feasibility check. The
+// swap-improvement search checks ctx between sweep rows and aborts with
+// the context's error, so a long library sweep can be cut short by a
+// deadline or a user interrupt.
+//
+// The routing solver, candidate-load arrays and baseline-path buffers of
+// the swap search come from sc and are reused by the next call, so a
+// worker mapping many design points performs no steady-state
+// allocations. A Scratch serves one call at a time; internal/engine keeps
+// a free list with one per evaluation worker. A nil sc allocates a
+// private one.
 func MapContextWith(ctx context.Context, g *graph.CoreGraph, topo topology.Topology, opts Options, sc *Scratch) (*Result, error) {
 	return mapContext(ctx, g, topo, opts, sc, false)
 }

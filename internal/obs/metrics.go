@@ -26,20 +26,6 @@ func (c *Counter) Add(n uint64) { c.v.Add(n) }
 // Value returns the current count.
 func (c *Counter) Value() uint64 { return c.v.Load() }
 
-// Gauge is a settable instantaneous value.
-type Gauge struct {
-	v atomic.Int64
-}
-
-// Set replaces the value.
-func (g *Gauge) Set(v int64) { g.v.Store(v) }
-
-// Add moves the value by delta (negative to decrease).
-func (g *Gauge) Add(delta int64) { g.v.Add(delta) }
-
-// Value returns the current value.
-func (g *Gauge) Value() int64 { return g.v.Load() }
-
 // Histogram is a fixed-bucket distribution. Observe is lock-free: one
 // atomic bucket increment, one atomic count increment, and a CAS loop
 // folding the observation into the float64-bits sum.
@@ -100,7 +86,6 @@ type metricKind int
 
 const (
 	kindCounter metricKind = iota
-	kindGauge
 	kindHistogram
 	kindFunc // callback-backed gauge or counter
 )
@@ -109,8 +94,6 @@ func (k metricKind) String() string {
 	switch k {
 	case kindCounter:
 		return "counter"
-	case kindGauge:
-		return "gauge"
 	case kindHistogram:
 		return "histogram"
 	default:
@@ -128,7 +111,6 @@ type family struct {
 
 	// Exactly one of the following is populated.
 	counter *Counter
-	gauge   *Gauge
 	hist    *Histogram
 	fn      func() float64
 
@@ -144,14 +126,6 @@ type child struct {
 	hist        *Histogram
 }
 
-// Collector is the escape hatch for composite sources (the span
-// Recorder): WriteMetrics appends fully formed exposition lines. A
-// Collector must emit deterministically ordered, well-formed families
-// whose names do not collide with registered ones.
-type Collector interface {
-	WriteMetrics(w io.Writer)
-}
-
 // Registry is a set of named metrics with Prometheus text exposition.
 // Registration is get-or-create by name: asking twice for the same
 // counter returns the same counter, so package-level instrumentation in
@@ -159,9 +133,8 @@ type Collector interface {
 // double-registration errors. A name registered as one kind cannot be
 // re-registered as another (that panics — a programming error).
 type Registry struct {
-	mu         sync.Mutex
-	families   map[string]*family
-	collectors []Collector
+	mu       sync.Mutex
+	families map[string]*family
 }
 
 // Default is the process-wide registry: monotone rates and totals that
@@ -197,14 +170,6 @@ func (r *Registry) Counter(name, help string) *Counter {
 		return &family{counter: &Counter{}}
 	})
 	return f.counter
-}
-
-// Gauge returns the named gauge, creating it on first use.
-func (r *Registry) Gauge(name, help string) *Gauge {
-	f := r.family(name, help, kindGauge, func() *family {
-		return &family{gauge: &Gauge{}}
-	})
-	return f.gauge
 }
 
 // GaugeFunc registers a callback-backed gauge: fn is evaluated at
@@ -259,15 +224,6 @@ func (r *Registry) HistogramVec(name, help string, buckets []float64, labels ...
 	return &HistogramVec{f: f}
 }
 
-// RegisterCollector appends a raw exposition source (the span
-// Recorder). Collectors are written after every registered family, in
-// registration order.
-func (r *Registry) RegisterCollector(c Collector) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.collectors = append(r.collectors, c)
-}
-
 // CounterVec is a labeled counter family.
 type CounterVec struct {
 	f *family
@@ -318,15 +274,14 @@ func (f *family) child(values []string) *child {
 
 // WritePrometheus writes every registered metric in Prometheus text
 // exposition format (families sorted by name, children sorted by label
-// values), then every collector. The output order is deterministic for
-// a fixed metric population.
+// values). The output order is deterministic for a fixed metric
+// population.
 func (r *Registry) WritePrometheus(w io.Writer) {
 	r.mu.Lock()
 	names := make([]string, 0, len(r.families))
 	for name := range r.families {
 		names = append(names, name)
 	}
-	collectors := append([]Collector(nil), r.collectors...)
 	fams := make([]*family, 0, len(names))
 	sort.Strings(names)
 	for _, name := range names {
@@ -336,9 +291,6 @@ func (r *Registry) WritePrometheus(w io.Writer) {
 
 	for _, f := range fams {
 		f.write(w)
-	}
-	for _, c := range collectors {
-		c.WriteMetrics(w)
 	}
 }
 
@@ -360,8 +312,6 @@ func (f *family) write(w io.Writer) {
 	switch {
 	case f.counter != nil:
 		fmt.Fprintf(w, "%s %d\n", f.name, f.counter.Value())
-	case f.gauge != nil:
-		fmt.Fprintf(w, "%s %d\n", f.name, f.gauge.Value())
 	case f.fn != nil:
 		fmt.Fprintf(w, "%s %s\n", f.name, formatFloat(f.fn()))
 	case f.children != nil:

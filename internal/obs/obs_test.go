@@ -9,7 +9,7 @@ import (
 	"time"
 )
 
-func TestCounterGaugeBasics(t *testing.T) {
+func TestCounterBasics(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("test_total", "a counter")
 	c.Inc()
@@ -20,12 +20,6 @@ func TestCounterGaugeBasics(t *testing.T) {
 	if again := r.Counter("test_total", "a counter"); again != c {
 		t.Fatal("re-registering a counter must return the same counter")
 	}
-	g := r.Gauge("test_depth", "a gauge")
-	g.Set(7)
-	g.Add(-2)
-	if got := g.Value(); got != 5 {
-		t.Fatalf("gauge = %d, want 5", got)
-	}
 }
 
 func TestRegistryKindMismatchPanics(t *testing.T) {
@@ -33,10 +27,10 @@ func TestRegistryKindMismatchPanics(t *testing.T) {
 	r.Counter("clash_total", "c")
 	defer func() {
 		if recover() == nil {
-			t.Fatal("re-registering a counter as a gauge must panic")
+			t.Fatal("re-registering a counter as a histogram must panic")
 		}
 	}()
-	r.Gauge("clash_total", "g")
+	r.Histogram("clash_total", "h", nil)
 }
 
 func TestHistogramBuckets(t *testing.T) {
@@ -180,26 +174,6 @@ func TestRecorderConcurrent(t *testing.T) {
 	}
 	if ts.CacheMisses != workers*per || ts.TryHits != workers*per/2 {
 		t.Fatalf("counters = %+v", ts)
-	}
-}
-
-func TestRecorderCollector(t *testing.T) {
-	r := NewRegistry()
-	rec := NewRecorder()
-	sp := rec.Start(StageSelect)
-	sp.End()
-	r.RegisterCollector(rec)
-	var buf bytes.Buffer
-	r.WritePrometheus(&buf)
-	out := buf.String()
-	for _, want := range []string{
-		"# TYPE sunmap_span_seconds_total counter",
-		`sunmap_span_count_total{stage="select"} 1`,
-		`sunmap_span_count_total{stage="journal-append"} 0`,
-	} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("collector exposition missing %q:\n%s", want, out)
-		}
 	}
 }
 

@@ -201,21 +201,6 @@ func (r *Recorder) Snapshot() TraceSnapshot {
 	return ts
 }
 
-// WriteMetrics exposes the recorder as Prometheus text, implementing
-// Collector: span totals by stage plus the pipeline counters. Stage
-// label values come from the fixed stageNames table — compile-time
-// bounded cardinality by construction.
-func (r *Recorder) WriteMetrics(w io.Writer) {
-	fmt.Fprint(w, "# HELP sunmap_span_seconds_total accumulated span time by pipeline stage\n# TYPE sunmap_span_seconds_total counter\n")
-	for st := Stage(0); st < numStages; st++ {
-		fmt.Fprintf(w, "sunmap_span_seconds_total{stage=%q} %s\n", st.String(), formatFloat(float64(r.stats[st].nanos.Load())/1e9))
-	}
-	fmt.Fprint(w, "# HELP sunmap_span_count_total spans recorded by pipeline stage\n# TYPE sunmap_span_count_total counter\n")
-	for st := Stage(0); st < numStages; st++ {
-		fmt.Fprintf(w, "sunmap_span_count_total{stage=%q} %d\n", st.String(), r.stats[st].count.Load())
-	}
-}
-
 // ctxKey carries the recorder through context.
 type ctxKey struct{}
 

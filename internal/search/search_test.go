@@ -64,7 +64,7 @@ func TestSearchBeatsLibraryOnMPEG4(t *testing.T) {
 	bestLib := ""
 	bestLibCost := 0.0
 	for _, topo := range lib {
-		r, err := mapping.MapContext(context.Background(), app, topo, mopts)
+		r, err := mapping.MapContextWith(context.Background(), app, topo, mopts, nil)
 		if err != nil || !r.Feasible() {
 			continue
 		}

@@ -1,7 +1,7 @@
 package sim
 
-// Test-only ctx-less entry points: the shipped package exposes only the
-// *Context forms (ctxdiscipline forbids library code from minting a
+// Test-only ctx-less entry points: the shipped package exposes only
+// context-taking forms (ctxdiscipline forbids library code from minting a
 // context); the in-package tests keep the shorter spellings.
 
 import "context"
@@ -14,5 +14,5 @@ func Run(cfg Config) (*Stats, error) {
 // Sweep runs the sequential injection-rate sweep under a background
 // context.
 func Sweep(cfg Config, rates []float64) ([]*Stats, error) {
-	return SweepContext(context.Background(), cfg, rates, 1)
+	return SweepLimited(context.Background(), cfg, rates, 1, nil)
 }

@@ -45,7 +45,7 @@ func TestSweepContextParallelMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := SweepContext(context.Background(), cfg, rates, 3)
+	par, err := SweepLimited(context.Background(), cfg, rates, 3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func TestSweepContextAbortsOnFirstError(t *testing.T) {
 	// An invalid rate must fail the sweep with its own error (not a
 	// cancellation) and stop the remaining rates from simulating.
 	cfg := meshSimConfig(t)
-	_, err := SweepContext(context.Background(), cfg, []float64{1.5, 0.5}, 2)
+	_, err := SweepLimited(context.Background(), cfg, []float64{1.5, 0.5}, 2, nil)
 	if err == nil || !strings.Contains(err.Error(), "rate 1.5") {
 		t.Fatalf("err = %v, want the rate-1.5 validation failure", err)
 	}
@@ -72,7 +72,7 @@ func TestSweepContextAbortsOnFirstError(t *testing.T) {
 func TestSweepContextCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := SweepContext(ctx, meshSimConfig(t), []float64{0.1, 0.2}, 2); err != context.Canceled {
+	if _, err := SweepLimited(ctx, meshSimConfig(t), []float64{0.1, 0.2}, 2, nil); err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }

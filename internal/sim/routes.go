@@ -99,32 +99,23 @@ func findLink(topo topology.Topology, u, v int) (int, error) {
 	return 0, fmt.Errorf("sim: no link %d->%d in %s", u, v, topo.Name())
 }
 
-// SweepContext runs the simulator across injection rates and returns the
-// stats per rate — one curve of Fig. 8(b) — with cancellation and a bounded worker pool: up to
-// parallelism rates simulate concurrently (each run is an independent,
-// seeded simulation, so results are identical to the sequential sweep and
-// stay in rate order). parallelism <= 0 selects GOMAXPROCS. The first
-// per-rate failure cancels the remaining simulations, matching the
-// sequential sweep's abort-at-first-error behavior.
-func SweepContext(parent context.Context, cfg Config, rates []float64, parallelism int) ([]*Stats, error) {
-	return SweepLimited(parent, cfg, rates, parallelism, nil)
-}
-
-// SweepLimited is SweepContext sharing a session-wide admission
-// semaphore with the rest of the engine. Work distribution follows the
-// two-level limiter discipline (the shape fault.Sweeper established):
-// the calling goroutine simulates rates inline under whatever limiter
-// slot its caller already holds, and up to parallelism-1 extra workers
-// are opportunistic — each polls limit with pool.PollAcquire, borrowing
-// idle budget when available and giving up once the rates run out, so a
-// fully subscribed limiter can never deadlock on nested acquisition.
-// (The old shape blocked on limit.Acquire per rate from nested code,
-// which deadlocked when the caller's chain already held every slot.)
-// Rates are claimed off an atomic counter; each run is an independent
-// seeded simulation, so results are identical at every worker count and
-// stay in rate order. A nil limit admits helpers freely. Panics in a
-// simulation become that rate's error instead of crashing the worker
-// goroutine's process.
+// SweepLimited runs the simulator across injection rates and returns the
+// stats per rate — one curve of Fig. 8(b) — with cancellation and a
+// bounded worker pool sharing a session-wide admission semaphore with the
+// rest of the engine. parallelism <= 0 selects GOMAXPROCS. Work
+// distribution follows the two-level limiter discipline (the shape
+// fault.Sweeper established): the calling goroutine simulates rates
+// inline under whatever limiter slot its caller already holds, and up to
+// parallelism-1 extra workers are opportunistic — each polls limit with
+// pool.PollAcquire, borrowing idle budget when available and giving up
+// once the rates run out, so a fully subscribed limiter can never
+// deadlock on nested acquisition. Rates are claimed off an atomic
+// counter; each run is an independent seeded simulation, so results are
+// identical at every worker count and stay in rate order. A nil limit
+// admits helpers freely. The first per-rate failure cancels the remaining
+// simulations, matching the sequential sweep's abort-at-first-error
+// behavior; panics in a simulation become that rate's error instead of
+// crashing the worker goroutine's process.
 func SweepLimited(parent context.Context, cfg Config, rates []float64, parallelism int, limit *pool.Limiter) ([]*Stats, error) {
 	if parallelism <= 0 {
 		parallelism = runtime.GOMAXPROCS(0)

@@ -22,11 +22,11 @@ func generateVOPDMesh(t *testing.T) (*Output, *mapping.Result) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := mapping.MapContext(context.Background(), g, topo, mapping.Options{
+	res, err := mapping.MapContextWith(context.Background(), g, topo, mapping.Options{
 		Routing:      route.MinPath,
 		Objective:    mapping.MinDelay,
 		CapacityMBps: apps.DefaultCapacityMBps,
-	})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,10 +137,10 @@ func TestGenerateIndirectTopology(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := mapping.MapContext(context.Background(), g, topo, mapping.Options{
+	res, err := mapping.MapContextWith(context.Background(), g, topo, mapping.Options{
 		Routing:      route.MinPath,
 		CapacityMBps: apps.DefaultCapacityMBps,
-	})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

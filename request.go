@@ -132,10 +132,10 @@ func (a AppSpec) resolve() (*graph.CoreGraph, error) {
 	}
 }
 
-// MapSpec is the serializable form of MapOptions: routing function and
-// objective by their paper abbreviations, technology node by name.
-// Zero values select the defaults (MP routing, min-delay objective, the
-// session's technology point, unconstrained capacity/area).
+// MapSpec configures one mapping run (Fig. 5 of the paper): routing
+// function and objective by their paper abbreviations, technology node by
+// name. Zero values select the defaults (MP routing, min-delay objective,
+// the paper's 100nm node, unconstrained capacity/area).
 type MapSpec struct {
 	// Routing is "DO", "MP", "SM" or "SA" (default "MP").
 	Routing string `json:"routing,omitempty"`
@@ -152,7 +152,7 @@ type MapSpec struct {
 	// MaxChipAspect bounds the chip aspect ratio (0 = unconstrained).
 	MaxChipAspect float64 `json:"max_chip_aspect,omitempty"`
 	// Tech names the technology node ("130nm", "100nm", "90nm", "65nm");
-	// empty selects the session's WithTech point (default 100nm).
+	// empty selects the paper's 0.1 µm point, "100nm".
 	Tech string `json:"tech,omitempty"`
 	// SwapPasses caps improvement passes (0 = iterate to convergence).
 	SwapPasses int `json:"swap_passes,omitempty"`
@@ -160,16 +160,16 @@ type MapSpec struct {
 	Chunks int `json:"chunks,omitempty"`
 }
 
-// options lowers the spec onto mapping.Options, filling empty fields from
-// the session defaults.
-func (m MapSpec) options(sessionTech Tech) (mapping.Options, error) {
+// options lowers the spec onto mapping.Options, filling empty fields with
+// the defaults.
+func (m MapSpec) options() (mapping.Options, error) {
 	opts := mapping.Options{
 		CapacityMBps:  m.CapacityMBps,
 		MaxAreaMM2:    m.MaxAreaMM2,
 		MaxChipAspect: m.MaxChipAspect,
 		SwapPasses:    m.SwapPasses,
 		Chunks:        m.Chunks,
-		Tech:          sessionTech,
+		Tech:          tech.Tech100nm(),
 	}
 	if m.Routing != "" {
 		fn, err := route.ParseFunction(m.Routing)
@@ -598,8 +598,7 @@ func (r *Report) Err() error {
 	}
 }
 
-// TopologyRow is one per-candidate line of a SelectReport — the
-// serializable cousin of SummaryRow.
+// TopologyRow is one per-candidate line of a SelectReport.
 type TopologyRow struct {
 	Topology    string  `json:"topology"`
 	Kind        string  `json:"kind"`
@@ -638,8 +637,8 @@ type FloorplanReport struct {
 	Blocks  []BlockRow `json:"blocks"`
 }
 
-// DesignReport is one mapped, evaluated design point — the serializable
-// cousin of MapResult, and the payload of an OpMap Report.
+// DesignReport is one mapped, evaluated design point, and the payload of
+// an OpMap Report.
 type DesignReport struct {
 	Topology        string           `json:"topology"`
 	AvgHops         float64          `json:"avg_hops"`

@@ -57,14 +57,6 @@ func TestSearchIdenticalAcrossParallelism(t *testing.T) {
 func TestSearchScopeIsolation(t *testing.T) {
 	ctx := context.Background()
 	mapping := sunmap.MapSpec{Routing: "MP", Objective: "delay", CapacityMBps: 700}
-	newSession := func(t *testing.T, opts ...sunmap.SessionOption) *sunmap.Session {
-		t.Helper()
-		sess, err := sunmap.NewSession(opts...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return sess
-	}
 	// selectSynth runs a synthesis-enabled mpeg4 selection, where a
 	// synthesized cluster topology wins at 700 MB/s.
 	selectSynth := func(t *testing.T, sess *sunmap.Session, req sunmap.SelectRequest) *sunmap.SelectReport {

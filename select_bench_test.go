@@ -9,18 +9,24 @@ import (
 	"sunmap/internal/pool"
 )
 
-// selectConfig is the Fig. 6 / Fig. 7b library sweep for one app.
-func selectConfig(app string, parallelism int) sunmap.SelectConfig {
-	return sunmap.SelectConfig{
-		App: sunmap.App(app),
-		Mapping: sunmap.MapOptions{
-			Routing:      sunmap.MinPath,
-			Objective:    sunmap.MinDelay,
-			CapacityMBps: 500,
-		},
-		EscalateRouting: true,
-		Parallelism:     parallelism,
+// selectRequest is the Fig. 6 / Fig. 7b library sweep for one app.
+func selectRequest(app string) sunmap.SelectRequest {
+	return sunmap.SelectRequest{
+		App:      sunmap.AppSpec{Name: app},
+		Mapping:  sunmap.MapSpec{Routing: "MP", Objective: "delay", CapacityMBps: 500},
+		Escalate: true,
 	}
+}
+
+// coldSelect runs one selection of app on a fresh session, so nothing
+// replays from an earlier iteration's cache.
+func coldSelect(b *testing.B, app string, opts ...sunmap.SessionOption) *sunmap.SelectReport {
+	b.Helper()
+	rep, err := newSession(b, opts...).Select(context.Background(), selectRequest(app))
+	if err != nil {
+		b.Fatal(err)
+	}
+	return rep
 }
 
 // BenchmarkSelect times the full Phase-1 library sweep sequentially and on
@@ -35,28 +41,22 @@ func BenchmarkSelect(b *testing.B) {
 	for _, app := range []string{"vopd", "mpeg4"} {
 		b.Run(app+"/sequential", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := sunmap.Select(selectConfig(app, 1)); err != nil {
-					b.Fatal(err)
-				}
+				coldSelect(b, app, sunmap.WithParallelism(1))
 			}
 		})
 		b.Run(app+"/parallel", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := sunmap.Select(selectConfig(app, 0)); err != nil {
-					b.Fatal(err)
-				}
+				coldSelect(b, app)
 			}
 			parNs := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
 			b.StopTimer()
 			// A reference sequential run under the current GOMAXPROCS: the
 			// honest baseline for this sub-run, measured outside the timer.
 			start := time.Now()
-			if _, err := sunmap.Select(selectConfig(app, 1)); err != nil {
-				b.Fatal(err)
-			}
+			coldSelect(b, app, sunmap.WithParallelism(1))
 			seqNs := float64(time.Since(start).Nanoseconds())
 			b.ReportMetric(seqNs/parNs, "speedup")
-			// Parallelism 0 resolves to the same cap Select provisions.
+			// Parallelism 0 resolves to the same cap the session provisions.
 			b.ReportMetric(float64(pool.NewLimiter(0).Cap()), "workers")
 			// One traced parallel run, also outside the timer: the
 			// limiter-wait and span-duration summary fields the bench
@@ -64,17 +64,7 @@ func BenchmarkSelect(b *testing.B) {
 			// "workers" > 1 is the proof the run actually contended for
 			// slots rather than serializing.
 			tr := sunmap.NewTrace()
-			sess, err := sunmap.NewSession(sunmap.WithParallelism(0), sunmap.WithTrace(tr))
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := sess.Select(context.Background(), sunmap.SelectRequest{
-				App:      sunmap.AppSpec{Name: app},
-				Mapping:  sunmap.MapSpec{Routing: "MP", Objective: "delay", CapacityMBps: 500},
-				Escalate: true,
-			}); err != nil {
-				b.Fatal(err)
-			}
+			coldSelect(b, app, sunmap.WithTrace(tr))
 			snap := tr.Snapshot()
 			b.ReportMetric(float64(snap.Blocked), "blocked-acquires")
 			b.ReportMetric(float64(snap.WaitNanos)/1e6, "limiter-wait-ms")
@@ -96,23 +86,12 @@ func BenchmarkSelect(b *testing.B) {
 //	go test -bench BenchmarkSelectOverhead -benchtime 5x
 func BenchmarkSelectOverhead(b *testing.B) {
 	run := func(b *testing.B, tr *sunmap.Trace) {
-		ctx := context.Background()
 		for i := 0; i < b.N; i++ {
 			opts := []sunmap.SessionOption{sunmap.WithParallelism(1)}
 			if tr != nil {
 				opts = append(opts, sunmap.WithTrace(tr))
 			}
-			sess, err := sunmap.NewSession(opts...)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := sess.Select(ctx, sunmap.SelectRequest{
-				App:      sunmap.AppSpec{Name: "mpeg4"},
-				Mapping:  sunmap.MapSpec{Routing: "MP", Objective: "delay", CapacityMBps: 500},
-				Escalate: true,
-			}); err != nil {
-				b.Fatal(err)
-			}
+			coldSelect(b, "mpeg4", opts...)
 		}
 	}
 	b.Run("untraced", func(b *testing.B) { run(b, nil) })
@@ -132,21 +111,14 @@ func BenchmarkSelectWithSynth(b *testing.B) {
 	for _, app := range []string{"mpeg4", "dsp"} {
 		b.Run(app+"/library", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := sunmap.Select(selectConfig(app, 0)); err != nil {
-					b.Fatal(err)
-				}
+				coldSelect(b, app)
 			}
 		})
 		b.Run(app+"/library+synth", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				cfg := selectConfig(app, 0)
-				cfg.Synth = &sunmap.SynthOptions{}
-				sel, err := sunmap.Select(cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
+				sel := coldSelect(b, app, sunmap.WithSynth(sunmap.SynthOptions{}))
 				if i == 0 {
-					b.ReportMetric(float64(sel.SynthCount()), "synth-candidates")
+					b.ReportMetric(float64(sel.Synthesized), "synth-candidates")
 				}
 			}
 		})
@@ -155,48 +127,37 @@ func BenchmarkSelectWithSynth(b *testing.B) {
 
 // BenchmarkCachedExploration times the designer loop the evaluation cache
 // accelerates: an escalated selection followed by a routing sweep and a
-// Pareto exploration on the winning mesh, all sharing one cache. The
-// second and later iterations replay almost entirely from memory.
+// Pareto exploration on the winning mesh, all on one session. The
+// second and later iterations replay almost entirely from the session
+// cache.
 func BenchmarkCachedExploration(b *testing.B) {
-	run := func(b *testing.B, cache *sunmap.EvalCache) {
+	run := func(b *testing.B, sess *sunmap.Session) {
 		ctx := context.Background()
-		app := sunmap.App("mpeg4")
-		opts := sunmap.MapOptions{
-			Routing:      sunmap.MinPath,
-			Objective:    sunmap.MinDelay,
-			CapacityMBps: 500,
-		}
-		sel, err := sunmap.SelectContext(ctx, sunmap.SelectConfig{
-			App: app, Mapping: opts, EscalateRouting: true, Cache: cache,
-		})
-		if err != nil {
+		if _, err := sess.Select(ctx, selectRequest("mpeg4")); err != nil {
 			b.Fatal(err)
 		}
-		mesh, err := sunmap.TopologyByName("mesh-3x4")
-		if err != nil {
+		app := sunmap.AppSpec{Name: "mpeg4"}
+		mapping := selectRequest("mpeg4").Mapping
+		if _, err := sess.RoutingSweep(ctx, sunmap.SweepRequest{App: app, Topology: "mesh-3x4", Mapping: mapping}); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := sunmap.RoutingSweepContext(ctx, app, mesh, opts, sunmap.ExploreOptions{Cache: cache}); err != nil {
+		if _, err := sess.ParetoExplore(ctx, sunmap.ParetoRequest{App: app, Topology: "mesh-3x4", Mapping: mapping, Steps: 5}); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := sunmap.ParetoExploreContext(ctx, app, mesh, opts, 5, sunmap.ExploreOptions{Cache: cache}); err != nil {
-			b.Fatal(err)
-		}
-		_ = sel
 	}
 	b.Run("cold", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			run(b, sunmap.NewEvalCache()) // fresh cache every iteration
+			run(b, newSession(b)) // fresh cache every iteration
 		}
 	})
 	b.Run("warm", func(b *testing.B) {
-		cache := sunmap.NewEvalCache()
-		run(b, cache) // populate once, outside the timer
+		sess := newSession(b)
+		run(b, sess) // populate once, outside the timer
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			run(b, cache)
+			run(b, sess)
 		}
-		st := cache.Stats()
+		st := sess.CacheStats()
 		b.ReportMetric(float64(st.Hits)/float64(st.Hits+st.Misses)*100, "hit%")
 	})
 }

@@ -20,7 +20,6 @@ import (
 	"sunmap/internal/search"
 	"sunmap/internal/sim"
 	"sunmap/internal/synth"
-	"sunmap/internal/tech"
 	"sunmap/internal/topology"
 	"sunmap/internal/traffic"
 	"sunmap/internal/xpipes"
@@ -44,7 +43,6 @@ type Session struct {
 	libOpts     topology.LibraryOptions
 	synth       *SynthOptions
 	fault       *FaultSpec
-	tech        tech.Tech
 	limit       *pool.Limiter
 	// scratch is the mapping scratch every engine run of the session
 	// borrows from; evaluations take a set only while holding a limit
@@ -130,20 +128,9 @@ func WithFault(spec FaultSpec) SessionOption {
 	}
 }
 
-// WithTech sets the session's default technology operating point for the
-// area/power models (default Tech100nm, the paper's 0.1 µm node). A
-// request-level MapSpec.Tech overrides it per call.
-func WithTech(t Tech) SessionOption {
-	return func(c *sessionConfig) error {
-		c.tech = t
-		return nil
-	}
-}
-
 // NewSession builds a Session from functional options.
 func NewSession(opts ...SessionOption) (*Session, error) {
 	var c sessionConfig
-	c.tech = tech.Tech100nm()
 	for _, o := range opts {
 		if err := o(&c); err != nil {
 			return nil, err
@@ -167,10 +154,6 @@ func NewSession(opts ...SessionOption) (*Session, error) {
 	}
 	return &s, nil
 }
-
-// Parallelism returns the session's configured evaluation-pool bound
-// (0 = GOMAXPROCS).
-func (s *Session) Parallelism() int { return s.parallelism }
 
 // CacheStats snapshots the session cache's effectiveness counters.
 func (s *Session) CacheStats() EvalCacheStats { return s.cache.Stats() }
@@ -251,7 +234,7 @@ func (s *Session) Select(ctx context.Context, req SelectRequest) (*SelectReport,
 	if err != nil {
 		return nil, err
 	}
-	opts, err := req.Mapping.options(s.tech)
+	opts, err := req.Mapping.options()
 	if err != nil {
 		return nil, err
 	}
@@ -282,7 +265,7 @@ func (s *Session) Map(ctx context.Context, req MapRequest) (*DesignReport, error
 	if err != nil {
 		return nil, err
 	}
-	opts, err := req.Mapping.options(s.tech)
+	opts, err := req.Mapping.options()
 	if err != nil {
 		return nil, err
 	}
@@ -329,7 +312,7 @@ func (s *Session) RoutingSweep(ctx context.Context, req SweepRequest) (*SweepRep
 	if err != nil {
 		return nil, err
 	}
-	opts, err := req.Mapping.options(s.tech)
+	opts, err := req.Mapping.options()
 	if err != nil {
 		return nil, err
 	}
@@ -367,7 +350,7 @@ func (s *Session) ParetoExplore(ctx context.Context, req ParetoRequest) (*Pareto
 	if err != nil {
 		return nil, err
 	}
-	opts, err := req.Mapping.options(s.tech)
+	opts, err := req.Mapping.options()
 	if err != nil {
 		return nil, err
 	}
@@ -416,7 +399,7 @@ func (s *Session) explore() core.ExploreOptions {
 // optional failure model, and registers every synthesized candidate it
 // evaluated in the session scope, so each synth row of the report
 // resolves by name in follow-up requests.
-func (s *Session) selectDesign(ctx context.Context, app *graph.CoreGraph, opts mapping.Options, escalate bool, synthOpts *SynthOptions, spec *FaultSpec) (*Selection, error) {
+func (s *Session) selectDesign(ctx context.Context, app *graph.CoreGraph, opts mapping.Options, escalate bool, synthOpts *SynthOptions, spec *FaultSpec) (*core.Selection, error) {
 	cfg := core.Config{
 		App:             app,
 		LibraryOpts:     s.libOpts,
@@ -507,7 +490,7 @@ func (s *Session) Simulate(ctx context.Context, req SimRequest) (*SimReport, err
 		if req.Mapping != nil {
 			spec = *req.Mapping
 		}
-		opts, err := spec.options(s.tech)
+		opts, err := spec.options()
 		if err != nil {
 			return nil, err
 		}
@@ -560,7 +543,7 @@ func (s *Session) Simulate(ctx context.Context, req SimRequest) (*SimReport, err
 
 // patternByName resolves a synthetic traffic pattern (everything except
 // "trace", which Simulate handles itself).
-func patternByName(name string, req SimRequest, topo Topology) (TrafficPattern, error) {
+func patternByName(name string, req SimRequest, topo Topology) (traffic.Pattern, error) {
 	switch name {
 	case "uniform":
 		return traffic.Uniform{}, nil
@@ -596,7 +579,7 @@ func (s *Session) Generate(ctx context.Context, req GenerateRequest) (*GenerateR
 	if err != nil {
 		return nil, err
 	}
-	opts, err := req.Mapping.options(s.tech)
+	opts, err := req.Mapping.options()
 	if err != nil {
 		return nil, err
 	}
@@ -645,7 +628,7 @@ func (s *Session) FaultSweep(ctx context.Context, req FaultSweepRequest) (*Fault
 	if err != nil {
 		return nil, err
 	}
-	opts, err := req.Mapping.options(s.tech)
+	opts, err := req.Mapping.options()
 	if err != nil {
 		return nil, err
 	}
@@ -825,7 +808,7 @@ func (s *Session) SearchCheckpointed(ctx context.Context, req SearchRequest, cp 
 	if err != nil {
 		return nil, err
 	}
-	mopts, err := req.Mapping.options(s.tech)
+	mopts, err := req.Mapping.options()
 	if err != nil {
 		return nil, err
 	}
@@ -987,7 +970,7 @@ func (s *Session) Batch(ctx context.Context, reqs []Request) ([]Report, error) {
 }
 
 // buildSelectReport lowers a core.Selection onto the wire schema.
-func buildSelectReport(app *graph.CoreGraph, sel *Selection) *SelectReport {
+func buildSelectReport(app *graph.CoreGraph, sel *core.Selection) *SelectReport {
 	rep := &SelectReport{
 		App:         app.Name(),
 		RoutingUsed: sel.RoutingUsed.String(),

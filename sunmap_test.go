@@ -1,6 +1,7 @@
 package sunmap_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -8,28 +9,32 @@ import (
 )
 
 func TestPublicAPIQuickstartFlow(t *testing.T) {
-	app := sunmap.App("vopd")
+	app, err := sunmap.AppByName("vopd")
+	if err != nil {
+		t.Fatal(err)
+	}
 	if app.NumCores() != 12 {
 		t.Fatalf("vopd has %d cores", app.NumCores())
 	}
-	sel, err := sunmap.Select(sunmap.SelectConfig{
-		App: app,
-		Mapping: sunmap.MapOptions{
-			Routing:      sunmap.MinPath,
-			Objective:    sunmap.MinDelay,
-			CapacityMBps: 500,
-		},
-	})
+	sess, err := sunmap.NewSession()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	mapping := sunmap.MapSpec{Routing: "MP", Objective: "delay", CapacityMBps: 500}
+	sel, err := sess.Select(ctx, sunmap.SelectRequest{App: sunmap.AppSpec{Name: "vopd"}, Mapping: mapping})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if sel.Best == nil {
 		t.Fatal("no feasible topology")
 	}
-	if !strings.HasPrefix(sel.Best.Topology.Name(), "butterfly") {
-		t.Errorf("selected %s, want the butterfly (paper Section 6.1)", sel.Best.Topology.Name())
+	if !strings.HasPrefix(sel.Topology, "butterfly") {
+		t.Errorf("selected %s, want the butterfly (paper Section 6.1)", sel.Topology)
 	}
-	gen, err := sunmap.Generate(app, sel.Best, sunmap.Tech100nm())
+	gen, err := sess.Generate(ctx, sunmap.GenerateRequest{
+		App: sunmap.AppSpec{Name: "vopd"}, Topology: sel.Topology, Mapping: mapping,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,13 +54,17 @@ flow a -> b 100
 	if err != nil {
 		t.Fatal(err)
 	}
-	topo, err := sunmap.TopologyByName("mesh-1x2")
+	if app.NumCores() != 2 {
+		t.Fatalf("tiny has %d cores", app.NumCores())
+	}
+	sess, err := sunmap.NewSession()
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sunmap.Map(app, topo, sunmap.MapOptions{
-		Routing:      sunmap.MinPath,
-		CapacityMBps: 500,
+	res, err := sess.Map(context.Background(), sunmap.MapRequest{
+		App:      sunmap.AppSpec{Text: src},
+		Topology: "mesh-1x2",
+		Mapping:  sunmap.MapSpec{Routing: "MP", CapacityMBps: 500},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -66,32 +75,33 @@ flow a -> b 100
 }
 
 func TestPublicAPISimulation(t *testing.T) {
-	topo, err := sunmap.TopologyByName("mesh-4x4")
+	sess, err := sunmap.NewSession()
 	if err != nil {
 		t.Fatal(err)
 	}
-	routes, err := sunmap.BuildRoutes(topo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := sunmap.Simulate(sunmap.SimConfig{
-		Topo:          topo,
-		Routes:        routes,
-		Pattern:       sunmap.UniformPattern(),
-		InjectionRate: 0.1,
+	req := sunmap.SimRequest{
+		Topology:      "mesh-4x4",
+		Pattern:       "uniform",
+		Rates:         []float64{0.1},
 		Seed:          1,
 		WarmupCycles:  200,
 		MeasureCycles: 1000,
 		DrainCycles:   2000,
-	})
+	}
+	rep, err := sess.Simulate(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.MeasuredPackets == 0 || st.AvgLatencyCycles <= 0 {
+	if st := rep.Rows[0]; st.MeasuredPackets == 0 || st.AvgLatencyCycles <= 0 {
 		t.Errorf("degenerate sim stats: %+v", st)
 	}
-	if sunmap.AdversarialPattern(topo).Name() == "" {
-		t.Error("adversarial pattern unnamed")
+	req.Pattern = "adversarial"
+	adv, err := sess.Simulate(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if adv.Pattern == "" || adv.Pattern == "adversarial" {
+		t.Errorf("adversarial pattern resolved to %q, want the topology's concrete stress pattern", adv.Pattern)
 	}
 }
 
@@ -106,11 +116,19 @@ func TestPublicAPILibrary(t *testing.T) {
 	if len(sunmap.AppNames()) != 4 {
 		t.Errorf("AppNames = %v", sunmap.AppNames())
 	}
-	sweep, err := sunmap.RoutingSweep(sunmap.App("mpeg4"), lib[0], sunmap.MapOptions{CapacityMBps: 500})
+	sess, err := sunmap.NewSession()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(sweep) != 4 {
-		t.Errorf("routing sweep has %d rows", len(sweep))
+	sweep, err := sess.RoutingSweep(context.Background(), sunmap.SweepRequest{
+		App:      sunmap.AppSpec{Name: "mpeg4"},
+		Topology: lib[0].Name(),
+		Mapping:  sunmap.MapSpec{CapacityMBps: 500},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(sweep.Rows) != 4 {
+		t.Errorf("routing sweep has %d rows", len(sweep.Rows))
 	}
 }
