@@ -48,30 +48,29 @@ func SwitchAreaMM2(c SwitchConfig, t tech.Tech) float64 {
 // port per core mapped to one of its terminals. assign[c] = terminal of
 // core c; pass nil to size every switch as if all terminals were occupied.
 func SwitchConfigs(topo topology.Topology, assign []int, t tech.Tech) []SwitchConfig {
-	coreIn := make([]int, topo.NumRouters())  // cores injecting at router
-	coreOut := make([]int, topo.NumRouters()) // cores ejecting at router
-	if assign == nil {
-		for term := 0; term < topo.NumTerminals(); term++ {
-			coreIn[topo.InjectRouter(term)]++
-			coreOut[topo.EjectRouter(term)]++
-		}
-	} else {
-		for _, term := range assign {
-			coreIn[topo.InjectRouter(term)]++
-			coreOut[topo.EjectRouter(term)]++
-		}
-	}
 	cfgs := make([]SwitchConfig, topo.NumRouters())
+	SwitchConfigsInto(cfgs, topo, assign, t)
+	return cfgs
+}
+
+// SwitchConfigsInto is SwitchConfigs writing into cfgs, which must have
+// one entry per router; it allocates nothing.
+func SwitchConfigsInto(cfgs []SwitchConfig, topo topology.Topology, assign []int, t tech.Tech) {
 	for r := range cfgs {
 		in, out := topo.RouterDegree(r)
-		cfgs[r] = SwitchConfig{
-			In:            in + coreIn[r],
-			Out:           out + coreOut[r],
-			BufDepthFlits: t.BufDepthFlits,
-			FlitBits:      t.FlitBits,
-		}
+		cfgs[r] = SwitchConfig{In: in, Out: out, BufDepthFlits: t.BufDepthFlits, FlitBits: t.FlitBits}
 	}
-	return cfgs
+	if assign == nil {
+		for term := 0; term < topo.NumTerminals(); term++ {
+			cfgs[topo.InjectRouter(term)].In++
+			cfgs[topo.EjectRouter(term)].Out++
+		}
+		return
+	}
+	for _, term := range assign {
+		cfgs[topo.InjectRouter(term)].In++
+		cfgs[topo.EjectRouter(term)].Out++
+	}
 }
 
 // NetworkSwitchAreaMM2 sums the switch areas of a mapped design.

@@ -11,32 +11,43 @@ import (
 	"sunmap/internal/topology"
 )
 
-// benchCases are the ISSUE-4 tracked configurations: the two hot apps
-// under the two objectives the swap loop most often runs with. Results
-// land in BENCH_4.json via scripts/bench.sh.
-var benchCases = []struct {
+// benchCase is one tracked mapping configuration.
+type benchCase struct {
 	name string
 	app  func() *graph.CoreGraph
+	topo string
 	opts Options
-}{
-	{"vopd/min-delay", apps.VOPD, Options{Routing: route.MinPath, Objective: MinDelay, CapacityMBps: 500}},
-	{"vopd/weighted", apps.VOPD, Options{Routing: route.MinPath, Objective: Weighted,
+}
+
+// benchCases are the tracked configurations: the two hot apps under the
+// two objectives the swap loop most often runs with, plus the other two
+// objectives and a Clos network, where the flat hop count leaves the
+// bound only its load and power terms.
+var benchCases = []benchCase{
+	{"vopd/min-delay", apps.VOPD, "mesh-3x4", Options{Routing: route.MinPath, Objective: MinDelay, CapacityMBps: 500}},
+	{"vopd/weighted", apps.VOPD, "mesh-3x4", Options{Routing: route.MinPath, Objective: Weighted,
 		Weights: Weights{Delay: 1, Area: 1, Power: 1}, CapacityMBps: 500}},
-	{"mpeg4/min-delay", apps.MPEG4, Options{Routing: route.MinPath, Objective: MinDelay, CapacityMBps: 500}},
-	{"mpeg4/weighted", apps.MPEG4, Options{Routing: route.MinPath, Objective: Weighted,
+	{"mpeg4/min-delay", apps.MPEG4, "mesh-3x4", Options{Routing: route.MinPath, Objective: MinDelay, CapacityMBps: 500}},
+	{"mpeg4/weighted", apps.MPEG4, "mesh-3x4", Options{Routing: route.MinPath, Objective: Weighted,
+		Weights: Weights{Delay: 1, Area: 1, Power: 1}, CapacityMBps: 500}},
+	{"vopd/min-area", apps.VOPD, "mesh-3x4", Options{Routing: route.MinPath, Objective: MinArea, CapacityMBps: 500}},
+	{"mpeg4/min-power", apps.MPEG4, "mesh-3x4", Options{Routing: route.MinPath, Objective: MinPower, CapacityMBps: 500}},
+	{"vopd/clos/min-delay", apps.VOPD, "clos-m3n3r4", Options{Routing: route.MinPath, Objective: MinDelay, CapacityMBps: 500}},
+	{"mpeg4/clos/weighted", apps.MPEG4, "clos-m3n3r4", Options{Routing: route.MinPath, Objective: Weighted,
 		Weights: Weights{Delay: 1, Area: 1, Power: 1}, CapacityMBps: 500}},
 }
 
 // BenchmarkMap times one full Map call (greedy seed, incremental swap
-// search, final LP floorplan) on a 3x4 mesh, and — under the swap-eval
-// sub-benchmarks — the steady-state cost of evaluating one candidate swap,
-// which must stay at 0 allocs/op. Run with:
+// search, final LP floorplan) and reports the sweep's work counters per
+// call. Under the swap-eval sub-benchmarks it times the steady-state cost
+// of evaluating one candidate swap, unbounded and with the current cost
+// as the prune bound; both must stay at 0 allocs/op. Run with:
 //
-//	go test -bench BenchmarkMap -benchmem ./internal/mapping
+//	go test -run '^$' -bench BenchmarkMap -benchmem ./internal/mapping
 func BenchmarkMap(b *testing.B) {
 	for _, tc := range benchCases {
 		g := tc.app()
-		topo := mustTopo(topology.NewMesh(3, 4))
+		topo := mustTopo(topology.ByName(tc.topo))
 		b.Run(tc.name+"/full", func(b *testing.B) {
 			sc := NewScratch()
 			b.ReportAllocs()
@@ -45,27 +56,44 @@ func BenchmarkMap(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
+			n := float64(b.N)
+			b.ReportMetric(float64(sc.inc.work.evaluated)/n, "evaluated/op")
+			b.ReportMetric(float64(sc.inc.work.prunedEarly)/n, "pruned-early/op")
+			b.ReportMetric(float64(sc.inc.work.prunedMid)/n, "pruned-mid/op")
+			b.ReportMetric(float64(sc.inc.work.skipped)/n, "skipped/op")
+			b.ReportMetric(float64(sc.inc.work.rerouted)/n, "rerouted/op")
 		})
-		b.Run(tc.name+"/swap-eval", func(b *testing.B) {
-			st, assign, occupant := benchSweepState(b, g, topo, tc.opts)
-			pairA, pairB := benchSwapPair(occupant)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				ca, cb := occupant[pairA], occupant[pairB]
-				swapTerminals(assign, occupant, pairA, pairB)
-				if _, _, err := st.eval(assign, ca, cb, false, math.Inf(1)); err != nil {
-					b.Fatal(err)
-				}
-				swapTerminals(assign, occupant, pairA, pairB) // reject
+		for _, bounded := range []bool{false, true} {
+			name := tc.name + "/swap-eval"
+			if bounded {
+				name += "-bounded"
 			}
-		})
+			b.Run(name, func(b *testing.B) {
+				st, assign, occupant, curCost := benchSweepState(b, g, topo, tc.opts)
+				bound := math.Inf(1)
+				if bounded {
+					bound = curCost
+				}
+				pairA, pairB := benchSwapPair(occupant)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					ca, cb := occupant[pairA], occupant[pairB]
+					swapTerminals(assign, occupant, pairA, pairB)
+					if _, _, err := st.eval(assign, ca, cb, false, bound); err != nil {
+						b.Fatal(err)
+					}
+					swapTerminals(assign, occupant, pairA, pairB) // reject
+				}
+			})
+		}
 	}
 }
 
 // benchSweepState builds an incremental evaluator positioned after the
-// seed evaluation, the state every in-loop candidate evaluation runs from.
-func benchSweepState(tb testing.TB, g *graph.CoreGraph, topo topology.Topology, opts Options) (*incState, []int, []int) {
+// seed evaluation, the state every in-loop candidate evaluation runs from,
+// and returns the seed's cost.
+func benchSweepState(tb testing.TB, g *graph.CoreGraph, topo topology.Topology, opts Options) (*incState, []int, []int, float64) {
 	tb.Helper()
 	opts = opts.withDefaults()
 	sc := NewScratch()
@@ -86,7 +114,7 @@ func benchSweepState(tb testing.TB, g *graph.CoreGraph, topo topology.Topology, 
 	for c, t := range assign {
 		occupant[t] = c
 	}
-	return st, assign, occupant
+	return st, assign, occupant, ev.objective(base)
 }
 
 // benchSwapPair picks two occupied terminals to toggle.
@@ -107,44 +135,42 @@ func benchSwapPair(occupant []int) (int, int) {
 
 // TestSwapEvalAllocFree is the hard gate behind the swap-eval benchmark:
 // once warmed, evaluating a candidate swap must not allocate at all, for
-// every tracked configuration and for dimension-ordered routing.
+// every tracked configuration and for dimension-ordered routing, both
+// unbounded and with the current cost as the prune bound.
 func TestSwapEvalAllocFree(t *testing.T) {
-	cases := benchCases
-	cases = append(cases, struct {
-		name string
-		app  func() *graph.CoreGraph
-		opts Options
-	}{"vopd/do", apps.VOPD, Options{Routing: route.DimensionOrdered, Objective: MinDelay, CapacityMBps: 500}})
+	cases := append(benchCases[:len(benchCases):len(benchCases)],
+		benchCase{"vopd/do", apps.VOPD, "mesh-3x4", Options{Routing: route.DimensionOrdered, Objective: MinDelay, CapacityMBps: 500}})
 	for _, tc := range cases {
 		g := tc.app()
-		topo := mustTopo(topology.NewMesh(3, 4))
-		st, assign, occupant := benchSweepState(t, g, topo, tc.opts)
-		pairA, pairB := benchSwapPair(occupant)
-		run := func() {
-			ca, cb := occupant[pairA], occupant[pairB]
-			swapTerminals(assign, occupant, pairA, pairB)
-			if _, _, err := st.eval(assign, ca, cb, false, math.Inf(1)); err != nil {
-				t.Fatal(err)
-			}
-			swapTerminals(assign, occupant, pairA, pairB)
-		}
-		// Warm caches (quadrant masks, heap/path capacities) with a full
-		// sweep's worth of pair positions, then measure.
+		topo := mustTopo(topology.ByName(tc.topo))
+		st, assign, occupant, curCost := benchSweepState(t, g, topo, tc.opts)
+		var pairs [][2]int
 		for a := 0; a < topo.NumTerminals(); a++ {
 			for b := a + 1; b < topo.NumTerminals(); b++ {
-				if occupant[a] == -1 && occupant[b] == -1 {
-					continue
+				if occupant[a] != -1 || occupant[b] != -1 {
+					pairs = append(pairs, [2]int{a, b})
 				}
-				ca, cb := occupant[a], occupant[b]
-				swapTerminals(assign, occupant, a, b)
-				if _, _, err := st.eval(assign, ca, cb, false, math.Inf(1)); err != nil {
-					t.Fatal(err)
-				}
-				swapTerminals(assign, occupant, a, b)
 			}
 		}
-		if allocs := testing.AllocsPerRun(200, run); allocs != 0 {
-			t.Errorf("%s: steady-state swap evaluation allocates %.1f objects/op, want 0", tc.name, allocs)
+		for _, bound := range []float64{math.Inf(1), curCost} {
+			sweep := func() {
+				for _, p := range pairs {
+					ca, cb := occupant[p[0]], occupant[p[1]]
+					swapTerminals(assign, occupant, p[0], p[1])
+					if _, _, err := st.eval(assign, ca, cb, false, bound); err != nil {
+						t.Fatal(err)
+					}
+					swapTerminals(assign, occupant, p[0], p[1])
+				}
+			}
+			// AllocsPerRun warms caches (quadrant masks, heap/path
+			// capacities) with one sweep over every pair, then measures
+			// another. One run per measurement keeps its integer average
+			// from rounding a rare allocation, such as one on a single
+			// prune exit, down to 0.
+			if allocs := testing.AllocsPerRun(1, sweep); allocs != 0 {
+				t.Errorf("%s (bound %v): a steady-state sweep over every swap allocates %.0f objects, want 0", tc.name, bound, allocs)
+			}
 		}
 	}
 }
@@ -159,7 +185,7 @@ func TestFullEvalAllocBudget(t *testing.T) {
 	ctx := context.Background()
 	for _, tc := range benchCases {
 		g := tc.app()
-		topo := mustTopo(topology.NewMesh(3, 4))
+		topo := mustTopo(topology.ByName(tc.topo))
 		sc := NewScratch()
 		run := func() {
 			if _, err := MapContextWith(ctx, g, topo, tc.opts, sc); err != nil {

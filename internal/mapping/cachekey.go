@@ -25,7 +25,7 @@ func (o Options) CacheKey() string {
 	if o.Routing != route.SplitMin && o.Routing != route.SplitAll {
 		o.Chunks = 0
 	} else if o.Chunks <= 0 {
-		o.Chunks = 32 // route.Options default
+		o.Chunks = route.DefaultChunks
 	}
 	fp := o.Floorplan
 	if fp.SpacingMM <= 0 {

@@ -18,37 +18,60 @@ import (
 // splice/dirty-link reasoning in incremental.go is broken for some
 // topology shape, so the comparisons use ==, not tolerances.
 func TestIncrementalMatchesReference(t *testing.T) {
+	weighted := Weights{Delay: 1, Area: 1, Power: 1}
 	cases := []struct {
-		app  string
-		g    *graph.CoreGraph
-		opts []Options
+		app   string
+		g     *graph.CoreGraph
+		topos []string // nil: the whole library
+		opts  []Options
 	}{
-		{"vopd", apps.VOPD(), []Options{
+		{"vopd", apps.VOPD(), nil, []Options{
 			{Routing: route.MinPath, Objective: MinDelay, CapacityMBps: 500},
-			{Routing: route.MinPath, Objective: Weighted, Weights: Weights{Delay: 1, Area: 1, Power: 1}, CapacityMBps: 500},
+			{Routing: route.MinPath, Objective: Weighted, Weights: weighted, CapacityMBps: 500},
 			{Routing: route.DimensionOrdered, Objective: MinPower, CapacityMBps: 500},
 		}},
-		{"dsp", apps.DSPFilter(), []Options{
+		{"dsp", apps.DSPFilter(), nil, []Options{
 			{Routing: route.MinPath, Objective: MinDelay, CapacityMBps: 500},
 			{Routing: route.MinPath, Objective: MinArea},
 			{Routing: route.SplitMin, Objective: MinDelay, CapacityMBps: 500},
+			// Internal callers skip request validation. A negative weight
+			// makes the score non-monotone, so the bound must stay off.
+			{Routing: route.MinPath, Objective: Weighted, Weights: Weights{Delay: 1, Area: -2, Power: 1}, CapacityMBps: 500},
 		}},
-		{"mpeg4", apps.MPEG4(), []Options{
+		{"mpeg4", apps.MPEG4(), nil, []Options{
 			{Routing: route.MinPath, Objective: MinDelay, CapacityMBps: 500},
 			{Routing: route.MinPath, Objective: MinPower, CapacityMBps: 500},
 		}},
 		// The escalation workload of Section 6.1: split routing, where the
 		// incremental evaluator splices whole chunk decompositions.
-		{"mpeg4-split", apps.MPEG4(), []Options{
+		{"mpeg4-split", apps.MPEG4(), nil, []Options{
 			{Routing: route.SplitMin, Objective: MinDelay, CapacityMBps: 500, SwapPasses: 2},
 			{Routing: route.SplitAll, Objective: MinDelay, CapacityMBps: 500, SwapPasses: 1},
 		}},
+		// Every objective's bound under split routing, whose chunk
+		// structure the bound's power and load terms read.
+		{"vopd-split", apps.VOPD(), nil, []Options{
+			{Routing: route.SplitMin, Objective: Weighted, Weights: weighted, CapacityMBps: 500},
+			{Routing: route.SplitMin, Objective: MinArea, CapacityMBps: 500},
+			{Routing: route.SplitMin, Objective: MinPower, CapacityMBps: 500},
+		}},
 		// Capacity far below vopd's heaviest flows: candidate loads cross
-		// the capacity mid-sweep, so the prune bound's overload term is
-		// live rather than exactly 0.
-		{"vopd-tight", apps.VOPD(), []Options{
+		// the capacity mid-sweep, so the bound's overload term is live
+		// rather than exactly 0.
+		{"vopd-tight", apps.VOPD(), nil, []Options{
 			{Routing: route.MinPath, Objective: MinDelay, CapacityMBps: 150},
 			{Routing: route.SplitMin, Objective: MinDelay, CapacityMBps: 150, SwapPasses: 2},
+			{Routing: route.MinPath, Objective: Weighted, Weights: weighted, CapacityMBps: 150},
+			{Routing: route.MinPath, Objective: MinArea, CapacityMBps: 150},
+			{Routing: route.MinPath, Objective: MinPower, CapacityMBps: 150},
+		}},
+		// Clos DO picks the middle switch from the terminal IDs, so a
+		// swap between two terminals of one edge switch changes the
+		// design: the sweep must evaluate it, not skip it as it does
+		// under the load-aware functions.
+		{"netproc-do", apps.NetProc(), []string{"clos-m4n4r4", "butterfly-4ary2fly"}, []Options{
+			{Routing: route.DimensionOrdered, Objective: MinDelay, CapacityMBps: 500},
+			{Routing: route.DimensionOrdered, Objective: Weighted, Weights: weighted, CapacityMBps: 500},
 		}},
 	}
 	ctx := context.Background()
@@ -59,6 +82,12 @@ func TestIncrementalMatchesReference(t *testing.T) {
 		lib, err := topology.Library(tc.g.NumCores(), topology.LibraryOptions{IncludeExtras: true})
 		if err != nil {
 			t.Fatalf("%s: library: %v", tc.app, err)
+		}
+		if tc.topos != nil {
+			lib = lib[:0]
+			for _, name := range tc.topos {
+				lib = append(lib, mustTopo(topology.ByName(name)))
+			}
 		}
 		for _, topo := range lib {
 			for _, opts := range tc.opts {
@@ -72,6 +101,46 @@ func TestIncrementalMatchesReference(t *testing.T) {
 				}
 				compareResults(t, tc.app, topo.Name(), opts, fast, ref)
 			}
+		}
+	}
+}
+
+// TestIncrementalMatchesReferencePassCap covers the SwapPasses cap
+// binding before the sweep converges: the incremental sweep's
+// convergence stop must never outlast or undercut the cap. It also checks
+// that the cap does bind on some topology, so the case stays meaningful.
+func TestIncrementalMatchesReferencePassCap(t *testing.T) {
+	ctx := context.Background()
+	g := apps.MPEG4()
+	lib, err := topology.Library(g.NumCores(), topology.LibraryOptions{IncludeExtras: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := NewScratch()
+	for _, passes := range []int{1, 2} {
+		bound := false
+		for _, topo := range lib {
+			for _, obj := range []Objective{MinDelay, MinPower} {
+				opts := Options{Routing: route.MinPath, Objective: obj, CapacityMBps: 500, SwapPasses: passes}
+				fast, err := MapContextWith(ctx, g, topo, opts, sc)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ref, err := mapContext(ctx, g, topo, opts, nil, true)
+				if err != nil {
+					t.Fatal(err)
+				}
+				compareResults(t, g.Name(), topo.Name(), opts, fast, ref)
+				opts.SwapPasses = 0
+				free, err := MapContextWith(ctx, g, topo, opts, sc)
+				if err != nil {
+					t.Fatal(err)
+				}
+				bound = bound || free.SwapsApplied > fast.SwapsApplied
+			}
+		}
+		if !bound {
+			t.Errorf("SwapPasses %d never stops a sweep before convergence on mpeg4's library", passes)
 		}
 	}
 }
@@ -118,7 +187,7 @@ func compareResults(t *testing.T, app, topo string, opts Options, fast, ref *Res
 // TestIncrementalMatchesReferenceSynthetic widens the shape coverage with
 // random applications at partial occupancy (free terminals make
 // occupied-free swaps common, the case where a commodity's endpoints move
-// without a partner core).
+// without a partner core), under every objective.
 func TestIncrementalMatchesReferenceSynthetic(t *testing.T) {
 	ctx := context.Background()
 	sc := NewScratch()
@@ -133,16 +202,19 @@ func TestIncrementalMatchesReferenceSynthetic(t *testing.T) {
 			{"clos", mustTopo(topology.NewClos(4, 4, 4))},
 			{"star", mustTopo(topology.NewStar(13))},
 		} {
-			opts := Options{Routing: route.MinPath, Objective: MinDelay, CapacityMBps: 400}
-			fast, err := MapContextWith(ctx, g, mk.topo, opts, sc)
-			if err != nil {
-				t.Fatalf("seed %d on %s: incremental: %v", seed, mk.name, err)
+			for _, obj := range []Objective{MinDelay, MinArea, MinPower, Weighted} {
+				opts := Options{Routing: route.MinPath, Objective: obj, CapacityMBps: 400,
+					Weights: Weights{Delay: 1, Area: 0.5, Power: 2}}
+				fast, err := MapContextWith(ctx, g, mk.topo, opts, sc)
+				if err != nil {
+					t.Fatalf("seed %d on %s: incremental: %v", seed, mk.name, err)
+				}
+				ref, err := mapContext(ctx, g, mk.topo, opts, nil, true)
+				if err != nil {
+					t.Fatalf("seed %d on %s: reference: %v", seed, mk.name, err)
+				}
+				compareResults(t, g.Name(), mk.topo.Name(), opts, fast, ref)
 			}
-			ref, err := mapContext(ctx, g, mk.topo, opts, nil, true)
-			if err != nil {
-				t.Fatalf("seed %d on %s: reference: %v", seed, mk.name, err)
-			}
-			compareResults(t, g.Name(), mk.topo.Name(), opts, fast, ref)
 		}
 	}
 }

@@ -3,7 +3,7 @@
 // The reference sweep evaluates a candidate swap by re-routing every
 // commodity from scratch and re-running the whole area/power cost model.
 // The incremental evaluator in this file produces *bit-identical* results
-// while doing a small fraction of that work. Two facts make this possible:
+// while doing a small fraction of that work. Three facts make this possible:
 //
 //  1. Routing is a deterministic function of its visible inputs. A
 //     commodity's path depends only on its terminal pair and — for the
@@ -37,6 +37,19 @@
 //     approximations, so no drift can accumulate and no periodic full
 //     re-evaluation is needed.
 //
+//  3. Most candidates are rejected without being evaluated to the end.
+//     A verdict depends only on the assignment and the current cost, so
+//     the sweep leaves out work whose outcome is certain. It stops once
+//     a full cycle of terminal pairs has passed since the last accepted
+//     swap: the reference would reject the rest of that pass and stop.
+//     It skips a swap between two terminals on the same inject and eject
+//     routers (the terminals of one Clos or butterfly edge switch): under
+//     the load-aware functions that candidate is bitwise the current
+//     design. DO is excluded, since Clos DO picks the middle switch from
+//     the terminal IDs. And it abandons a candidate as soon as a
+//     certified lower bound on its objective clears the current cost
+//     (see lowerBound), before any routing or part-way through it.
+//
 // Everything the evaluator touches lives in a Scratch so steady-state
 // candidate evaluation allocates nothing (BenchmarkMap/swap-eval asserts
 // 0 allocs/op).
@@ -56,15 +69,15 @@ import (
 )
 
 // Scratch holds the reusable state of one mapping worker: the routing
-// solver, the incremental evaluator's load arrays, path buffers and
-// switch-config scratch, the greedy-placement and occupancy buffers, and
-// the full-evaluation workspace (a routing Result plus the floorplanner's
-// LP workspace) used by every non-incremental cost evaluation — the final
-// exact evaluation of each Map call, the reference sweep, and the
-// LP-in-the-loop mode. Buffers are bound to a topology per Map call and
-// regrown as needed, so one Scratch serves an entire library sweep. It is
-// single-goroutine state: give each worker its own (internal/engine pools
-// them via internal/pool.Free).
+// solver, the incremental evaluator's load arrays, path buffers,
+// switch-config scratch and work counters, the greedy-placement and
+// occupancy buffers, and the full-evaluation workspace (a routing Result
+// plus the floorplanner's LP workspace) used by every non-incremental
+// cost evaluation — the final exact evaluation of each Map call, the
+// reference sweep, and the LP-in-the-loop mode. Buffers are bound to a
+// topology per Map call and regrown as needed, so one Scratch serves an
+// entire library sweep. It is single-goroutine state: give each worker
+// its own (internal/engine pools them via internal/pool.Free).
 type Scratch struct {
 	rt  *route.Router
 	inc incState
@@ -79,6 +92,17 @@ type Scratch struct {
 	// fed to the floorplanner.
 	evalRes route.Result
 	swAreas []float64
+}
+
+// workCounts are the incremental sweep's work counters. Every candidate
+// the reference sweep would evaluate lands in exactly one of the first
+// four. The counts depend only on the inputs, never on timing.
+type workCounts struct {
+	evaluated   int // candidates evaluated to the end
+	prunedEarly int // rejected by the bound before any routing
+	prunedMid   int // rejected by the bound part-way through routing
+	skipped     int // never evaluated: after convergence, or router-equivalent
+	rerouted    int // commodities routed rather than spliced
 }
 
 // NewScratch returns an empty Scratch; buffers grow on first use.
@@ -103,40 +127,55 @@ type incState struct {
 	// Assignment-independent constants of the cost model.
 	cores     []graph.Core
 	linkLens  []float64
+	linkMW    []float64 // power per MB/s on each link
 	linkArea  float64
 	coreArea  float64
 	niMW      float64
 	totalMBps float64
 
-	// Hop-lower-bound pruning scratch: hopSuffix[k] is the
-	// bandwidth-weighted minimum-hop sum of commodities k.. under the
-	// candidate assignment.
-	hopSuffix []float64
-	// over records that some candidate link load has exceeded the
-	// capacity during this eval. Until it is set the prune bound's
-	// overload term is exactly 0, so only the links each commodity
-	// touched need checking.
-	over bool
+	// bounded reports that lowerBound is certified for this objective;
+	// needHops and needPower say which of its terms the objective reads.
+	bounded, needHops, needPower bool
+
+	// Per-candidate terms fixed by the assignment before any routing:
+	// the switch configs, the in-loop areas and each router's power per
+	// MB/s.
+	cfgs        []area.SwitchConfig
+	networkArea float64
+	designArea  float64
+	routerMW    []float64
+
+	// Running bound state of the candidate being evaluated:
+	// hopSuffix[k] and powerSuffix[k] are the least hop sum and power
+	// commodities k.. can add (see lowerBound), maxLoad the largest link
+	// load routed so far and powerMW the power of the commodities routed
+	// so far.
+	hopSuffix   []float64
+	powerSuffix []float64
+	maxLoad     float64
+	powerMW     float64
 
 	// Baseline: the routed structure of every commodity under the
 	// currently accepted assignment.
 	base []flowRec
 
 	// Candidate scratch, rebuilt by every eval call.
-	res             route.Result // loads + hop/total aggregates
-	cand            []flowRec
-	reroutedIDs     []int
-	dirtyMark       []int
-	dirtyIDs        []int
-	dirtyEpoch      int
-	coreIn, coreOut []int
-	cfgs            []area.SwitchConfig
-	scratchEval     evalResult
+	res         route.Result // loads + hop/total aggregates
+	cand        []flowRec
+	reroutedIDs []int
+	dirtyMark   []int
+	dirtyIDs    []int
+	dirtyEpoch  int
+	scratchEval evalResult
+
+	// work sums the sweep's work over every Map call on this Scratch.
+	work workCounts
 }
 
 // sweepIncremental runs the pairwise-swap improvement with the incremental
-// evaluator. It mirrors sweepReference move for move; only the candidate
-// evaluation mechanism differs.
+// evaluator. It makes the reference sweep's accept/reject decision on
+// every pair it visits and stops in the same state; it only leaves out
+// candidates whose rejection is certain (see the file comment).
 func sweepIncremental(ctx context.Context, ev *evaluator, assign, occupant []int, sc *Scratch) (int, error) {
 	st := &sc.inc
 	st.bind(ev, sc.rt)
@@ -147,51 +186,74 @@ func sweepIncremental(ctx context.Context, ev *evaluator, assign, occupant []int
 	st.promote()
 	ev.norm = baseCost.raw // normalize weighted objectives by the seed mapping
 	curCost := ev.objective(baseCost)
-	// Hop-lower-bound pruning applies only under the pure MinDelay
-	// objective, where the bound argument (see eval) is certified; other
-	// objectives evaluate every candidate, exactly like the reference.
-	usePrune := ev.opts.Objective == MinDelay && st.totalMBps > 0
-	numT := ev.topo.NumTerminals()
-	swaps := 0
+	topo := ev.topo
+	numT := topo.NumTerminals()
+	// since counts pair visits since the last accepted swap. Once it
+	// covers every pair, each candidate has been rejected under the
+	// current (assignment, cost), so the reference would reject the rest
+	// of this pass and stop.
+	pairs, since, swaps := numT*(numT-1)/2, 0, 0
 	for pass := 0; pass < ev.opts.SwapPasses; pass++ {
-		improved := false
 		for a := 0; a < numT; a++ {
 			if err := ctx.Err(); err != nil {
 				return 0, err
 			}
 			for b := a + 1; b < numT; b++ {
-				if occupant[a] == -1 && occupant[b] == -1 {
-					continue
-				}
-				bound := math.Inf(1)
-				if usePrune {
-					bound = curCost
-				}
-				ca, cb := occupant[a], occupant[b] // the cores about to move
-				swapTerminals(assign, occupant, a, b)
-				cand, pruned, err := st.eval(assign, ca, cb, false, bound)
-				if err != nil {
-					return 0, err
-				}
-				if pruned {
+				since++
+				switch {
+				case occupant[a] == -1 && occupant[b] == -1:
+				case !st.oblivious && topo.InjectRouter(a) == topo.InjectRouter(b) &&
+					topo.EjectRouter(a) == topo.EjectRouter(b):
+					st.work.skipped++
+				default:
+					bound := math.Inf(1)
+					if st.bounded {
+						bound = curCost
+					}
+					ca, cb := occupant[a], occupant[b] // the cores about to move
+					swapTerminals(assign, occupant, a, b)
+					cand, pruned, err := st.eval(assign, ca, cb, false, bound)
+					if err != nil {
+						return 0, err
+					}
+					if !pruned {
+						st.work.evaluated++
+						if c := ev.objective(cand); c < curCost-1e-12 {
+							curCost = c
+							swaps++
+							since = 0
+							st.promote()
+							continue
+						}
+					}
 					swapTerminals(assign, occupant, a, b) // undo
-					continue
 				}
-				if c := ev.objective(cand); c < curCost-1e-12 {
-					curCost = c
-					improved = true
-					swaps++
-					st.promote()
-				} else {
-					swapTerminals(assign, occupant, a, b) // undo
+				if since == pairs {
+					st.work.skipped += candidatesAfter(occupant, a, b)
+					return swaps, nil
 				}
 			}
 		}
-		if !improved {
-			break
-		}
 	}
 	return swaps, nil
+}
+
+// candidatesAfter counts the candidates a pass visits after pair (a, b):
+// the pairs with at least one occupied terminal.
+func candidatesAfter(occupant []int, a, b int) int {
+	n := 0
+	for x := a; x < len(occupant); x++ {
+		y := x + 1
+		if x == a {
+			y = b + 1
+		}
+		for ; y < len(occupant); y++ {
+			if occupant[x] != -1 || occupant[y] != -1 {
+				n++
+			}
+		}
+	}
+	return n
 }
 
 // bind attaches the evaluator state to one Map call, resizing buffers and
@@ -204,12 +266,13 @@ func (st *incState) bind(ev *evaluator, rt *route.Router) {
 	st.links = ev.topo.Links()
 	rt.Bind(ev.topo)
 
-	fn := ev.opts.Routing
+	opts := ev.opts
+	fn := opts.Routing
 	st.oblivious = fn == route.DimensionOrdered
 	st.loadSensitive = fn == route.MinPath
 	st.splitMin = fn == route.SplitMin
 	st.splitAll = fn == route.SplitAll
-	st.effChunks = ev.opts.Chunks
+	st.effChunks = opts.Chunks
 	if st.effChunks <= 0 {
 		st.effChunks = route.DefaultChunks
 	}
@@ -218,13 +281,28 @@ func (st *incState) bind(ev *evaluator, rt *route.Router) {
 	// Estimated link lengths depend only on the topology template and the
 	// application's average core pitch — not on the assignment — so the
 	// in-loop wiring-area term is a per-Map constant.
-	st.linkLens, _ = floorplan.EstimateLinkLengthsMM(st.topo, nil, st.cores, ev.opts.Floorplan)
-	st.linkArea = area.LinkAreaMM2(st.linkLens, ev.opts.Tech)
+	st.linkLens, _ = floorplan.EstimateLinkLengthsMM(st.topo, nil, st.cores, opts.Floorplan)
+	st.linkArea = area.LinkAreaMM2(st.linkLens, opts.Tech)
 	st.coreArea = ev.g.TotalCoreAreaMM2()
 	st.niMW = ev.niHookupMW(st.cores)
 	st.totalMBps = 0
 	for _, c := range st.comms {
 		st.totalMBps += c.ValueMBps
+	}
+
+	// The bound needs a non-negative, monotone score: negative (or NaN)
+	// weights turn it off, and internal callers reach here without
+	// request validation.
+	w := opts.Weights
+	st.bounded = st.totalMBps > 0 &&
+		(opts.Objective != Weighted || w.Delay >= 0 && w.Area >= 0 && w.Power >= 0)
+	st.needHops = opts.Objective == MinDelay || opts.Objective == Weighted && w.Delay != 0
+	st.needPower = opts.Objective == MinPower || opts.Objective == Weighted && w.Power != 0
+	if st.needPower {
+		st.linkMW = resizeFloats(st.linkMW, len(st.links))
+		for i, l := range st.linkLens {
+			st.linkMW[i] = power.LinkBitEnergyPJ(l, opts.Tech) * power.MWPerMBpsPJ
+		}
 	}
 
 	m := len(st.comms)
@@ -236,55 +314,82 @@ func (st *incState) bind(ev *evaluator, rt *route.Router) {
 	st.dirtyMark = resizeInts(st.dirtyMark, l)
 	st.dirtyIDs = st.dirtyIDs[:0]
 	st.dirtyEpoch = 0
-	st.coreIn = resizeInts(st.coreIn, r)
-	st.coreOut = resizeInts(st.coreOut, r)
 	if cap(st.cfgs) < r {
 		st.cfgs = make([]area.SwitchConfig, r)
 	}
 	st.cfgs = st.cfgs[:r]
+	st.routerMW = resizeFloats(st.routerMW, r)
+	st.hopSuffix = resizeFloats(st.hopSuffix, m+1)
+	st.powerSuffix = resizeFloats(st.powerSuffix, m+1)
 }
 
-// pruneSlack is the relative safety margin of the hop-lower-bound prune:
-// a candidate is rejected without (full) evaluation only when its
-// certified lower bound clears the current cost by this margin, which
-// exceeds any float divergence between the bound's arithmetic and the
-// evaluated objective's by several orders of magnitude. The equivalence
+// pruneSlack is the relative safety margin of the prune: a candidate is
+// abandoned only when its certified lower bound clears the current cost
+// by this margin. The bound and the objective sum the same non-negative
+// terms in different orders, so they can differ by float rounding; this
+// margin exceeds that by several orders of magnitude. The equivalence
 // suite (incremental vs reference, which never prunes) is the regression
 // gate on this reasoning.
 const pruneSlack = 1e-10
 
-// hopBound returns a certified lower bound on the MinDelay objective of
-// the assignment after commodity k-1, given the hop aggregate routed so
-// far: every remaining commodity must visit at least its terminal pair's
-// MinHops routers, the load tie-break only adds a non-negative term, and
-// the overload penalty multiplies by a factor that is monotone in the
-// link loads — which at commodity boundaries only ever grow toward the
-// final loads. So no completion of this partial evaluation can score
-// below the returned value.
+// lowerBound returns a certified lower bound on the objective of every
+// completion of the candidate after commodity k-1. Each term of the
+// objective is bounded by what is known so far:
+//   - hops: the routed hop sum plus every remaining commodity's minimum
+//     hop count (hopSuffix);
+//   - area: exact, since the in-loop area depends only on the
+//     assignment;
+//   - power: the power of the commodities routed so far, a partial sum of
+//     non-negative loads times fixed bit energies, plus every remaining
+//     commodity's flow through its inject and eject switches, which each
+//     of its paths crosses (powerSuffix);
+//   - the load-balance tie-break and the overload penalty: link loads
+//     only grow at commodity boundaries, so the largest load so far and
+//     the overload of the current loads are below the final ones.
 //
-// rec is commodity k-1's routing record: the only links whose loads that
-// commodity changed. The full overload scan runs only once one of them
-// has crossed the capacity.
-func (st *incState) hopBound(res *route.Result, k int, rec *flowRec) float64 {
-	lb := (res.HopSumMBps + st.hopSuffix[k]) / st.totalMBps
-	if limit := st.ev.opts.CapacityMBps; limit > 0 {
-		if !st.over {
-			st.over = recOverloaded(res.LinkLoads, rec, limit)
-			if !st.over {
-				return lb
-			}
-		}
-		var overload float64
-		for _, l := range res.LinkLoads {
-			if l > limit {
-				overload += (l - limit) / limit
-			}
-		}
-		if overload > 0 {
-			lb *= 1 + 10*overload
-		}
+// score and penalized are monotone in each of these, so no completion can
+// score below the returned value. The full overload scan runs only once
+// some load has crossed the capacity; until then the penalty is exactly
+// 0.
+func (st *incState) lowerBound(res *route.Result, k int) float64 {
+	raw := rawMetrics{areaMM2: st.designArea}
+	if st.needHops {
+		raw.hops = (res.HopSumMBps + st.hopSuffix[k]) / st.totalMBps
 	}
-	return lb
+	if st.needPower {
+		raw.powerMW = st.powerMW + st.powerSuffix[k] + st.niMW
+	}
+	var loads []float64
+	if limit := st.ev.opts.CapacityMBps; limit > 0 && st.maxLoad > limit {
+		loads = res.LinkLoads
+	}
+	return st.ev.penalized(st.ev.score(raw), st.maxLoad, st.totalMBps, loads)
+}
+
+// account folds commodity c's routing record, already applied to loads,
+// into the running bound state: the largest load on its links and, when
+// the objective reads power, its switch and link power.
+func (st *incState) account(loads []float64, c graph.Commodity, rec *flowRec) {
+	for i := 0; i < rec.n; i++ {
+		for _, id := range rec.arcs[i] {
+			st.maxLoad = max(st.maxLoad, loads[id])
+		}
+		if !st.needPower {
+			continue
+		}
+		var mw float64
+		for _, id := range rec.arcs[i] {
+			mw += st.linkMW[id]
+		}
+		for _, r := range rec.verts[i] {
+			mw += st.routerMW[r]
+		}
+		frac := 1.0
+		if rec.split {
+			frac = rec.fracs[i]
+		}
+		st.powerMW += c.ValueMBps * frac * mw
+	}
 }
 
 // eval evaluates the current assignment. ca and cb are the cores the
@@ -292,38 +397,64 @@ func (st *incState) hopBound(res *route.Result, k int, rec *flowRec) float64 {
 // re-route of every commodity. The returned evalResult is scratch, valid
 // until the next eval call.
 //
-// bound enables hop-lower-bound pruning: when finite (MinDelay sweeps
-// pass the current best cost), the evaluation is abandoned — pruned=true,
-// nil result — as soon as the certified lower bound shows the candidate
-// cannot beat bound. A pruned candidate is exactly one the reference
-// sweep would have evaluated and rejected.
+// bound enables pruning: when finite (the sweep passes the current cost
+// if the objective is bounded), the evaluation is abandoned — pruned=true,
+// nil result — as soon as lowerBound shows the candidate cannot beat
+// bound. A pruned candidate is exactly one the reference sweep would have
+// evaluated and rejected.
 //
 //sunmap:hotpath
 func (st *incState) eval(assign []int, ca, cb int, all bool, bound float64) (e *evalResult, pruned bool, err error) {
 	opts := st.ev.opts
+	t := opts.Tech
+	// The switch configs and the in-loop area depend only on the
+	// assignment: compute them before any routing.
+	area.SwitchConfigsInto(st.cfgs, st.topo, assign, t)
+	var swArea float64
+	for _, c := range st.cfgs {
+		swArea += area.SwitchAreaMM2(c, t)
+	}
+	st.networkArea = swArea + st.linkArea
+	st.designArea = st.coreArea + st.networkArea
+
+	res := &st.res
+	res.Reset(len(st.links), st.topo.NumRouters())
 	prune := !math.IsInf(bound, 1)
 	if prune {
-		// Fill the minimum-hop suffix sums for this assignment; the k=0
-		// entry is the whole-candidate lower bound, checked before any
-		// routing work.
-		m := len(st.comms)
-		st.hopSuffix = resizeFloats(st.hopSuffix, m+1)
-		st.hopSuffix[m] = 0
-		for k := m - 1; k >= 0; k-- {
-			c := st.comms[k]
-			st.hopSuffix[k] = st.hopSuffix[k+1] +
-				c.ValueMBps*float64(st.topo.MinHops(assign[c.Src], assign[c.Dst]))
+		st.maxLoad, st.powerMW = 0, 0
+		if st.needHops {
+			m := len(st.comms)
+			st.hopSuffix[m] = 0
+			for k := m - 1; k >= 0; k-- {
+				c := st.comms[k]
+				st.hopSuffix[k] = st.hopSuffix[k+1] +
+					c.ValueMBps*float64(st.topo.MinHops(assign[c.Src], assign[c.Dst]))
+			}
 		}
-		if st.hopSuffix[0]/st.totalMBps*(1-pruneSlack) >= bound {
+		if st.needPower {
+			for r, c := range st.cfgs {
+				st.routerMW[r] = power.SwitchBitEnergyPJ(c, t) * power.MWPerMBpsPJ
+			}
+			m := len(st.comms)
+			st.powerSuffix[m] = 0
+			for k := m - 1; k >= 0; k-- {
+				c := st.comms[k]
+				src, dst := st.topo.InjectRouter(assign[c.Src]), st.topo.EjectRouter(assign[c.Dst])
+				mw := st.routerMW[src]
+				if dst != src {
+					mw += st.routerMW[dst]
+				}
+				st.powerSuffix[k] = st.powerSuffix[k+1] + c.ValueMBps*mw
+			}
+		}
+		if st.lowerBound(res, 0)*(1-pruneSlack) >= bound {
+			st.work.prunedEarly++
 			return nil, true, nil
 		}
 	}
-	res := &st.res
-	res.Reset(len(st.links), st.topo.NumRouters())
 	st.dirtyEpoch++
 	st.dirtyIDs = st.dirtyIDs[:0]
 	st.reroutedIDs = st.reroutedIDs[:0]
-	st.over = false
 
 	for k := range st.comms {
 		c := st.comms[k]
@@ -344,52 +475,58 @@ func (st *incState) eval(assign []int, ca, cb int, all bool, bound float64) (e *
 				reroute = true
 			}
 		}
-		if !reroute {
-			st.applyRec(res, c, &st.base[k])
-			if prune && st.hopBound(res, k+1, &st.base[k])*(1-pruneSlack) >= bound {
+		rec := &st.base[k]
+		if reroute {
+			rec = &st.cand[k]
+			if err := st.reroute(res, assign, c, rec); err != nil {
+				return nil, false, err
+			}
+			st.work.rerouted++
+			st.reroutedIDs = append(st.reroutedIDs, k) //sunmap:alloc amortized rerouted-ID scratch growth, reset per eval
+			if !all && !st.oblivious && !recEqual(rec, &st.base[k]) {
+				// The candidate's load history now differs from the
+				// baseline's on the symmetric difference of the two
+				// records' arcs; marking the union is a conservative
+				// superset.
+				st.markRecDirty(&st.base[k])
+				st.markRecDirty(rec)
+			}
+		} else {
+			st.applyRec(res, c, rec)
+		}
+		if prune {
+			st.account(res.LinkLoads, c, rec)
+			if st.lowerBound(res, k+1)*(1-pruneSlack) >= bound {
+				st.work.prunedMid++
 				return nil, true, nil
 			}
-			continue
-		}
-		srcT, dstT := assign[c.Src], assign[c.Dst]
-		rec := &st.cand[k]
-		var err error
-		switch {
-		case st.splitMin || st.splitAll:
-			err = st.rerouteSplit(res, srcT, dstT, c, rec)
-		case st.oblivious:
-			var verts, arcs []int
-			verts, arcs, err = st.rt.PathDO(srcT, dstT, c)
-			if err == nil {
-				rec.setSingle(verts, arcs)
-				st.applySingle(res, c, verts, arcs)
-			}
-		default:
-			var verts, arcs []int
-			verts, arcs, err = st.rt.PathMP(srcT, dstT, c, res.LinkLoads, true)
-			if err == nil {
-				rec.setSingle(verts, arcs)
-				st.applySingle(res, c, verts, arcs)
-			}
-		}
-		if err != nil {
-			return nil, false, err
-		}
-		st.reroutedIDs = append(st.reroutedIDs, k) //sunmap:alloc amortized rerouted-ID scratch growth, reset per eval
-		if !all && !st.oblivious && !recEqual(rec, &st.base[k]) {
-			// The candidate's load history now differs from the
-			// baseline's on the symmetric difference of the two records'
-			// arcs; marking the union is a conservative superset.
-			st.markRecDirty(&st.base[k])
-			st.markRecDirty(rec)
-		}
-		if prune && st.hopBound(res, k+1, rec)*(1-pruneSlack) >= bound {
-			return nil, true, nil
 		}
 	}
 	route.FinalizeLoads(res, opts.CapacityMBps)
-	e, err = st.buildEval(assign)
+	e, err = st.buildEval()
 	return e, false, err
+}
+
+// reroute routes commodity c under assign into res and records its
+// routing in rec.
+func (st *incState) reroute(res *route.Result, assign []int, c graph.Commodity, rec *flowRec) error {
+	srcT, dstT := assign[c.Src], assign[c.Dst]
+	if st.splitMin || st.splitAll {
+		return st.rerouteSplit(res, srcT, dstT, c, rec)
+	}
+	var verts, arcs []int
+	var err error
+	if st.oblivious {
+		verts, arcs, err = st.rt.PathDO(srcT, dstT, c)
+	} else {
+		verts, arcs, err = st.rt.PathMP(srcT, dstT, c, res.LinkLoads, true)
+	}
+	if err != nil {
+		return err
+	}
+	rec.setSingle(verts, arcs)
+	st.applySingle(res, c, verts, arcs)
+	return nil
 }
 
 // rerouteSplit routes one split commodity through the scratch router
@@ -500,19 +637,6 @@ func (st *incState) dirtyOnDAG(dag []bool) bool {
 	return false
 }
 
-// recOverloaded reports whether any link on rec's paths carries more
-// than limit.
-func recOverloaded(loads []float64, rec *flowRec, limit float64) bool {
-	for i := 0; i < rec.n; i++ {
-		for _, id := range rec.arcs[i] {
-			if loads[id] > limit {
-				return true
-			}
-		}
-	}
-	return false
-}
-
 // markRecDirty records a routing record's links as diverged,
 // deduplicated by an epoch stamp.
 func (st *incState) markRecDirty(rec *flowRec) {
@@ -527,53 +651,28 @@ func (st *incState) markRecDirty(rec *flowRec) {
 }
 
 // buildEval replays the in-loop cost model over the candidate loads: the
-// same switch-config derivation, area fold and power fold as ev.cost runs,
-// over the same element order, with the per-Map constants substituted for
-// the assignment-independent terms. The result is bitwise equal to
-// ev.cost(assign, nil)'s metrics.
-func (st *incState) buildEval(assign []int) (*evalResult, error) {
-	topo := st.topo
-	t := st.ev.opts.Tech
-	for r := range st.coreIn {
-		st.coreIn[r] = 0
-		st.coreOut[r] = 0
-	}
-	for _, term := range assign {
-		st.coreIn[topo.InjectRouter(term)]++
-		st.coreOut[topo.EjectRouter(term)]++
-	}
-	for r := range st.cfgs {
-		in, out := topo.RouterDegree(r)
-		st.cfgs[r] = area.SwitchConfig{
-			In:            in + st.coreIn[r],
-			Out:           out + st.coreOut[r],
-			BufDepthFlits: t.BufDepthFlits,
-			FlitBits:      t.FlitBits,
-		}
-	}
-	var swArea float64
-	for _, c := range st.cfgs {
-		swArea += area.SwitchAreaMM2(c, t)
-	}
-	bk, err := power.NetworkPowerBreakdown(st.cfgs, st.res.RouterLoads, st.res.LinkLoads, st.linkLens, t)
+// switch configs and areas eval computed, and the same power fold as
+// ev.cost runs, over the same element order, with the per-Map constants
+// substituted for the assignment-independent terms. The result is
+// bitwise equal to ev.cost(assign, nil)'s metrics.
+func (st *incState) buildEval() (*evalResult, error) {
+	bk, err := power.NetworkPowerBreakdown(st.cfgs, st.res.RouterLoads, st.res.LinkLoads, st.linkLens, st.ev.opts.Tech)
 	if err != nil {
 		return nil, err
 	}
 	bk.LinkMW += st.niMW
-	networkArea := swArea + st.linkArea
-	designArea := st.coreArea + networkArea
 
 	e := &st.scratchEval
 	*e = evalResult{
 		route:       &st.res,
 		cfgs:        st.cfgs,
-		designArea:  designArea,
-		networkArea: networkArea,
+		designArea:  st.designArea,
+		networkArea: st.networkArea,
 		powerMW:     bk.TotalMW(),
 		powerBk:     bk,
 		raw: rawMetrics{
 			hops:    st.res.AvgHops(),
-			areaMM2: designArea,
+			areaMM2: st.designArea,
 			powerMW: bk.TotalMW(),
 		},
 	}

@@ -532,14 +532,18 @@ func (ev *evaluator) niHookupMW(cores []graph.Core) float64 {
 // penalty when the bandwidth constraint is violated so the swap search is
 // pulled toward feasibility.
 func (ev *evaluator) objective(e *evalResult) float64 {
-	var base float64
+	return ev.penalized(ev.score(e.raw), e.route.MaxLinkLoad, e.route.TotalMBps, e.route.LinkLoads)
+}
+
+// score is the objective's primary term. With non-negative weights it is
+// non-decreasing in every metric, which is what lets the incremental
+// sweep bound it from below.
+func (ev *evaluator) score(raw rawMetrics) float64 {
 	switch ev.opts.Objective {
-	case MinDelay:
-		base = e.raw.hops
 	case MinArea:
-		base = e.raw.areaMM2
+		return raw.areaMM2
 	case MinPower:
-		base = e.raw.powerMW
+		return raw.powerMW
 	case Weighted:
 		w := ev.opts.Weights
 		n := ev.norm
@@ -552,16 +556,22 @@ func (ev *evaluator) objective(e *evalResult) float64 {
 		if n.powerMW <= 0 {
 			n.powerMW = 1
 		}
-		base = w.Delay*e.raw.hops/n.hops + w.Area*e.raw.areaMM2/n.areaMM2 + w.Power*e.raw.powerMW/n.powerMW
+		return w.Delay*raw.hops/n.hops + w.Area*raw.areaMM2/n.areaMM2 + w.Power*raw.powerMW/n.powerMW
 	default:
-		base = e.raw.hops
+		return raw.hops
 	}
+}
+
+// penalized adds the load-balance tie-break and the bandwidth-violation
+// penalty to a non-negative primary term. It is non-decreasing in base,
+// maxLoad and every entry of loads.
+func (ev *evaluator) penalized(base, maxLoad, totalMBps float64, loads []float64) float64 {
 	// Load-balance tie-break: a term far below any real metric difference
 	// that steers the search toward spreading traffic when the primary
 	// objective is flat (butterflies and Clos networks have constant hop
 	// counts, so min-delay alone cannot distinguish their mappings).
-	if e.route.TotalMBps > 0 {
-		base += 1e-3 * e.route.MaxLinkLoad / e.route.TotalMBps
+	if totalMBps > 0 {
+		base += 1e-3 * maxLoad / totalMBps
 	}
 	// Bandwidth-violation penalty: proportional to the total overload
 	// across all links (smoother than penalizing the max alone, so the
@@ -569,7 +579,7 @@ func (ev *evaluator) objective(e *evalResult) float64 {
 	// see progress toward feasibility).
 	if limit := ev.opts.CapacityMBps; limit > 0 {
 		var overload float64
-		for _, l := range e.route.LinkLoads {
+		for _, l := range loads {
 			if l > limit {
 				overload += (l - limit) / limit
 			}

@@ -190,6 +190,10 @@ func (m MapSpec) options() (mapping.Options, error) {
 	case "weighted":
 		opts.Objective = mapping.Weighted
 		opts.Weights = mapping.Weights{Delay: m.WeightDelay, Area: m.WeightArea, Power: m.WeightPower}
+		if !usableWeights(m.WeightDelay, m.WeightArea, m.WeightPower) {
+			return opts, fmt.Errorf("%w: weights delay=%g area=%g power=%g: each must be finite and >= 0, and one > 0",
+				ErrBadRequest, m.WeightDelay, m.WeightArea, m.WeightPower)
+		}
 	default:
 		return opts, fmt.Errorf("%w: unknown objective %q (want delay, area, power or weighted)", ErrBadRequest, m.Objective)
 	}
@@ -201,6 +205,20 @@ func (m MapSpec) options() (mapping.Options, error) {
 		opts.Tech = tc
 	}
 	return opts, nil
+}
+
+// usableWeights reports whether weighted-objective weights define a
+// bounded minimization: every weight finite and non-negative, and at
+// least one positive.
+func usableWeights(ws ...float64) bool {
+	positive := false
+	for _, w := range ws {
+		if !(w >= 0) || math.IsInf(w, 1) {
+			return false
+		}
+		positive = positive || w > 0
+	}
+	return positive
 }
 
 // SynthSpec is the serializable form of SynthOptions.

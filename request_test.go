@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"math"
 	"reflect"
 	"testing"
 
@@ -102,6 +103,40 @@ func TestOversizedTopologyRejected(t *testing.T) {
 		rep := sess.Do(context.Background(), *req)
 		if rep.ErrorKind != sunmap.ErrorKindBadRequest {
 			t.Errorf("%s: error kind %q, want bad_request (%s)", topo, rep.ErrorKind, rep.Error)
+		}
+	}
+}
+
+// TestWeightedObjectiveRejectsUnusableWeights: a negative, infinite or
+// NaN weight, or all-zero weights, would have the mapper minimize an
+// unbounded or empty objective, so the request is a bad request.
+func TestWeightedObjectiveRejectsUnusableWeights(t *testing.T) {
+	sess, err := sunmap.NewSession()
+	if err != nil {
+		t.Fatal(err)
+	}
+	mapReq := func(d, a, p float64) sunmap.Request {
+		return sunmap.Request{Op: sunmap.OpMap, Map: &sunmap.MapRequest{
+			App: sunmap.AppSpec{Name: "dsp"}, Topology: "mesh-2x3",
+			Mapping: sunmap.MapSpec{Objective: "weighted", WeightDelay: d, WeightArea: a, WeightPower: p},
+		}}
+	}
+	for _, w := range [][3]float64{
+		{-1, 1, 1},
+		{1, -0.5, 0},
+		{0, 0, 0},
+		{math.Inf(1), 1, 1},
+		{1, math.Inf(-1), 1},
+		{1, 1, math.NaN()},
+	} {
+		rep := sess.Do(context.Background(), mapReq(w[0], w[1], w[2]))
+		if rep.ErrorKind != sunmap.ErrorKindBadRequest {
+			t.Errorf("weights %v: error kind %q, want bad_request (%s)", w, rep.ErrorKind, rep.Error)
+		}
+	}
+	for _, w := range [][3]float64{{1, 1, 1}, {0, 0, 2}} {
+		if rep := sess.Do(context.Background(), mapReq(w[0], w[1], w[2])); rep.Error != "" {
+			t.Errorf("weights %v: %s", w, rep.Error)
 		}
 	}
 }
