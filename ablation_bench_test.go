@@ -2,8 +2,8 @@ package sunmap_test
 
 // Ablation benchmarks for the design choices DESIGN.md calls out: the
 // quadrant-graph restriction (paper Section 4.1 claims "large
-// computational time savings"), the pairwise-swap budget, the traffic-
-// splitting granularity, and in-loop exact floorplanning. Run with
+// computational time savings"), the pairwise-swap budget and the traffic-
+// splitting granularity. Run with
 //
 //	go test -bench=Ablation -benchmem
 //
@@ -123,36 +123,6 @@ func benchChunks(b *testing.B, chunks int) {
 		maxLoad = res.Route.MaxLinkLoad
 	}
 	b.ReportMetric(maxLoad, "max-load-MBps")
-}
-
-// BenchmarkAblationFloorplanEstimate uses the fast length estimator inside
-// the swap loop (this repo's default).
-func BenchmarkAblationFloorplanEstimate(b *testing.B) { benchFloorplan(b, false) }
-
-// BenchmarkAblationFloorplanExact runs the LP floorplanner inside every
-// swap evaluation (the paper's step 7); the time ratio shows what the
-// estimator buys.
-func BenchmarkAblationFloorplanExact(b *testing.B) { benchFloorplan(b, true) }
-
-func benchFloorplan(b *testing.B, exact bool) {
-	topo := benchTopo(topology.NewMesh(2, 3))
-	app := apps.DSPFilter()
-	b.ResetTimer()
-	var area float64
-	for i := 0; i < b.N; i++ {
-		res, err := mapping.MapContextWith(context.Background(), app, topo, mapping.Options{
-			Routing:              route.MinPath,
-			Objective:            mapping.MinPower,
-			CapacityMBps:         apps.DSPCapacityMBps,
-			ExactFloorplanInLoop: exact,
-			SwapPasses:           2,
-		}, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		area = res.DesignAreaMM2
-	}
-	b.ReportMetric(area, "area-mm2")
 }
 
 // BenchmarkAblationLibraryBreadth sweeps library size: paper five-family

@@ -100,6 +100,9 @@ func (g *CoreGraph) Cores() []Core {
 	return out
 }
 
+// Edge returns the i-th edge. It panics if i is out of range.
+func (g *CoreGraph) Edge(i int) Edge { return g.edges[i] }
+
 // Edges returns a copy of the edge list.
 func (g *CoreGraph) Edges() []Edge {
 	out := make([]Edge, len(g.edges))

@@ -60,8 +60,11 @@ func BenchmarkMap(b *testing.B) {
 			b.ReportMetric(float64(sc.inc.work.evaluated)/n, "evaluated/op")
 			b.ReportMetric(float64(sc.inc.work.prunedEarly)/n, "pruned-early/op")
 			b.ReportMetric(float64(sc.inc.work.prunedMid)/n, "pruned-mid/op")
-			b.ReportMetric(float64(sc.inc.work.skipped)/n, "skipped/op")
+			b.ReportMetric(float64(sc.inc.work.converged)/n, "converged/op")
+			b.ReportMetric(float64(sc.inc.work.routerEquiv)/n, "router-equiv/op")
+			b.ReportMetric(float64(sc.inc.work.sameDesign)/n, "same-design/op")
 			b.ReportMetric(float64(sc.inc.work.rerouted)/n, "rerouted/op")
+			b.ReportMetric(float64(sc.inc.work.singlePath)/n, "single-path/op")
 		})
 		for _, bounded := range []bool{false, true} {
 			name := tc.name + "/swap-eval"
@@ -105,7 +108,7 @@ func benchSweepState(tb testing.TB, g *graph.CoreGraph, topo topology.Topology, 
 	if err != nil {
 		tb.Fatal(err)
 	}
-	st.promote()
+	st.promote(assign)
 	ev.norm = base.raw
 	occupant := make([]int, topo.NumTerminals())
 	for t := range occupant {

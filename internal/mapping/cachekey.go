@@ -39,8 +39,7 @@ func (o Options) CacheKey() string {
 	fmt.Fprintf(&sb, "v1|rt=%d|obj=%d|w=%g,%g,%g|cap=%g|maxarea=%g|maxaspect=%g|",
 		int(o.Routing), int(o.Objective), o.Weights.Delay, o.Weights.Area, o.Weights.Power,
 		o.CapacityMBps, o.MaxAreaMM2, o.MaxChipAspect)
-	fmt.Fprintf(&sb, "swaps=%d|exactfp=%t|fp=%g,%d|chunks=%d|", o.SwapPasses, o.ExactFloorplanInLoop,
-		fp.SpacingMM, fp.Tangents, o.Chunks)
+	fmt.Fprintf(&sb, "swaps=%d|fp=%g,%d|chunks=%d|", o.SwapPasses, fp.SpacingMM, fp.Tangents, o.Chunks)
 	fmt.Fprintf(&sb, "tech=%s,%d,%g,%g,%g,%g,%g,%g,%g,%g,%g,%d,%d",
 		t.Name, t.FeatureNM, t.XbarAreaMM2, t.BufAreaMM2, t.LogicAreaMM2, t.LinkAreaMM2PerMM,
 		t.BufWritePJ, t.BufReadPJ, t.XbarPJ, t.ArbPJ, t.LinkPJPerMM, t.FlitBits, t.BufDepthFlits)

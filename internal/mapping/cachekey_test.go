@@ -71,7 +71,6 @@ func TestCacheKeyDistinguishesDesignPoints(t *testing.T) {
 		{Routing: route.MinPath, Objective: MinPower, CapacityMBps: 500},
 		{Routing: route.MinPath, Objective: MinDelay, CapacityMBps: 1000},
 		{Routing: route.MinPath, Objective: MinDelay, CapacityMBps: 500, MaxAreaMM2: 60},
-		{Routing: route.MinPath, Objective: MinDelay, CapacityMBps: 500, ExactFloorplanInLoop: true},
 	}
 	seen := map[string]bool{base.CacheKey(): true}
 	for i, v := range variants {

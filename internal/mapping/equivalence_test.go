@@ -73,6 +73,14 @@ func TestIncrementalMatchesReference(t *testing.T) {
 			{Routing: route.DimensionOrdered, Objective: MinDelay, CapacityMBps: 500},
 			{Routing: route.DimensionOrdered, Objective: Weighted, Weights: weighted, CapacityMBps: 500},
 		}},
+		// Spare terminals on butterflies and Clos networks, under every
+		// routing function and objective: core-core swaps reuse the
+		// baseline's switch terms and delta bound suffixes, moves onto a
+		// free terminal recompute them and hit the same-design memo, and
+		// every butterfly pair (and every Clos pair on one edge switch)
+		// has a single path, so MP and SM splice it past diverged links.
+		{"vopd-spare", apps.VOPD(), []string{"butterfly-3ary3fly", "clos-m3n4r5"}, everyOption(2)},
+		{"netproc-spare", apps.NetProc(), []string{"butterfly-3ary3fly", "clos-m3n4r5"}, everyOption(1)},
 	}
 	ctx := context.Background()
 	// One shared Scratch across every fast-side run: reuse across apps,
@@ -103,6 +111,23 @@ func TestIncrementalMatchesReference(t *testing.T) {
 			}
 		}
 	}
+}
+
+// everyOption lists every routing function under every objective at
+// capacity 500, with split routing capped at splitPasses swap passes to
+// keep the reference side short.
+func everyOption(splitPasses int) []Options {
+	var out []Options
+	for _, fn := range []route.Function{route.MinPath, route.SplitMin, route.SplitAll, route.DimensionOrdered} {
+		for _, obj := range []Objective{MinDelay, MinArea, MinPower, Weighted} {
+			o := Options{Routing: fn, Objective: obj, Weights: Weights{Delay: 1, Area: 1, Power: 1}, CapacityMBps: 500}
+			if fn == route.SplitMin || fn == route.SplitAll {
+				o.SwapPasses = splitPasses
+			}
+			out = append(out, o)
+		}
+	}
+	return out
 }
 
 // TestIncrementalMatchesReferencePassCap covers the SwapPasses cap
@@ -216,5 +241,51 @@ func TestIncrementalMatchesReferenceSynthetic(t *testing.T) {
 				compareResults(t, g.Name(), mk.topo.Name(), opts, fast, ref)
 			}
 		}
+	}
+}
+
+// TestWorkCountsPartitionReference checks the sweep's candidate counters
+// against the reference sweep: evaluated, pruned (before or part-way
+// through routing) and skipped (after convergence, router-equivalent,
+// same design) must sum to the candidates the reference evaluates. Each
+// case must also make both skips fire, and the single-path splice on
+// butterflies (a Clos pair has one path per middle switch), so the
+// partition covers them. FuzzSweepMatchesReference checks the partition
+// on random inputs.
+func TestWorkCountsPartitionReference(t *testing.T) {
+	ctx := context.Background()
+	for _, tc := range []struct {
+		g    *graph.CoreGraph
+		topo string
+		opts Options
+	}{
+		{apps.VOPD(), "butterfly-3ary3fly", Options{Routing: route.MinPath, Objective: MinDelay, CapacityMBps: 500}},
+		{apps.VOPD(), "clos-m3n4r5", Options{Routing: route.SplitMin, Objective: MinPower, CapacityMBps: 500}},
+		{apps.NetProc(), "butterfly-3ary3fly", Options{Routing: route.SplitMin, Objective: Weighted,
+			Weights: Weights{Delay: 1, Area: 1, Power: 1}, CapacityMBps: 500}},
+	} {
+		topo := mustTopo(topology.ByName(tc.topo))
+		tag := tc.g.Name() + " on " + tc.topo
+		fast, ref := NewScratch(), NewScratch()
+		if _, err := MapContextWith(ctx, tc.g, topo, tc.opts, fast); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := mapContext(ctx, tc.g, topo, tc.opts, ref, true); err != nil {
+			t.Fatal(err)
+		}
+		w := fast.inc.work
+		if w.routerEquiv == 0 || w.sameDesign == 0 || w.singlePath == 0 && topo.Kind() == topology.Butterfly {
+			t.Errorf("%s: a skip or splice never fired: %+v", tag, w)
+		}
+		checkPartition(t, tag, w, ref.inc.work.reference)
+	}
+}
+
+// checkPartition checks that the incremental sweep's candidate counters
+// w sum to want, the reference sweep's candidate count.
+func checkPartition(t *testing.T, tag string, w workCounts, want int) {
+	t.Helper()
+	if got := w.evaluated + w.prunedEarly + w.prunedMid + w.converged + w.routerEquiv + w.sameDesign; got != want {
+		t.Errorf("%s: counters sum to %d candidates, the reference evaluated %d: %+v", tag, got, want, w)
 	}
 }

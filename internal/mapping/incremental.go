@@ -37,18 +37,32 @@
 //     approximations, so no drift can accumulate and no periodic full
 //     re-evaluation is needed.
 //
-//  3. Most candidates are rejected without being evaluated to the end.
-//     A verdict depends only on the assignment and the current cost, so
-//     the sweep leaves out work whose outcome is certain. It stops once
-//     a full cycle of terminal pairs has passed since the last accepted
-//     swap: the reference would reject the rest of that pass and stop.
-//     It skips a swap between two terminals on the same inject and eject
-//     routers (the terminals of one Clos or butterfly edge switch): under
-//     the load-aware functions that candidate is bitwise the current
-//     design. DO is excluded, since Clos DO picks the middle switch from
-//     the terminal IDs. And it abandons a candidate as soon as a
-//     certified lower bound on its objective clears the current cost
-//     (see lowerBound), before any routing or part-way through it.
+//  3. A candidate pays only for what its swap changes, and the sweep
+//     leaves out work whose outcome is certain. The switch configs,
+//     in-loop areas and router power factors read only which terminals
+//     are occupied: a core-core swap reuses the baseline's, and only a
+//     move onto a free terminal recomputes them. The bound's
+//     per-commodity hop and power terms are kept for the baseline, and a
+//     candidate adds the deltas of the commodities incident to its moved
+//     cores (see lowerBound). Under MP and SM a pair whose quadrant holds
+//     a single path (route.Router.SinglePath) is spliced even when
+//     diverged links lie inside it: its route cannot depend on loads.
+//
+//     A verdict depends only on the assignment and the current cost. The
+//     sweep stops once a full cycle of terminal pairs has passed since
+//     the last accepted swap: the reference would reject the rest of that
+//     pass and stop. Under the load-aware functions a design depends on a
+//     terminal only through its inject and eject routers, so two kinds of
+//     candidate repeat a design already judged: a swap between two
+//     terminals on the same routers (the terminals of one Clos or
+//     butterfly edge switch) is the current design, and moving a core
+//     onto a free terminal builds the same design as an earlier move of
+//     that core onto the same routers, rejected since the last accepted
+//     swap. Both are skipped. DO is excluded, since Clos DO picks the
+//     middle switch from the terminal IDs. And a candidate is abandoned
+//     as soon as a certified lower bound on its objective clears the
+//     current cost (see lowerBound), before any routing or part-way
+//     through it.
 //
 // Everything the evaluator touches lives in a Scratch so steady-state
 // candidate evaluation allocates nothing (BenchmarkMap/swap-eval asserts
@@ -73,19 +87,21 @@ import (
 // switch-config scratch and work counters, the greedy-placement and
 // occupancy buffers, and the full-evaluation workspace (a routing Result
 // plus the floorplanner's LP workspace) used by every non-incremental
-// cost evaluation — the final exact evaluation of each Map call, the
-// reference sweep, and the LP-in-the-loop mode. Buffers are bound to a
-// topology per Map call and regrown as needed, so one Scratch serves an
-// entire library sweep. It is single-goroutine state: give each worker
-// its own (internal/engine pools them via internal/pool.Free).
+// cost evaluation — the final exact evaluation of each Map call and the
+// reference sweep. Buffers are bound to a topology per Map call and
+// regrown as needed, so one Scratch serves an entire library sweep. It is
+// single-goroutine state: give each worker its own (internal/engine pools
+// them via internal/pool.Free).
 type Scratch struct {
 	rt  *route.Router
 	inc incState
 	fp  *floorplan.Planner
 
-	// Greedy placement / sweep occupancy buffers.
+	// Greedy placement / sweep occupancy buffers: comm[i*n+j] is the
+	// bandwidth between cores i and j, vol[i] core i's total.
 	assign, occupant []int
 	greedyFree       []bool
+	comm, vol        []float64
 
 	// Full-evaluation scratch: the routing result every ev.cost call
 	// accumulates into (cloned before escaping) and the switch-area list
@@ -96,18 +112,33 @@ type Scratch struct {
 
 // workCounts are the incremental sweep's work counters. Every candidate
 // the reference sweep would evaluate lands in exactly one of the first
-// four. The counts depend only on the inputs, never on timing.
+// six. The counts depend only on the inputs, never on timing.
 type workCounts struct {
 	evaluated   int // candidates evaluated to the end
 	prunedEarly int // rejected by the bound before any routing
 	prunedMid   int // rejected by the bound part-way through routing
-	skipped     int // never evaluated: after convergence, or router-equivalent
+	converged   int // never visited: after convergence
+	routerEquiv int // skipped: both terminals on the same inject and eject routers
+	sameDesign  int // skipped: an equivalent move was rejected since the last accepted swap
 	rerouted    int // commodities routed rather than spliced
+	singlePath  int // commodities spliced past diverged links: their pair has one path
+	reference   int // candidates the reference sweep evaluated, which the first six partition
 }
 
 // NewScratch returns an empty Scratch; buffers grow on first use.
 func NewScratch() *Scratch {
 	return &Scratch{rt: route.NewRouter(), fp: floorplan.NewPlanner()}
+}
+
+// switchTerms are a design's per-candidate cost terms fixed before any
+// routing: the switch configs, the in-loop areas and, when the bound
+// reads power, each router's power per MB/s. They read only which
+// terminals are occupied.
+type switchTerms struct {
+	cfgs        []area.SwitchConfig
+	routerMW    []float64
+	networkArea float64
+	designArea  float64
 }
 
 // incState is the incremental candidate evaluator.
@@ -137,23 +168,46 @@ type incState struct {
 	// needHops and needPower say which of its terms the objective reads.
 	bounded, needHops, needPower bool
 
-	// Per-candidate terms fixed by the assignment before any routing:
-	// the switch configs, the in-loop areas and each router's power per
-	// MB/s.
-	cfgs        []area.SwitchConfig
-	networkArea float64
-	designArea  float64
-	routerMW    []float64
+	// Switch terms of the baseline and of the last candidate that moved a
+	// core onto a free terminal; sw points at the current candidate's.
+	// promote swaps the two when such a candidate is accepted.
+	swBase, swCand switchTerms
+	sw             *switchTerms
 
-	// Running bound state of the candidate being evaluated:
-	// hopSuffix[k] and powerSuffix[k] are the least hop sum and power
-	// commodities k.. can add (see lowerBound), maxLoad the largest link
-	// load routed so far and powerMW the power of the commodities routed
-	// so far.
-	hopSuffix   []float64
-	powerSuffix []float64
-	maxLoad     float64
-	powerMW     float64
+	// incStart and incid list the commodities incident to each core:
+	// those of core c are incid[incStart[c]:incStart[c+1]], ascending.
+	// moved is the same for the candidate's moved cores, merged.
+	incStart, incid, moved []int
+
+	// Bound state of the baseline, rebuilt by promote: hopTerm[k] and
+	// powTerm[k] are the least hop sum and switch power commodity k can
+	// add, hopSuf and powSuf their suffix sums (see lowerBound).
+	hopTerm, powTerm, hopSuf, powSuf []float64
+
+	// Running bound state of the candidate being evaluated. Its suffixes
+	// are the baseline's plus dHop[next] and dPow[next], where dHop[i]
+	// and dPow[i] sum the term deltas of moved[i:] and next indexes the
+	// first moved commodity not yet routed. After a move onto a free
+	// terminal the power suffix is powCand instead. maxLoad is the
+	// largest link load routed so far, powerMW the power of the
+	// commodities routed so far and overIDs the links loaded past
+	// capacity (deduplicated by overMark).
+	dHop, dPow []float64
+	powCand    []float64
+	powFresh   bool
+	next       int
+	maxLoad    float64
+	powerMW    float64
+	overMark   []int
+	overIDs    []int
+
+	// Same-design memo: termClass[t] is the lowest terminal with t's
+	// inject and eject routers, and memo[core*T+class] holds gen+1 once
+	// moving the core onto that class was rejected in acceptance
+	// generation gen.
+	termClass []int
+	memo      []int
+	gen       int
 
 	// Baseline: the routed structure of every commodity under the
 	// currently accepted assignment.
@@ -165,7 +219,7 @@ type incState struct {
 	reroutedIDs []int
 	dirtyMark   []int
 	dirtyIDs    []int
-	dirtyEpoch  int
+	epoch       int
 	scratchEval evalResult
 
 	// work sums the sweep's work over every Map call on this Scratch.
@@ -183,7 +237,7 @@ func sweepIncremental(ctx context.Context, ev *evaluator, assign, occupant []int
 	if err != nil {
 		return 0, err
 	}
-	st.promote()
+	st.promote(assign)
 	ev.norm = baseCost.raw // normalize weighted objectives by the seed mapping
 	curCost := ev.objective(baseCost)
 	topo := ev.topo
@@ -200,11 +254,13 @@ func sweepIncremental(ctx context.Context, ev *evaluator, assign, occupant []int
 			}
 			for b := a + 1; b < numT; b++ {
 				since++
+				memo := st.memoSlot(occupant, a, b)
 				switch {
 				case occupant[a] == -1 && occupant[b] == -1:
-				case !st.oblivious && topo.InjectRouter(a) == topo.InjectRouter(b) &&
-					topo.EjectRouter(a) == topo.EjectRouter(b):
-					st.work.skipped++
+				case !st.oblivious && st.termClass[a] == st.termClass[b]:
+					st.work.routerEquiv++
+				case memo >= 0 && st.memo[memo] == st.gen+1:
+					st.work.sameDesign++
 				default:
 					bound := math.Inf(1)
 					if st.bounded {
@@ -222,20 +278,37 @@ func sweepIncremental(ctx context.Context, ev *evaluator, assign, occupant []int
 							curCost = c
 							swaps++
 							since = 0
-							st.promote()
+							st.promote(assign)
 							continue
 						}
 					}
 					swapTerminals(assign, occupant, a, b) // undo
+					if memo >= 0 {
+						st.memo[memo] = st.gen + 1
+					}
 				}
 				if since == pairs {
-					st.work.skipped += candidatesAfter(occupant, a, b)
+					st.work.converged += candidatesAfter(occupant, a, b)
 					return swaps, nil
 				}
 			}
 		}
 	}
 	return swaps, nil
+}
+
+// memoSlot returns the same-design memo entry of moving the core on one
+// of terminals a and b onto the other, free one, or -1 when the pair is
+// not such a move or the routing function is DO.
+func (st *incState) memoSlot(occupant []int, a, b int) int {
+	x, to := occupant[a], b
+	if x == -1 {
+		x, to = occupant[b], a
+	}
+	if st.oblivious || x == -1 || occupant[to] != -1 {
+		return -1
+	}
+	return x*len(st.termClass) + st.termClass[to]
 }
 
 // candidatesAfter counts the candidates a pass visits after pair (a, b):
@@ -305,74 +378,131 @@ func (st *incState) bind(ev *evaluator, rt *route.Router) {
 		}
 	}
 
-	m := len(st.comms)
+	m, n := len(st.comms), ev.g.NumCores()
 	st.base = resizeRecs(st.base, m)
 	st.cand = resizeRecs(st.cand, m)
 	st.reroutedIDs = st.reroutedIDs[:0]
+	// Incidence lists: count per core, prefix-sum into end offsets, then
+	// fill each list back to front, which leaves incStart[c] at its start.
+	st.incStart = resizeInts(st.incStart, n+1)
+	for _, c := range st.comms {
+		st.incStart[c.Src]++
+		st.incStart[c.Dst]++
+	}
+	for c := 1; c <= n; c++ {
+		st.incStart[c] += st.incStart[c-1]
+	}
+	st.incid = resizeInts(st.incid, 2*m)
+	for k := m - 1; k >= 0; k-- {
+		c := st.comms[k]
+		st.incStart[c.Src]--
+		st.incid[st.incStart[c.Src]] = k
+		st.incStart[c.Dst]--
+		st.incid[st.incStart[c.Dst]] = k
+	}
+	st.moved = resizeInts(st.moved, m)[:0]
 
-	l, r := len(st.links), st.topo.NumRouters()
+	l, r, numT := len(st.links), st.topo.NumRouters(), st.topo.NumTerminals()
 	st.dirtyMark = resizeInts(st.dirtyMark, l)
 	st.dirtyIDs = st.dirtyIDs[:0]
-	st.dirtyEpoch = 0
-	if cap(st.cfgs) < r {
-		st.cfgs = make([]area.SwitchConfig, r)
+	st.overMark = resizeInts(st.overMark, l)
+	st.overIDs = st.overIDs[:0]
+	st.epoch = 0
+	for _, sw := range []*switchTerms{&st.swBase, &st.swCand} {
+		if cap(sw.cfgs) < r {
+			sw.cfgs = make([]area.SwitchConfig, r)
+		}
+		sw.cfgs = sw.cfgs[:r]
+		sw.routerMW = resizeFloats(sw.routerMW, r)
 	}
-	st.cfgs = st.cfgs[:r]
-	st.routerMW = resizeFloats(st.routerMW, r)
-	st.hopSuffix = resizeFloats(st.hopSuffix, m+1)
-	st.powerSuffix = resizeFloats(st.powerSuffix, m+1)
+	for _, buf := range []*[]float64{&st.hopTerm, &st.powTerm, &st.hopSuf, &st.powSuf, &st.dHop, &st.dPow, &st.powCand} {
+		*buf = resizeFloats(*buf, m+1)
+	}
+
+	st.termClass = resizeInts(st.termClass, numT)
+	for t := range st.termClass {
+		st.termClass[t] = t
+		for u := 0; u < t; u++ {
+			if st.topo.InjectRouter(u) == st.topo.InjectRouter(t) && st.topo.EjectRouter(u) == st.topo.EjectRouter(t) {
+				st.termClass[t] = u
+				break
+			}
+		}
+	}
+	st.memo = resizeInts(st.memo, n*numT)
+	st.gen = 0
 }
 
 // pruneSlack is the relative safety margin of the prune: a candidate is
 // abandoned only when its certified lower bound clears the current cost
 // by this margin. The bound and the objective sum the same non-negative
-// terms in different orders, so they can differ by float rounding; this
-// margin exceeds that by several orders of magnitude. The equivalence
-// suite (incremental vs reference, which never prunes) is the regression
-// gate on this reasoning.
+// terms in different orders, so they can differ by float rounding. The
+// candidate suffixes add to the baseline's a few term deltas of either
+// sign, and the tracked overload sums its links out of link order; each
+// error is a few ulps per term relative to the sum of the terms' absolute
+// values, which stays within a small multiple of the bound itself (every
+// path crosses at least one router, and switch power factors differ by
+// bounded ratios). With at most thousands of commodities that is below
+// 1e-12 relative, and this margin exceeds it by orders of magnitude. The
+// equivalence suite and FuzzSweepMatchesReference (incremental vs
+// reference, which never prunes) are the regression gate on this
+// reasoning.
 const pruneSlack = 1e-10
 
 // lowerBound returns a certified lower bound on the objective of every
 // completion of the candidate after commodity k-1. Each term of the
 // objective is bounded by what is known so far:
 //   - hops: the routed hop sum plus every remaining commodity's minimum
-//     hop count (hopSuffix);
+//     hop count (the baseline's hopSuf plus the moved commodities'
+//     deltas);
 //   - area: exact, since the in-loop area depends only on the
 //     assignment;
 //   - power: the power of the commodities routed so far, a partial sum of
 //     non-negative loads times fixed bit energies, plus every remaining
 //     commodity's flow through its inject and eject switches, which each
-//     of its paths crosses (powerSuffix);
+//     of its paths crosses (powSuf plus deltas, or powCand);
 //   - the load-balance tie-break and the overload penalty: link loads
 //     only grow at commodity boundaries, so the largest load so far and
-//     the overload of the current loads are below the final ones.
+//     the overload of the links already past capacity are below the
+//     final ones.
 //
 // score and penalized are monotone in each of these, so no completion can
-// score below the returned value. The full overload scan runs only once
-// some load has crossed the capacity; until then the penalty is exactly
-// 0.
+// score below the returned value.
 func (st *incState) lowerBound(res *route.Result, k int) float64 {
-	raw := rawMetrics{areaMM2: st.designArea}
+	raw := rawMetrics{areaMM2: st.sw.designArea}
 	if st.needHops {
-		raw.hops = (res.HopSumMBps + st.hopSuffix[k]) / st.totalMBps
+		raw.hops = (res.HopSumMBps + st.hopSuf[k] + st.dHop[st.next]) / st.totalMBps
 	}
 	if st.needPower {
-		raw.powerMW = st.powerMW + st.powerSuffix[k] + st.niMW
+		suffix := st.powSuf[k] + st.dPow[st.next]
+		if st.powFresh {
+			suffix = st.powCand[k]
+		}
+		raw.powerMW = st.powerMW + suffix + st.niMW
 	}
-	var loads []float64
-	if limit := st.ev.opts.CapacityMBps; limit > 0 && st.maxLoad > limit {
-		loads = res.LinkLoads
+	var overload float64
+	limit := st.ev.opts.CapacityMBps
+	for _, id := range st.overIDs {
+		if l := res.LinkLoads[id]; l > limit {
+			overload += (l - limit) / limit
+		}
 	}
-	return st.ev.penalized(st.ev.score(raw), st.maxLoad, st.totalMBps, loads)
+	return st.ev.penalized(st.ev.score(raw), st.maxLoad, st.totalMBps, overload)
 }
 
 // account folds commodity c's routing record, already applied to loads,
-// into the running bound state: the largest load on its links and, when
-// the objective reads power, its switch and link power.
+// into the running bound state: the largest load on its links, the links
+// it pushed past capacity and, when the objective reads power, its switch
+// and link power.
 func (st *incState) account(loads []float64, c graph.Commodity, rec *flowRec) {
+	limit := st.ev.opts.CapacityMBps
 	for i := 0; i < rec.n; i++ {
 		for _, id := range rec.arcs[i] {
 			st.maxLoad = max(st.maxLoad, loads[id])
+			if limit > 0 && loads[id] > limit && st.overMark[id] != st.epoch {
+				st.overMark[id] = st.epoch
+				st.overIDs = append(st.overIDs, id) //sunmap:alloc amortized overloaded-link scratch growth, reset per eval
+			}
 		}
 		if !st.needPower {
 			continue
@@ -382,13 +512,58 @@ func (st *incState) account(loads []float64, c graph.Commodity, rec *flowRec) {
 			mw += st.linkMW[id]
 		}
 		for _, r := range rec.verts[i] {
-			mw += st.routerMW[r]
+			mw += st.sw.routerMW[r]
 		}
 		frac := 1.0
 		if rec.split {
 			frac = rec.fracs[i]
 		}
 		st.powerMW += c.ValueMBps * frac * mw
+	}
+}
+
+// boundTerms returns commodity k's least hop sum and least switch power
+// under assign and the current switch terms (0 for a term the objective
+// does not read).
+func (st *incState) boundTerms(assign []int, k int) (hops, mw float64) {
+	c := st.comms[k]
+	srcT, dstT := assign[c.Src], assign[c.Dst]
+	if st.needHops {
+		hops = c.ValueMBps * float64(st.topo.MinHops(srcT, dstT))
+	}
+	if st.needPower {
+		src, dst := st.topo.InjectRouter(srcT), st.topo.EjectRouter(dstT)
+		mw = st.sw.routerMW[src]
+		if dst != src {
+			mw += st.sw.routerMW[dst]
+		}
+		mw *= c.ValueMBps
+	}
+	return hops, mw
+}
+
+// startBound sets up the running bound state of a candidate: the deltas
+// of its moved commodities' terms and, after a move onto a free terminal
+// (fresh switch terms), its own power suffix.
+func (st *incState) startBound(assign []int, fresh bool) {
+	st.maxLoad, st.powerMW = 0, 0
+	st.overIDs = st.overIDs[:0]
+	nm := len(st.moved)
+	st.dHop[nm], st.dPow[nm] = 0, 0
+	for i := nm - 1; i >= 0; i-- {
+		k := st.moved[i]
+		h, p := st.boundTerms(assign, k)
+		st.dHop[i] = st.dHop[i+1] + (h - st.hopTerm[k])
+		st.dPow[i] = st.dPow[i+1] + (p - st.powTerm[k])
+	}
+	st.powFresh = fresh && st.needPower
+	if st.powFresh {
+		m := len(st.comms)
+		st.powCand[m] = 0
+		for k := m - 1; k >= 0; k-- {
+			_, p := st.boundTerms(assign, k)
+			st.powCand[k] = st.powCand[k+1] + p
+		}
 	}
 }
 
@@ -401,78 +576,61 @@ func (st *incState) account(loads []float64, c graph.Commodity, rec *flowRec) {
 // if the objective is bounded), the evaluation is abandoned — pruned=true,
 // nil result — as soon as lowerBound shows the candidate cannot beat
 // bound. A pruned candidate is exactly one the reference sweep would have
-// evaluated and rejected.
+// evaluated and rejected. Pruning reads the baseline's bound state, so it
+// needs a promote after the first, all-commodity evaluation.
 //
 //sunmap:hotpath
 func (st *incState) eval(assign []int, ca, cb int, all bool, bound float64) (e *evalResult, pruned bool, err error) {
-	opts := st.ev.opts
-	t := opts.Tech
-	// The switch configs and the in-loop area depend only on the
-	// assignment: compute them before any routing.
-	area.SwitchConfigsInto(st.cfgs, st.topo, assign, t)
-	var swArea float64
-	for _, c := range st.cfgs {
-		swArea += area.SwitchAreaMM2(c, t)
+	st.epoch++
+	// The switch terms read only occupancy: a core-core swap keeps the
+	// baseline's, any other candidate computes its own before routing.
+	fresh := all || ca == -1 || cb == -1
+	st.sw = &st.swBase
+	if fresh {
+		st.sw = &st.swCand
+		st.setSwitchTerms(st.sw, assign)
 	}
-	st.networkArea = swArea + st.linkArea
-	st.designArea = st.coreArea + st.networkArea
+	st.setMoved(ca, cb)
+	st.next = 0
 
 	res := &st.res
 	res.Reset(len(st.links), st.topo.NumRouters())
-	prune := !math.IsInf(bound, 1)
+	prune := !all && !math.IsInf(bound, 1)
 	if prune {
-		st.maxLoad, st.powerMW = 0, 0
-		if st.needHops {
-			m := len(st.comms)
-			st.hopSuffix[m] = 0
-			for k := m - 1; k >= 0; k-- {
-				c := st.comms[k]
-				st.hopSuffix[k] = st.hopSuffix[k+1] +
-					c.ValueMBps*float64(st.topo.MinHops(assign[c.Src], assign[c.Dst]))
-			}
-		}
-		if st.needPower {
-			for r, c := range st.cfgs {
-				st.routerMW[r] = power.SwitchBitEnergyPJ(c, t) * power.MWPerMBpsPJ
-			}
-			m := len(st.comms)
-			st.powerSuffix[m] = 0
-			for k := m - 1; k >= 0; k-- {
-				c := st.comms[k]
-				src, dst := st.topo.InjectRouter(assign[c.Src]), st.topo.EjectRouter(assign[c.Dst])
-				mw := st.routerMW[src]
-				if dst != src {
-					mw += st.routerMW[dst]
-				}
-				st.powerSuffix[k] = st.powerSuffix[k+1] + c.ValueMBps*mw
-			}
-		}
+		st.startBound(assign, fresh)
 		if st.lowerBound(res, 0)*(1-pruneSlack) >= bound {
 			st.work.prunedEarly++
 			return nil, true, nil
 		}
 	}
-	st.dirtyEpoch++
 	st.dirtyIDs = st.dirtyIDs[:0]
 	st.reroutedIDs = st.reroutedIDs[:0]
 
 	for k := range st.comms {
 		c := st.comms[k]
-		reroute := all || c.Src == ca || c.Dst == ca || c.Src == cb || c.Dst == cb
+		reroute := all
+		if st.next < len(st.moved) && st.moved[st.next] == k {
+			reroute = true
+			st.next++
+		}
 		if !reroute && len(st.dirtyIDs) > 0 {
 			// Re-route when a diverged link is one this commodity's
 			// search could read a weight from; links outside that region
 			// cannot influence the (deterministic) search, so the cached
 			// record is provably what a fresh run would produce.
+			srcT, dstT := assign[c.Src], assign[c.Dst]
 			switch {
 			case st.oblivious:
 				// DO paths read no loads at all.
-			case st.loadSensitive:
-				reroute = st.dirtyVisible(st.rt.Quadrant(assign[c.Src], assign[c.Dst]))
-			case st.splitMin:
-				reroute = st.dirtyOnDAG(st.rt.MinHopDAG(assign[c.Src], assign[c.Dst]))
 			case st.splitAll:
 				reroute = true
+			case st.rt.SinglePath(srcT, dstT):
+				// MP and SM search only the pair's single path.
+				st.work.singlePath++
+			case st.loadSensitive:
+				reroute = st.dirtyVisible(st.rt.Quadrant(srcT, dstT))
+			case st.splitMin:
+				reroute = st.dirtyOnDAG(st.rt.MinHopDAG(srcT, dstT))
 			}
 		}
 		rec := &st.base[k]
@@ -502,9 +660,51 @@ func (st *incState) eval(assign []int, ca, cb int, all bool, bound float64) (e *
 			}
 		}
 	}
-	route.FinalizeLoads(res, opts.CapacityMBps)
+	route.FinalizeLoads(res, st.ev.opts.CapacityMBps)
 	e, err = st.buildEval()
 	return e, false, err
+}
+
+// setSwitchTerms computes the switch terms of assign into sw.
+func (st *incState) setSwitchTerms(sw *switchTerms, assign []int) {
+	t := st.ev.opts.Tech
+	area.SwitchConfigsInto(sw.cfgs, st.topo, assign, t)
+	var swArea float64
+	for _, c := range sw.cfgs {
+		swArea += area.SwitchAreaMM2(c, t)
+	}
+	sw.networkArea = swArea + st.linkArea
+	sw.designArea = st.coreArea + sw.networkArea
+	if st.bounded && st.needPower {
+		for r, c := range sw.cfgs {
+			sw.routerMW[r] = power.SwitchBitEnergyPJ(c, t) * power.MWPerMBpsPJ
+		}
+	}
+}
+
+// setMoved lists in moved the commodities incident to cores ca and cb
+// (-1 for none), ascending and without repeats.
+func (st *incState) setMoved(ca, cb int) {
+	st.moved = st.moved[:0]
+	var a, b []int
+	if ca >= 0 {
+		a = st.incid[st.incStart[ca]:st.incStart[ca+1]]
+	}
+	if cb >= 0 {
+		b = st.incid[st.incStart[cb]:st.incStart[cb+1]]
+	}
+	for len(a) > 0 || len(b) > 0 {
+		var k int
+		switch {
+		case len(b) == 0 || len(a) > 0 && a[0] < b[0]:
+			k, a = a[0], a[1:]
+		case len(a) == 0 || b[0] < a[0]:
+			k, b = b[0], b[1:]
+		default: // a commodity between ca and cb
+			k, a, b = a[0], a[1:], b[1:]
+		}
+		st.moved = append(st.moved, k) //sunmap:alloc never grows: capacity is the commodity count, sized in bind
+	}
 }
 
 // reroute routes commodity c under assign into res and records its
@@ -555,11 +755,29 @@ func (st *incState) rerouteSplit(res *route.Result, srcT, dstT int, c graph.Comm
 	return nil
 }
 
-// promote adopts the records of the just-evaluated (accepted) candidate
-// as the new baseline by swapping buffers — no copies.
-func (st *incState) promote() {
+// promote adopts the just-evaluated (accepted) candidate as the new
+// baseline: its records by swapping buffers — no copies — its switch
+// terms the same way, and, when the objective is bounded, the bound terms
+// and suffixes of assign.
+func (st *incState) promote(assign []int) {
 	for _, k := range st.reroutedIDs {
 		st.base[k], st.cand[k] = st.cand[k], st.base[k]
+	}
+	if st.sw == &st.swCand {
+		st.swBase, st.swCand = st.swCand, st.swBase
+		st.sw = &st.swBase
+	}
+	st.gen++
+	if !st.bounded {
+		return
+	}
+	m := len(st.comms)
+	st.hopSuf[m], st.powSuf[m] = 0, 0
+	for k := m - 1; k >= 0; k-- {
+		h, p := st.boundTerms(assign, k)
+		st.hopTerm[k], st.powTerm[k] = h, p
+		st.hopSuf[k] = st.hopSuf[k+1] + h
+		st.powSuf[k] = st.powSuf[k+1] + p
 	}
 }
 
@@ -642,8 +860,8 @@ func (st *incState) dirtyOnDAG(dag []bool) bool {
 func (st *incState) markRecDirty(rec *flowRec) {
 	for i := 0; i < rec.n; i++ {
 		for _, id := range rec.arcs[i] {
-			if st.dirtyMark[id] != st.dirtyEpoch {
-				st.dirtyMark[id] = st.dirtyEpoch
+			if st.dirtyMark[id] != st.epoch {
+				st.dirtyMark[id] = st.epoch
 				st.dirtyIDs = append(st.dirtyIDs, id) //sunmap:alloc amortized dirty-ID scratch growth, reset per eval epoch
 			}
 		}
@@ -651,12 +869,13 @@ func (st *incState) markRecDirty(rec *flowRec) {
 }
 
 // buildEval replays the in-loop cost model over the candidate loads: the
-// switch configs and areas eval computed, and the same power fold as
+// candidate's switch configs and areas, and the same power fold as
 // ev.cost runs, over the same element order, with the per-Map constants
 // substituted for the assignment-independent terms. The result is
 // bitwise equal to ev.cost(assign, nil)'s metrics.
 func (st *incState) buildEval() (*evalResult, error) {
-	bk, err := power.NetworkPowerBreakdown(st.cfgs, st.res.RouterLoads, st.res.LinkLoads, st.linkLens, st.ev.opts.Tech)
+	sw := st.sw
+	bk, err := power.NetworkPowerBreakdown(sw.cfgs, st.res.RouterLoads, st.res.LinkLoads, st.linkLens, st.ev.opts.Tech)
 	if err != nil {
 		return nil, err
 	}
@@ -665,14 +884,14 @@ func (st *incState) buildEval() (*evalResult, error) {
 	e := &st.scratchEval
 	*e = evalResult{
 		route:       &st.res,
-		cfgs:        st.cfgs,
-		designArea:  st.designArea,
-		networkArea: st.networkArea,
+		cfgs:        sw.cfgs,
+		designArea:  sw.designArea,
+		networkArea: sw.networkArea,
 		powerMW:     bk.TotalMW(),
 		powerBk:     bk,
 		raw: rawMetrics{
 			hops:    st.res.AvgHops(),
-			areaMM2: st.designArea,
+			areaMM2: sw.designArea,
 			powerMW: bk.TotalMW(),
 		},
 	}

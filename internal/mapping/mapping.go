@@ -80,11 +80,6 @@ type Options struct {
 	// SwapPasses caps improvement passes. 0 means iterate to convergence
 	// (capped internally); 1 reproduces the paper's single sweep.
 	SwapPasses int
-	// ExactFloorplanInLoop runs the LP floorplanner inside every swap
-	// evaluation (the paper's step 7). Off by default: the fast length
-	// estimator is used in-loop and the LP runs once on the final
-	// mapping, which changes results negligibly and is ~100x faster.
-	ExactFloorplanInLoop bool
 	// Floorplan tunes the floorplanner.
 	Floorplan floorplan.Options
 	// Chunks is the traffic-splitting granularity for SM/SA.
@@ -215,11 +210,11 @@ func mapContext(ctx context.Context, g *graph.CoreGraph, topo topology.Topology,
 	// The incremental sweep re-routes only the commodities a swap can
 	// affect and recomputes the cost model from maintained load arrays;
 	// it produces bit-identical decisions to the reference sweep (see
-	// incremental.go for why). The paper-faithful LP-in-the-loop mode
-	// stays on the reference evaluator, which runs the floorplanner.
+	// incremental.go for why). Both estimate link lengths in the loop; the
+	// LP floorplanner runs once, on the final mapping.
 	var swaps int
 	var err error
-	if reference || opts.ExactFloorplanInLoop {
+	if reference {
 		swaps, err = sweepReference(ctx, ev, assign, occupant)
 	} else {
 		swaps, err = sweepIncremental(ctx, ev, assign, occupant, sc)
@@ -260,8 +255,8 @@ func mapContext(ctx context.Context, g *graph.CoreGraph, topo topology.Topology,
 // sweepReference is the retained naive swap search: every candidate is
 // evaluated by re-routing all commodities from scratch and re-running the
 // full cost model (ev.cost). It is the semantic definition the incremental
-// sweep must reproduce exactly, the evaluator for the paper-faithful
-// LP-in-the-loop mode, and the baseline side of the equivalence tests.
+// sweep must reproduce exactly and the baseline side of the equivalence
+// tests.
 func sweepReference(ctx context.Context, ev *evaluator, assign, occupant []int) (int, error) {
 	baseCost, err := ev.cost(assign, nil)
 	if err != nil {
@@ -282,6 +277,7 @@ func sweepReference(ctx context.Context, ev *evaluator, assign, occupant []int) 
 					continue
 				}
 				swapTerminals(assign, occupant, a, b)
+				ev.sc.inc.work.reference++
 				cand, err := ev.cost(assign, nil)
 				if err != nil {
 					return 0, err
@@ -332,10 +328,28 @@ func greedyInitial(g *graph.CoreGraph, topo topology.Topology, sc *Scratch) []in
 		free[t] = true
 	}
 
+	// comm and vol replace the graph's O(edges) CommBetween and
+	// CommVolume: each entry sums the same edges in the same (edge) order,
+	// so it is bitwise their value.
+	sc.comm = resizeFloats(sc.comm, n*n)
+	sc.vol = resizeFloats(sc.vol, n)
+	comm, vol := sc.comm, sc.vol
+	clear(comm)
+	clear(vol)
+	for k := 0; k < g.NumEdges(); k++ {
+		e := g.Edge(k)
+		comm[e.From*n+e.To] += e.BandwidthMBps
+		vol[e.From] += e.BandwidthMBps
+		if e.To != e.From {
+			comm[e.To*n+e.From] += e.BandwidthMBps
+			vol[e.To] += e.BandwidthMBps
+		}
+	}
+
 	// Seed core: maximum communication volume.
 	seed := 0
 	for i := 1; i < n; i++ {
-		if g.CommVolume(i) > g.CommVolume(seed) {
+		if vol[i] > vol[seed] {
 			seed = i
 		}
 	}
@@ -362,12 +376,12 @@ func greedyInitial(g *graph.CoreGraph, topo topology.Topology, sc *Scratch) []in
 			var c float64
 			for j := 0; j < n; j++ {
 				if assign[j] != -1 {
-					c += g.CommBetween(i, j)
+					c += comm[i*n+j]
 				}
 			}
 			// Ties (including zero communication) break toward the core
 			// with the larger total volume, then the lower index.
-			if c > nextComm || (c == nextComm && next != -1 && g.CommVolume(i) > g.CommVolume(next)) {
+			if c > nextComm || (c == nextComm && next != -1 && vol[i] > vol[next]) {
 				next = i
 				nextComm = c
 			}
@@ -383,7 +397,7 @@ func greedyInitial(g *graph.CoreGraph, topo topology.Topology, sc *Scratch) []in
 				if assign[j] == -1 {
 					continue
 				}
-				bw := g.CommBetween(next, j)
+				bw := comm[next*n+j]
 				if bw == 0 {
 					continue
 				}
@@ -460,8 +474,7 @@ func (ev *evaluator) cost(assign []int, exact *exactMode) (*evalResult, error) {
 	var err error
 	var linkLens []float64
 	var fp *floorplan.Result
-	useExact := exact != nil || ev.opts.ExactFloorplanInLoop
-	if useExact {
+	if exact != nil {
 		sc.swAreas = resizeFloats(sc.swAreas, len(cfgs))
 		for i, c := range cfgs {
 			sc.swAreas[i] = area.SwitchAreaMM2(c, t)
@@ -514,16 +527,9 @@ func (ev *evaluator) cost(assign []int, exact *exactMode) (*evalResult, error) {
 func (ev *evaluator) niHookupMW(cores []graph.Core) float64 {
 	t := ev.opts.Tech
 	hookupMM := 0.5 * floorplan.EstimatePitchMM(cores, ev.opts.Floorplan)
-	edges := ev.g.Edges()
 	var niMW float64
 	for i := range cores {
-		io := 0.0
-		for _, e := range edges {
-			if e.From == i || e.To == i {
-				io += e.BandwidthMBps
-			}
-		}
-		niMW += io * power.LinkBitEnergyPJ(hookupMM, t) * power.MWPerMBpsPJ
+		niMW += ev.g.CommVolume(i) * power.LinkBitEnergyPJ(hookupMM, t) * power.MWPerMBpsPJ
 	}
 	return niMW
 }
@@ -532,7 +538,23 @@ func (ev *evaluator) niHookupMW(cores []graph.Core) float64 {
 // penalty when the bandwidth constraint is violated so the swap search is
 // pulled toward feasibility.
 func (ev *evaluator) objective(e *evalResult) float64 {
-	return ev.penalized(ev.score(e.raw), e.route.MaxLinkLoad, e.route.TotalMBps, e.route.LinkLoads)
+	return ev.penalized(ev.score(e.raw), e.route.MaxLinkLoad, e.route.TotalMBps, ev.overload(e.route.LinkLoads))
+}
+
+// overload is the total relative overload across all links, summed in
+// link order (0 when capacity is unconstrained).
+func (ev *evaluator) overload(loads []float64) float64 {
+	limit := ev.opts.CapacityMBps
+	if limit <= 0 {
+		return 0
+	}
+	var overload float64
+	for _, l := range loads {
+		if l > limit {
+			overload += (l - limit) / limit
+		}
+	}
+	return overload
 }
 
 // score is the objective's primary term. With non-negative weights it is
@@ -563,9 +585,12 @@ func (ev *evaluator) score(raw rawMetrics) float64 {
 }
 
 // penalized adds the load-balance tie-break and the bandwidth-violation
-// penalty to a non-negative primary term. It is non-decreasing in base,
-// maxLoad and every entry of loads.
-func (ev *evaluator) penalized(base, maxLoad, totalMBps float64, loads []float64) float64 {
+// penalty to a non-negative primary term. overload is the total relative
+// overload (Σ (load-capacity)/capacity over the links past capacity):
+// objective passes the full link-order scan, the incremental sweep's
+// bound a partial sum over the links it saw cross the capacity. The
+// result is non-decreasing in base, maxLoad and overload.
+func (ev *evaluator) penalized(base, maxLoad, totalMBps, overload float64) float64 {
 	// Load-balance tie-break: a term far below any real metric difference
 	// that steers the search toward spreading traffic when the primary
 	// objective is flat (butterflies and Clos networks have constant hop
@@ -577,16 +602,8 @@ func (ev *evaluator) penalized(base, maxLoad, totalMBps float64, loads []float64
 	// across all links (smoother than penalizing the max alone, so the
 	// search can trade one overloaded link for a smaller one and still
 	// see progress toward feasibility).
-	if limit := ev.opts.CapacityMBps; limit > 0 {
-		var overload float64
-		for _, l := range loads {
-			if l > limit {
-				overload += (l - limit) / limit
-			}
-		}
-		if overload > 0 {
-			base *= 1 + 10*overload
-		}
+	if overload > 0 {
+		base *= 1 + 10*overload
 	}
 	return base
 }

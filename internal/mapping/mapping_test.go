@@ -242,28 +242,6 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
-func TestExactFloorplanInLoopMatchesShape(t *testing.T) {
-	// Paper-faithful mode (LP in the loop) must produce a valid mapping
-	// with metrics close to fast mode on a small instance.
-	g := apps.DSPFilter()
-	topo := mustTopo(topology.NewMesh(2, 3))
-	fast, err := Map(g, topo, Options{Routing: route.MinPath, Objective: MinDelay, CapacityMBps: 1000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	exact, err := Map(g, topo, Options{
-		Routing: route.MinPath, Objective: MinDelay, CapacityMBps: 1000,
-		ExactFloorplanInLoop: true, SwapPasses: 2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkValidMapping(t, exact, 6)
-	if ratio := exact.AvgHops / fast.AvgHops; ratio < 0.7 || ratio > 1.4 {
-		t.Errorf("exact/fast hops ratio = %g", ratio)
-	}
-}
-
 func TestGreedyInitialValidProperty(t *testing.T) {
 	// Property: greedy initial mapping is a valid injection for random
 	// synthetic apps on random topologies.

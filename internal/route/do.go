@@ -41,15 +41,13 @@ func (rt *Router) routeDO(srcT, dstT int, c graph.Commodity, res *Result, collec
 func (rt *Router) PathDO(srcT, dstT int, c graph.Commodity) (verts, arcs []int, err error) {
 	topo := rt.topo
 	src, dst := topo.InjectRouter(srcT), topo.EjectRouter(dstT)
-	switch tt := topo.(type) {
-	case topology.GridLike:
-		rows, cols := tt.GridDims()
-		verts = rt.gridDOPath(src, dst, rows, cols, topo.Kind() == topology.Torus)
-	case topology.CubeLike:
-		verts = rt.cubeDOPath(src, dst, tt.Dim())
-	case topology.ClosLike:
-		m, _, r := tt.Params()
-		mid := r + (srcT+dstT)%m
+	switch d := &rt.do; d.kind {
+	case doGrid:
+		verts = rt.gridDOPath(src, dst, d.rows, d.cols, d.wrap)
+	case doCube:
+		verts = rt.cubeDOPath(src, dst, d.dim)
+	case doClos:
+		mid := d.r + (srcT+dstT)%d.m
 		rt.verts = append(rt.verts[:0], src, mid, dst)
 		verts = rt.verts
 	default:
@@ -74,6 +72,39 @@ func (rt *Router) PathDO(srcT, dstT int, c graph.Commodity) (verts, arcs []int, 
 		return nil, nil, fmt.Errorf("route: DO commodity %d on %s: %w", c.ID, topo.Name(), err) //sunmap:alloc error path
 	}
 	return verts, arcs, nil
+}
+
+// doShape is what PathDO reads of the bound topology's concrete type.
+// Bind resolves it once: a type switch on interface types may allocate a
+// runtime cache entry, at random, on any of its first thousand-odd calls,
+// which a hot path must not.
+type doShape struct {
+	kind       int // doMinHop, doGrid, doCube or doClos
+	rows, cols int
+	wrap       bool // torus
+	dim        int
+	m, r       int // Clos middles and edge switches
+}
+
+const (
+	doMinHop = iota
+	doGrid
+	doCube
+	doClos
+)
+
+func doShapeOf(topo topology.Topology) doShape {
+	switch tt := topo.(type) {
+	case topology.GridLike:
+		rows, cols := tt.GridDims()
+		return doShape{kind: doGrid, rows: rows, cols: cols, wrap: topo.Kind() == topology.Torus}
+	case topology.CubeLike:
+		return doShape{kind: doCube, dim: tt.Dim()}
+	case topology.ClosLike:
+		m, _, r := tt.Params()
+		return doShape{kind: doClos, m: m, r: r}
+	}
+	return doShape{kind: doMinHop}
 }
 
 // gridDOPath walks column-first then row-first from src to dst on a

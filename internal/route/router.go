@@ -51,13 +51,17 @@ type Router struct {
 	// the mapper's delta evaluator replays for spliced commodities.
 	chunkAcc []int
 
-	// Quadrant-mask and min-hop-DAG caches for the bound topology,
-	// indexed src*T+dst. Entries are computed lazily and shared read-only
-	// with the solver; both depend only on the terminal pair, never on
-	// loads.
-	topo  topology.Topology
-	quads [][]bool
-	dags  [][]bool
+	// Quadrant-mask, min-hop-DAG and single-path caches for the bound
+	// topology, indexed src*T+dst. Entries are computed lazily and shared
+	// read-only with the solver; all depend only on the terminal pair,
+	// never on loads. single holds 0 (not computed), 1 (no) or 2 (yes).
+	topo   topology.Topology
+	quads  [][]bool
+	dags   [][]bool
+	single []uint8
+
+	// do is the bound topology's dimension-ordered routing shape.
+	do doShape
 
 	// BFS scratch for filling a min-hop-DAG cache entry.
 	hopDist, hopQueue []int
@@ -69,23 +73,28 @@ func NewRouter() *Router {
 	return &Router{sp: graph.NewSPSolver()}
 }
 
-// Bind points the Router's quadrant cache at topo, clearing it when the
-// topology changes. Routing entry points call it implicitly.
+// Bind points the Router's quadrant cache and DO shape at topo, clearing
+// the cache when the topology changes. Routing entry points call it
+// implicitly.
 func (rt *Router) Bind(topo topology.Topology) {
 	if rt.topo == topo {
 		return
 	}
 	rt.topo = topo
+	rt.do = doShapeOf(topo)
 	n := topo.NumTerminals() * topo.NumTerminals()
 	if cap(rt.quads) < n {
 		rt.quads = make([][]bool, n) //sunmap:alloc first-bind growth, recycled across topologies
 		rt.dags = make([][]bool, n)  //sunmap:alloc first-bind growth, recycled across topologies
+		rt.single = make([]uint8, n) //sunmap:alloc first-bind growth, recycled across topologies
 	}
 	rt.quads = rt.quads[:n]
 	rt.dags = rt.dags[:n]
+	rt.single = rt.single[:n]
 	for i := range rt.quads {
 		rt.quads[i] = nil
 		rt.dags[i] = nil
+		rt.single[i] = 0
 	}
 }
 
@@ -118,6 +127,48 @@ func (rt *Router) MinHopDAG(srcT, dstT int) []bool {
 		rt.dags[i] = dense
 	}
 	return rt.dags[i]
+}
+
+// SinglePath reports whether the terminal pair's quadrant holds exactly
+// one simple inject-to-eject path, computing the flag on first use. Then
+// every quadrant-restricted search returns that path whatever the loads:
+// MP's search and each of SM's chunk searches on the min-hop DAG. SA
+// searches the whole graph, so the flag says nothing about SA routes.
+//
+// The flag is set when inject and eject are one router, or when the
+// quadrant holds exactly MinHops routers. A quadrant path has at least
+// MinHops routers, so each one visits every quadrant router; an arc that
+// skipped ahead along a minimum path would make a shorter one, so each
+// visits them in the same order. No topology has parallel links, so that
+// order fixes the arcs too. Every butterfly pair, mesh pairs sharing a
+// row or column, hypercube neighbours and the star qualify.
+func (rt *Router) SinglePath(srcT, dstT int) bool {
+	i := srcT*rt.topo.NumTerminals() + dstT
+	if rt.single[i] == 0 {
+		rt.single[i] = 1
+		if rt.singlePath(srcT, dstT) {
+			rt.single[i] = 2
+		}
+	}
+	return rt.single[i] == 2
+}
+
+func (rt *Router) singlePath(srcT, dstT int) bool {
+	hops := rt.topo.MinHops(srcT, dstT)
+	if hops < 2 {
+		return hops == 1
+	}
+	mask := rt.Quadrant(srcT, dstT)
+	if mask == nil {
+		return rt.topo.NumRouters() == hops
+	}
+	routers := 0
+	for _, in := range mask {
+		if in {
+			routers++
+		}
+	}
+	return routers == hops
 }
 
 // PathMP computes the congestion-aware shortest path of commodity c from
