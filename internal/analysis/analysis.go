@@ -5,8 +5,8 @@
 //
 // The engine's performance story rests on invariants the compiler cannot
 // see — byte-identical reports at every parallelism, allocation-free hot
-// loops, the two-level limiter discipline (blocking Acquire only at
-// candidate admission) — and PRs 4–7 enforced them only with runtime
+// loops, the limiter's one admission rule (slots taken only inside
+// internal/engine) — and PRs 4–7 enforced them only with runtime
 // tests and convention. The analyzers under this package (see the
 // sibling directories limiterdiscipline, detorder, hotpath,
 // ctxdiscipline and wrapsentinel, and the cmd/sunmap-lint multichecker)

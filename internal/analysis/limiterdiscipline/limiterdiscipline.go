@@ -1,39 +1,43 @@
-// Package limiterdiscipline enforces the two-level limiter discipline
-// of PR 6: the session-wide pool.Limiter admits whole candidates with a
-// blocking Acquire exactly once, at the admission layer, and everything
-// nested underneath may only take slots opportunistically (TryAcquire or
-// the pool.PollAcquire helper). A blocking Acquire from nested code can
-// deadlock a fully subscribed limiter — the holder waits on work that is
-// itself waiting for the holder's slot.
+// Package limiterdiscipline enforces the session limiter's one
+// admission rule: only internal/engine takes pool.Limiter slots. Its Fan
+// reads off the context whether the caller already holds a slot — then
+// nested workers borrow idle slots with engine.PollAcquire — or not —
+// then every worker queues with the blocking Acquire. A slot taken
+// anywhere else bypasses that rule: a blocking Acquire from code that
+// already holds a slot can deadlock a fully subscribed limiter, and a
+// hand-rolled fan-out that works without a slot hides its load from the
+// admission controller.
 package limiterdiscipline
 
 import (
 	"go/ast"
 	"go/types"
-	"strings"
 
 	"sunmap/internal/analysis"
 )
 
-// acquireFullName is the one blocking primitive the discipline governs.
-const acquireFullName = "(*sunmap/internal/pool.Limiter).Acquire"
+// governed lists the slot-taking functions the discipline confines to
+// the allowlist.
+var governed = map[string]bool{
+	"(*sunmap/internal/pool.Limiter).Acquire":    true,
+	"(*sunmap/internal/pool.Limiter).TryAcquire": true,
+	"sunmap/internal/engine.PollAcquire":         true,
+}
 
-// Allowed is the admission-layer allowlist: the only packages in which a
-// blocking pool.Limiter.Acquire is legal. internal/engine is the
-// admission layer — Evaluate and Fan take one slot per whole candidate
-// before any nested work fans out.
+// Allowed is the admission-layer allowlist: the only packages in which
+// a limiter slot may be taken. internal/engine is the admission layer —
+// Evaluate and Fan.
 var Allowed = map[string]bool{
 	"sunmap/internal/engine": true,
 }
 
-// Analyzer flags blocking pool.Limiter.Acquire calls outside the
-// admission layer.
+// Analyzer flags limiter slot acquisitions outside the admission layer.
 var Analyzer = &analysis.Analyzer{
 	Name: "limiterdiscipline",
-	Doc: "flag blocking pool.Limiter.Acquire outside the admission layer\n\n" +
-		"Only internal/engine (candidate admission) may block on the session\n" +
-		"limiter; nested layers must use TryAcquire or pool.PollAcquire so a\n" +
-		"fully subscribed limiter can never deadlock on nested acquisition.",
+	Doc: "flag limiter slot acquisitions outside the admission layer\n\n" +
+		"Only internal/engine may call pool.Limiter.Acquire, TryAcquire or\n" +
+		"engine.PollAcquire; everything else fans its work through\n" +
+		"engine.Fan, which applies the one admission rule.",
 	Run: run,
 }
 
@@ -52,32 +56,14 @@ func run(pass *analysis.Pass) error {
 				return true
 			}
 			obj, ok := pass.TypesInfo.Uses[sel.Sel].(*types.Func)
-			if !ok || obj.FullName() != acquireFullName {
+			if !ok || !governed[obj.FullName()] {
 				return true
 			}
 			pass.Reportf(call.Pos(),
-				"blocking pool.Limiter.Acquire outside the admission layer (%s): nested code must use TryAcquire or pool.PollAcquire",
-				allowedList())
+				"limiter slot taken by %s outside the admission layer (internal/engine): fan the work through engine.Fan",
+				sel.Sel.Name)
 			return true
 		})
 	}
 	return nil
-}
-
-// allowedList renders the allowlist for the diagnostic message.
-func allowedList() string {
-	names := make([]string, 0, len(Allowed))
-	for p := range Allowed {
-		names = append(names, p)
-	}
-	if len(names) == 1 {
-		return names[0]
-	}
-	// Deterministic order for multi-entry lists.
-	for i := 1; i < len(names); i++ {
-		for j := i; j > 0 && names[j] < names[j-1]; j-- {
-			names[j], names[j-1] = names[j-1], names[j]
-		}
-	}
-	return strings.Join(names, ", ")
 }

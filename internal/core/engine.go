@@ -291,12 +291,12 @@ func SelectContext(ctx context.Context, cfg Config) (*Selection, error) {
 // applyReliability is the fault-aware half of Phase 2: sweep every
 // feasible candidate's failure scenarios (degraded-mode rerouting under
 // the selection's routing function) and re-pick Best by the composite
-// cost/bestCost + w·(1 − survivability) score. Sweeps fan out on the
-// engine pool — one Limit slot per candidate — and each candidate's
-// scenario loop additionally fans across the session's intra-candidate
-// budget, its extra workers borrowing idle limiter slots by TryAcquire.
-// Outcomes are index-addressed and folded sequentially, so results stay
-// byte-identical at every parallelism setting.
+// cost/bestCost + w·(1 − survivability) score. Sweeps fan out through
+// engine.Fan, one candidate per unit, and each candidate's scenario
+// sweep is a Fan nested in its unit's slot, whose extra workers borrow
+// idle limiter slots. Outcomes are index-addressed and folded
+// sequentially, so results stay byte-identical at every parallelism
+// setting.
 func applyReliability(ctx context.Context, cfg Config, sel *Selection, eo engine.Options) error {
 	opts := cfg.Mapping
 	opts.Routing = sel.RoutingUsed
@@ -308,16 +308,15 @@ func applyReliability(ctx context.Context, cfg Config, sel *Selection, eo engine
 			idxs = append(idxs, i)
 		}
 	}
-	intra := eo.IntraParallelism()
 	sweepers := pool.NewFree(fault.NewSweeper)
-	err := engine.Fan(ctx, len(idxs), eo, func(j int) error {
+	err := engine.Fan(ctx, len(idxs), eo, func(ctx context.Context, j int) error {
 		c := &sel.Candidates[idxs[j]]
 		scenarios, exhaustive, err := fault.Scenarios(c.Result.Topology, *cfg.Fault)
 		if err != nil {
 			return fmt.Errorf("core: reliability of %s: %w", c.Result.Topology.Name(), err)
 		}
 		sw := sweepers.Get()
-		rep, err := sw.SweepContext(ctx, c.Result.Topology, c.Result.Assign, comms, ropts, scenarios, exhaustive, intra, eo.Limit)
+		rep, err := sw.SweepContext(ctx, c.Result.Topology, c.Result.Assign, comms, ropts, scenarios, exhaustive, eo.Parallelism, eo.Limit)
 		sweepers.Put(sw)
 		if err != nil {
 			return fmt.Errorf("core: reliability of %s: %w", c.Result.Topology.Name(), err)

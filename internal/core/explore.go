@@ -189,11 +189,10 @@ func ParetoExploreFault(ctx context.Context, app *graph.CoreGraph, topo topology
 		if err != nil {
 			return nil, fmt.Errorf("core: pareto reliability: %w", err)
 		}
-		intra := xo.IntraParallelism()
 		sweepers := pool.NewFree(fault.NewSweeper)
-		err = engine.Fan(ctx, len(cands), xo, func(i int) error {
+		err = engine.Fan(ctx, len(cands), xo, func(ctx context.Context, i int) error {
 			sw := sweepers.Get()
-			rep, err := sw.SweepContext(ctx, topo, cands[i].res.Assign, comms, ropts, scenarios, exhaustive, intra, xo.Limit)
+			rep, err := sw.SweepContext(ctx, topo, cands[i].res.Assign, comms, ropts, scenarios, exhaustive, xo.Parallelism, xo.Limit)
 			sweepers.Put(sw)
 			if err != nil {
 				return fmt.Errorf("core: pareto reliability: %w", err)
@@ -210,11 +209,7 @@ func ParetoExploreFault(ctx context.Context, app *graph.CoreGraph, topo topology
 	for i, c := range cands {
 		pts[i] = c.pt
 	}
-	if fm != nil {
-		markParetoReliability(pts)
-	} else {
-		markPareto(pts)
-	}
+	markPareto(pts)
 	return pts, nil
 }
 
@@ -239,11 +234,13 @@ func maxAbs(a, b float64) float64 {
 	return b
 }
 
-// markParetoReliability flags the non-dominated points in the
+// markPareto flags the non-dominated points in the
 // (area, power, survivability) space: j dominates i when it is no worse
 // on all three axes (lower-or-equal area and power, higher-or-equal
-// survivability) and strictly better on at least one.
-func markParetoReliability(pts []ParetoPoint) {
+// survivability) and strictly better on at least one. Without a fault
+// model every survivability is 0, and this is dominance in the
+// (area, power) plane.
+func markPareto(pts []ParetoPoint) {
 	const tol = 1e-9
 	for i := range pts {
 		dominated := false
@@ -255,25 +252,6 @@ func markParetoReliability(pts []ParetoPoint) {
 				pts[j].Survivability >= pts[i].Survivability-tol &&
 				(pts[j].AreaMM2 < pts[i].AreaMM2-tol || pts[j].PowerMW < pts[i].PowerMW-tol ||
 					pts[j].Survivability > pts[i].Survivability+tol) {
-				dominated = true
-				break
-			}
-		}
-		pts[i].Dominant = !dominated
-	}
-}
-
-// markPareto flags the non-dominated points in the (area, power) plane.
-func markPareto(pts []ParetoPoint) {
-	const tol = 1e-9
-	for i := range pts {
-		dominated := false
-		for j := range pts {
-			if i == j {
-				continue
-			}
-			if pts[j].AreaMM2 <= pts[i].AreaMM2+tol && pts[j].PowerMW <= pts[i].PowerMW+tol &&
-				(pts[j].AreaMM2 < pts[i].AreaMM2-tol || pts[j].PowerMW < pts[i].PowerMW-tol) {
 				dominated = true
 				break
 			}

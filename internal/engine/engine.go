@@ -10,6 +10,10 @@
 // Results are deterministic and independent of Parallelism: each job's
 // outcome lands at its input index, so consumers observe exactly the
 // sequential, library-ordered result list.
+//
+// The engine is also the admission layer: Evaluate and Fan are the only
+// code that takes a session limiter's slots, Fan by one rule for
+// top-level and nested fan-outs alike (see Fan).
 package engine
 
 import (
@@ -18,6 +22,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"sunmap/internal/graph"
@@ -85,10 +90,10 @@ type Options struct {
 	// Progress, when non-nil, streams per-job completion events.
 	Progress Progress
 	// Limit, when non-nil, is a shared admission semaphore: each mapping
-	// evaluation (cache hits excluded) holds one slot while it runs, so
-	// several concurrent engine calls — e.g. the requests of one
-	// Session.Batch — share a single session-wide parallelism budget
-	// instead of multiplying their pools.
+	// evaluation (cache hits excluded) and each Fan worker holds one slot
+	// while it runs, so several concurrent engine calls — e.g. the
+	// requests of one Session.Batch — share a single session-wide
+	// parallelism budget instead of multiplying their pools.
 	Limit *pool.Limiter
 	// Scratch, when non-nil, is the free list of mapping scratch sets
 	// (routers, LP arenas, path buffers) the run's evaluations borrow
@@ -100,28 +105,14 @@ type Options struct {
 	Scratch *pool.Free[mapping.Scratch]
 }
 
+// workers resolves Parallelism (0 or negative selects GOMAXPROCS) to a
+// worker count for jobs units of work, clamped to [1, jobs].
 func (o Options) workers(jobs int) int {
-	n := o.IntraParallelism()
-	if n > jobs {
-		n = jobs
+	n := o.Parallelism
+	if n <= 0 {
+		n = runtime.GOMAXPROCS(0)
 	}
-	if n < 1 {
-		n = 1
-	}
-	return n
-}
-
-// IntraParallelism resolves the configured Parallelism (0 or negative
-// selects GOMAXPROCS) to the concrete worker budget an individual job
-// may fan its inner work across — e.g. the per-candidate fault-sweep
-// scenarios of a reliability-aware selection. Inner workers beyond the
-// first admit opportunistically (Limit.TryAcquire), so intra-job fan-out
-// borrows idle budget without ever deadlocking the shared limiter.
-func (o Options) IntraParallelism() int {
-	if o.Parallelism > 0 {
-		return o.Parallelism
-	}
-	return runtime.GOMAXPROCS(0)
+	return max(1, min(n, jobs))
 }
 
 // Sweep maps the application onto every topology in lib under one shared
@@ -240,33 +231,146 @@ func Evaluate(ctx context.Context, app *graph.CoreGraph, jobs []Job, eo Options)
 	return out, nil
 }
 
-// Fan runs n independent, index-addressed units of non-mapping work
-// under the engine's admission contract: up to Parallelism workers, each
-// unit holding one Limit slot while it runs, so analysis passes sharing
-// a session (e.g. the per-candidate reliability sweeps of a fault-aware
-// selection) stay inside the same session-wide budget as the mapping
-// evaluations. Unit errors are collected at their index and the first,
-// in index order, is returned — deterministic regardless of which worker
-// hit it first. Cancellation wins over unit errors, mirroring Evaluate.
-func Fan(ctx context.Context, n int, eo Options, fn func(i int) error) error {
+// slotKey is the context key under which Fan records the Limiter a
+// unit's goroutine holds a slot of.
+type slotKey struct{}
+
+// Fan runs n independent, index-addressed units of non-mapping work —
+// the reliability sweeps of a selection, the scenarios of one fault
+// sweep, the injection rates of a simulation, the search's annealing
+// chains — on up to Parallelism workers inside the Limit budget. It is
+// the one fan-out that takes limiter slots for such work, by one rule
+// read off ctx:
+//
+//   - No slot held (a top-level request): every worker takes its slot
+//     with the blocking Acquire, so the work queues, shows in Waiting and
+//     is shed by the serve layer like any mapping evaluation.
+//   - A slot of Limit already held (ctx is the unit context of an
+//     enclosing Fan): the calling goroutine runs units inline in that
+//     slot, and the extra workers borrow idle slots through PollAcquire,
+//     giving up once the units run out — a fully subscribed limiter can
+//     never deadlock on the nested fan-out.
+//
+// A worker keeps its slot until no unit is left to claim. fn receives
+// the unit's context, which records the held slot for any Fan nested
+// inside it. Units are claimed in index order and no unit starts after
+// one has failed; every unit below a failing index was claimed before it
+// and runs to the end, so the lowest-index error — the one a sequential
+// run would hit — is returned whatever the worker count. A unit's panic
+// becomes its error, wrapping ErrPanic. Cancellation wins over unit
+// errors, mirroring Evaluate.
+func Fan(ctx context.Context, n int, eo Options, fn func(ctx context.Context, i int) error) error {
 	if n <= 0 {
 		return ctx.Err()
 	}
-	errs := make([]error, n)
-	pool.ForEach(ctx, n, eo.workers(n), func(i int) {
-		if err := eo.Limit.Acquire(ctx); err != nil {
-			return // canceled while queued; ctx.Err() reported below
+	limit := eo.Limit
+	held := limit != nil && ctx.Value(slotKey{}) == limit
+	uctx := ctx
+	if limit != nil && !held {
+		uctx = context.WithValue(ctx, slotKey{}, limit)
+	}
+	var (
+		next   atomic.Int64
+		failed atomic.Bool
+		mu     sync.Mutex
+		errAt  = n
+		first  error
+	)
+	work := func() {
+		for !failed.Load() && ctx.Err() == nil {
+			i := int(next.Add(1)) - 1
+			if i >= n {
+				return
+			}
+			if err := runUnit(uctx, i, fn); err != nil {
+				failed.Store(true)
+				mu.Lock()
+				if i < errAt {
+					errAt, first = i, err
+				}
+				mu.Unlock()
+			}
 		}
-		defer eo.Limit.Release()
-		errs[i] = fn(i)
-	})
+	}
+	// Workers still waiting for a slot stop once the units run out.
+	actx, stop := context.WithCancel(ctx)
+	defer stop()
+	worker := func() {
+		defer stop()
+		if held {
+			if !PollAcquire(actx, limit, func() bool { return failed.Load() || next.Load() >= int64(n) }) {
+				return
+			}
+		} else if limit.Acquire(actx) != nil {
+			return
+		}
+		defer limit.Release()
+		work()
+	}
+	var wg sync.WaitGroup
+	for range eo.workers(n) - 1 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			worker()
+		}()
+	}
+	// The calling goroutine is the first worker; nested, it works in the
+	// slot it already holds.
+	if held {
+		work()
+		stop()
+	} else {
+		worker()
+	}
+	wg.Wait()
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	for _, err := range errs {
-		if err != nil {
-			return err
+	return first
+}
+
+// runUnit runs one Fan unit, turning its panic into an ErrPanic error:
+// worker goroutines must not take the process down.
+func runUnit(ctx context.Context, i int, fn func(context.Context, int) error) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("%w in unit %d: %v", ErrPanic, i, r)
+		}
+	}()
+	return fn(ctx, i)
+}
+
+// PollAcquire opportunistically takes a limiter slot for a worker
+// nested under one that already holds a slot: it polls TryAcquire
+// (every 500µs) instead of joining the limiter's blocking queue, so
+// blocking Acquire callers keep strict priority — a Release wakes a
+// blocked sender before a later TryAcquire can win the slot — and a
+// fully subscribed limiter can never deadlock on nested acquisition. It
+// returns true once a slot is held (the caller must Release it), and
+// false when ctx is done or giveUp reports the work has run out. A nil
+// giveUp polls until acquisition or cancellation; a nil Limiter admits
+// immediately. Fan's nested workers are its only caller; the
+// limiterdiscipline analyzer rejects it, like Acquire and TryAcquire,
+// outside internal/engine.
+func PollAcquire(ctx context.Context, l *pool.Limiter, giveUp func() bool) bool {
+	rec := obs.FromContext(ctx)
+	if l == nil {
+		rec = nil // unlimited admission: nothing worth recording
+	}
+	for {
+		if giveUp != nil && giveUp() {
+			return false
+		}
+		if l.TryAcquire() {
+			rec.TryAcquire(true)
+			return true
+		}
+		rec.TryAcquire(false)
+		select {
+		case <-ctx.Done():
+			return false
+		case <-time.After(500 * time.Microsecond):
 		}
 	}
-	return nil
 }

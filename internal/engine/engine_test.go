@@ -2,12 +2,9 @@ package engine
 
 import (
 	"context"
-	"errors"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"sunmap/internal/apps"
 	"sunmap/internal/mapping"
@@ -273,70 +270,6 @@ func TestEvaluateRecordsStructuralErrors(t *testing.T) {
 	}
 	if st := cache.Stats(); st.Hits != 2 || st.Entries != 2 {
 		t.Errorf("stats = %+v, want 2 hits (error + success memoized) and 2 entries", cache.Stats())
-	}
-}
-
-// TestFan checks the non-mapping fan-out helper: every unit runs, the
-// Limit budget is respected, the first error in index order wins, and
-// cancellation preempts unit errors.
-func TestFan(t *testing.T) {
-	var ran [16]bool
-	limit := pool.NewLimiter(2)
-	var inFlight, maxInFlight atomic.Int32
-	err := Fan(context.Background(), len(ran), Options{Parallelism: 8, Limit: limit}, func(i int) error {
-		if n := inFlight.Add(1); n > maxInFlight.Load() {
-			maxInFlight.Store(n)
-		}
-		defer inFlight.Add(-1)
-		time.Sleep(time.Millisecond)
-		ran[i] = true
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, r := range ran {
-		if !r {
-			t.Errorf("unit %d never ran", i)
-		}
-	}
-	if maxInFlight.Load() > 2 {
-		t.Errorf("%d units in flight, limiter admits 2", maxInFlight.Load())
-	}
-
-	wantErr := errors.New("unit 3 broke")
-	err = Fan(context.Background(), 8, Options{Parallelism: 4}, func(i int) error {
-		if i == 3 {
-			return wantErr
-		}
-		if i == 6 {
-			return errors.New("unit 6 broke")
-		}
-		return nil
-	})
-	if err != wantErr {
-		t.Errorf("Fan returned %v, want the lowest-index error", err)
-	}
-
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if err := Fan(ctx, 4, Options{}, func(int) error { return errors.New("ran") }); err != context.Canceled {
-		t.Errorf("canceled Fan returned %v, want context.Canceled", err)
-	}
-}
-
-// TestIntraParallelism pins the resolution rule shared by the outer
-// worker pool and the intra-candidate fan-out: explicit values pass
-// through, zero and negatives select GOMAXPROCS.
-func TestIntraParallelism(t *testing.T) {
-	if got := (Options{Parallelism: 3}).IntraParallelism(); got != 3 {
-		t.Errorf("IntraParallelism() = %d, want 3", got)
-	}
-	for _, par := range []int{0, -1} {
-		if got := (Options{Parallelism: par}).IntraParallelism(); got != runtime.GOMAXPROCS(0) {
-			t.Errorf("Parallelism %d: IntraParallelism() = %d, want GOMAXPROCS (%d)",
-				par, got, runtime.GOMAXPROCS(0))
-		}
 	}
 }
 

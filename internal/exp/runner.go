@@ -9,9 +9,8 @@ import (
 // reproductions: worker-pool width and a shared evaluation cache, so one
 // sunexp invocation regenerating several figures on the same application
 // reuses design points instead of re-mapping them. The zero value runs at
-// full parallelism with memoization disabled (nil Cache), matching the
-// package-level Fig* wrappers; pass engine.NewCache() to share work
-// across figures.
+// full parallelism with memoization disabled (nil Cache); pass
+// engine.NewCache() to share work across figures.
 type Runner struct {
 	// Parallelism bounds the engine pool (0 = GOMAXPROCS, 1 = sequential).
 	Parallelism int

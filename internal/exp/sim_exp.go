@@ -8,6 +8,7 @@ import (
 
 	"sunmap/internal/apps"
 	"sunmap/internal/core"
+	"sunmap/internal/engine"
 	"sunmap/internal/mapping"
 	"sunmap/internal/route"
 	"sunmap/internal/sim"
@@ -49,7 +50,8 @@ type Fig8bResult struct {
 }
 
 // Fig8b reproduces the NetProc latency study on the runner's engine: the
-// per-rate simulations of each topology fan out across the worker pool.
+// simulations of every (topology, rate) pair are the units of one
+// engine.Fan.
 func (r Runner) Fig8b(ctx context.Context, rates []float64) (*Fig8bResult, error) {
 	if len(rates) == 0 {
 		rates = DefaultRates
@@ -58,14 +60,14 @@ func (r Runner) Fig8b(ctx context.Context, rates []float64) (*Fig8bResult, error
 	if err != nil {
 		return nil, err
 	}
-	out := &Fig8bResult{Rates: rates, Curves: make(map[string][]*sim.Stats), Order: order}
-	for _, name := range order {
+	cfgs := make([]sim.Config, len(order))
+	for t, name := range order {
 		topo := topos[name]
 		rt, err := sim.BuildRoutes(topo)
 		if err != nil {
 			return nil, err
 		}
-		stats, err := sim.SweepLimited(ctx, sim.Config{
+		cfgs[t] = sim.Config{
 			Topo:          topo,
 			Routes:        rt,
 			Pattern:       traffic.Adversarial(topo),
@@ -73,11 +75,25 @@ func (r Runner) Fig8b(ctx context.Context, rates []float64) (*Fig8bResult, error
 			WarmupCycles:  1000,
 			MeasureCycles: 4000,
 			DrainCycles:   6000,
-		}, rates, r.Parallelism, nil)
-		if err != nil {
-			return nil, err
 		}
-		out.Curves[name] = stats
+	}
+	stats := make([]*sim.Stats, len(order)*len(rates))
+	err = engine.Fan(ctx, len(stats), engine.Options{Parallelism: r.Parallelism}, func(ctx context.Context, u int) error {
+		cfg := cfgs[u/len(rates)]
+		cfg.InjectionRate = rates[u%len(rates)]
+		st, err := sim.RunContext(ctx, cfg)
+		if err != nil {
+			return fmt.Errorf("sim: %s at rate %g: %w", order[u/len(rates)], cfg.InjectionRate, err)
+		}
+		stats[u] = st
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	out := &Fig8bResult{Rates: rates, Curves: make(map[string][]*sim.Stats), Order: order}
+	for t, name := range order {
+		out.Curves[name] = stats[t*len(rates) : (t+1)*len(rates) : (t+1)*len(rates)]
 	}
 	return out, nil
 }

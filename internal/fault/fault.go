@@ -11,7 +11,9 @@
 // switch is cut off). Scenarios of k simultaneous element failures are
 // enumerated exhaustively for k <= 2 and drawn by deterministic seeded
 // Monte Carlo above that, pre-drawn before any parallel sweep so the
-// scenario set is byte-identical at every parallelism setting.
+// scenario set is byte-identical at every parallelism setting. A sweep
+// fans its distinct scenarios through engine.Fan, so it takes session
+// limiter slots by the engine's one admission rule.
 //
 // The approach follows the fault-tolerant application-specific topology
 // generation literature (Chen et al., arXiv:1908.00165); feeding the

@@ -4,11 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"slices"
-	"sync"
-	"sync/atomic"
 
+	"sunmap/internal/engine"
 	"sunmap/internal/graph"
 	"sunmap/internal/pool"
 	"sunmap/internal/route"
@@ -67,6 +65,8 @@ type Evaluator struct {
 	mask     []bool
 	dead     []bool
 	baseline Outcome
+	// gen is the Sweeper sweep this evaluator is bound for.
+	gen uint64
 }
 
 // NewEvaluator builds an evaluator for one design point and routes the
@@ -221,14 +221,19 @@ func SweepContext(ctx context.Context, topo topology.Topology, assign []int, com
 	return NewSweeper().SweepContext(ctx, topo, assign, comms, opts, scenarios, exhaustive, parallelism, limit)
 }
 
-// Sweeper owns the reusable state of repeated survivability sweeps: the
-// calling goroutine's Evaluator, the index-addressed outcome buffer and
-// the index buffers that group repeated scenarios. Once warm, a
-// sequential sweep's steady state allocates only the Report it returns
-// (plus the rare disconnected-by-link reroute error). A Sweeper is
-// single-goroutine state, like the Evaluator it wraps.
+// Sweeper owns the reusable state of repeated survivability sweeps: a
+// free list of Evaluators (one per worker at the sweeps' peak
+// parallelism), the index-addressed outcome buffer and the index buffers
+// that group repeated scenarios. Once warm, a sequential sweep's steady
+// state allocates only the Report it returns and the fan-out's
+// bookkeeping (plus the rare disconnected-by-link reroute error). A
+// Sweeper runs one sweep at a time; SweepContext hands each of its
+// workers an Evaluator of its own.
 type Sweeper struct {
-	ev       *Evaluator
+	evs *pool.Free[Evaluator]
+	// gen numbers the sweeps; an Evaluator whose gen differs is still
+	// bound to an earlier design point and is rebound before use.
+	gen      uint64
 	outcomes []Outcome
 	// first[i] is the lowest index of a scenario equal to scenarios[i];
 	// distinct lists the indices i with first[i] == i in ascending
@@ -237,8 +242,15 @@ type Sweeper struct {
 	distinct []int
 }
 
+// sweepUnit is how many distinct scenarios one Fan unit evaluates: a
+// reroute takes microseconds, so single-scenario units would spend a
+// measurable share of the sweep claiming units and evaluators.
+const sweepUnit = 8
+
 // NewSweeper returns an empty Sweeper; buffers grow on first use.
-func NewSweeper() *Sweeper { return &Sweeper{} }
+func NewSweeper() *Sweeper {
+	return &Sweeper{evs: pool.NewFree(func() *Evaluator { return &Evaluator{rt: route.NewRouter()} })}
+}
 
 // SweepContext evaluates every failure scenario of one design point and
 // folds the outcomes into a Report.
@@ -252,97 +264,57 @@ func NewSweeper() *Sweeper { return &Sweeper{} }
 // the Report (scenario counts, sums, WorstCase and Disconnecting) is
 // exactly what evaluating each scenario would give.
 //
-// Work distribution is an atomic next-scenario counter, so any worker
-// count yields the same index-addressed outcomes and the sequential fold
-// keeps the report byte-identical at every parallelism setting (0
-// selects GOMAXPROCS). Worker 0 runs inline on the calling goroutine
-// under whatever limiter slot the caller already holds; the extra
-// workers are opportunistic — each polls limit.TryAcquire until a slot
-// frees, the work runs out, or ctx is done, so a fully subscribed
-// limiter never deadlocks on nested acquisition and blocking Acquire
-// callers keep strict priority over the sweep's helpers. ctx aborts the
-// sweep between scenario evaluations.
+// The distinct scenarios, sweepUnit at a time, are the units of one
+// engine.Fan on up to parallelism workers (0 selects GOMAXPROCS) under
+// limit, so a top-level sweep queues for its slots and a sweep nested in
+// a unit that holds a slot works inline and borrows idle ones (see
+// engine.Fan). Outcomes are index-addressed and folded sequentially, so
+// the report is byte-identical at every parallelism setting. ctx aborts
+// the sweep between units.
 func (sw *Sweeper) SweepContext(ctx context.Context, topo topology.Topology, assign []int, comms []graph.Commodity, opts route.Options, scenarios []Scenario, exhaustive bool, parallelism int, limit *pool.Limiter) (*Report, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if sw.ev == nil {
-		sw.ev = &Evaluator{rt: route.NewRouter()}
-	}
-	if err := sw.ev.bind(topo, assign, comms, opts); err != nil {
+	// Bind one evaluator up front: it validates that the design routes
+	// at all and supplies the baseline.
+	sw.gen++
+	ev := sw.evs.Get()
+	if err := ev.bind(topo, assign, comms, opts); err != nil {
+		sw.evs.Put(ev)
 		return nil, err
 	}
+	ev.gen = sw.gen
+	baseline := ev.Baseline()
+	sw.evs.Put(ev)
 	if cap(sw.outcomes) < len(scenarios) {
 		sw.outcomes = make([]Outcome, len(scenarios))
 	}
 	outcomes := sw.outcomes[:len(scenarios)]
 	distinct := sw.group(scenarios)
-	workers := parallelism
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(distinct) {
-		workers = len(distinct)
-	}
-	var next atomic.Int64
-	run := func(ev *Evaluator) error {
-		for {
-			d := int(next.Add(1)) - 1
-			if d >= len(distinct) {
-				return nil
-			}
-			if err := ctx.Err(); err != nil {
+	units := (len(distinct) + sweepUnit - 1) / sweepUnit
+	err := engine.Fan(ctx, units, engine.Options{Parallelism: parallelism, Limit: limit}, func(_ context.Context, u int) error {
+		ev := sw.evs.Get()
+		defer sw.evs.Put(ev)
+		if ev.gen != sw.gen {
+			// The first evaluator already routed this baseline, so a
+			// failure here would be that same deterministic error.
+			if err := ev.bind(topo, assign, comms, opts); err != nil {
 				return err
 			}
-			i := distinct[d]
+			ev.gen = sw.gen
+		}
+		for _, i := range distinct[u*sweepUnit : min((u+1)*sweepUnit, len(distinct))] {
 			outcomes[i] = ev.Eval(scenarios[i])
 		}
-	}
-	var err error
-	if workers <= 1 {
-		err = run(sw.ev)
-	} else {
-		errs := make([]error, workers)
-		var wg sync.WaitGroup
-		for w := 1; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				if !pool.PollAcquire(ctx, limit, func() bool { return next.Load() >= int64(len(distinct)) }) {
-					return
-				}
-				defer limit.Release()
-				// Each helper owns its own Evaluator (single-goroutine
-				// state); worker 0 already validated the baseline, so a
-				// build failure here would be that same deterministic
-				// error.
-				ev, err := NewEvaluator(topo, assign, comms, opts)
-				if err != nil {
-					errs[w] = err
-					return
-				}
-				errs[w] = run(ev)
-			}(w)
-		}
-		errs[0] = run(sw.ev)
-		wg.Wait()
-		for _, e := range errs {
-			if e != nil {
-				err = e
-				break
-			}
-		}
-	}
+		return nil
+	})
 	if err != nil {
-		return nil, err
-	}
-	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	for i, f := range sw.first {
 		outcomes[i] = outcomes[f]
 	}
-	return fold(sw.ev.Baseline(), scenarios, outcomes, exhaustive), nil
+	return fold(baseline, scenarios, outcomes, exhaustive), nil
 }
 
 // group fills sw.first and sw.distinct for a scenario set and returns

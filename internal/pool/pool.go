@@ -1,10 +1,14 @@
-// Package pool provides the bounded worker-pool skeleton shared by the
-// evaluation engine and the simulator's rate sweeps: fan N index-addressed
-// jobs across a fixed number of goroutines, drain without working once the
-// context is cancelled, and return only when every worker has exited.
-// Callers own result collection (typically index-disjoint slice writes,
-// which need no locking) and decide after the fact whether the run ended
-// by completion or cancellation.
+// Package pool provides the session's admission semaphore (Limiter), a
+// typed free list for per-worker scratch (Free), and the bounded
+// worker-pool skeleton (ForEach) under engine.Evaluate and Session.Batch:
+// fan N index-addressed jobs across a fixed number of goroutines, drain
+// without working once the context is cancelled, and return only when
+// every worker has exited. Callers own result collection (typically
+// index-disjoint slice writes, which need no locking) and decide after
+// the fact whether the run ended by completion or cancellation.
+//
+// Only internal/engine takes Limiter slots (Acquire, TryAcquire and
+// engine.PollAcquire); the limiterdiscipline analyzer enforces it.
 package pool
 
 import (
@@ -12,7 +16,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"sunmap/internal/obs"
 )
@@ -34,15 +37,15 @@ var (
 )
 
 // Limiter is a counting semaphore bounding how many evaluations run at
-// once across any number of concurrent ForEach/engine calls. A Session
+// once across any number of concurrent engine calls. A Session
 // owns one Limiter for its lifetime, so a batch of requests fanned out
 // concurrently still keeps the process-wide mapping work within the
 // session's parallelism budget.
 type Limiter struct {
 	ch chan struct{}
 	// waiting counts callers blocked in Acquire — the queue depth an
-	// admission controller sheds on. TryAcquire/PollAcquire pollers never
-	// count: they are opportunistic by contract and back off on their own.
+	// admission controller sheds on. TryAcquire pollers never count: they
+	// are opportunistic by contract and back off on their own.
 	waiting atomic.Int64
 }
 
@@ -89,11 +92,11 @@ func (l *Limiter) Acquire(ctx context.Context) error {
 
 // TryAcquire takes a slot only if one is immediately free, returning
 // whether it did. A nil Limiter admits immediately (mirroring Acquire).
-// It is the admission primitive for opportunistic intra-candidate
-// workers: a job that already holds a slot may fan its inner work across
-// extra workers that each TryAcquire, so idle budget is used when
-// available but a fully subscribed limiter can never deadlock on nested
-// acquisition (the inner worker simply doesn't start).
+// It is the admission primitive of engine.Fan's nested workers: a unit
+// that already holds a slot may fan its inner work across extra workers
+// that each poll TryAcquire, so idle budget is used when available but a
+// fully subscribed limiter can never deadlock on nested acquisition (the
+// inner worker simply doesn't start).
 func (l *Limiter) TryAcquire() bool {
 	if l == nil {
 		return true
@@ -105,41 +108,6 @@ func (l *Limiter) TryAcquire() bool {
 	default:
 		tryMiss.Inc()
 		return false
-	}
-}
-
-// PollAcquire opportunistically takes a limiter slot for a nested
-// worker: it polls TryAcquire (every 500µs) instead of joining the
-// limiter's blocking queue, so whole-candidate Acquire callers keep
-// strict priority — a Release wakes a blocked sender before a later
-// TryAcquire can win the slot — and a fully subscribed limiter can
-// never deadlock on nested acquisition. It returns true once a slot is
-// held (the caller must Release it), and false when ctx is done or
-// giveUp reports the work has run out. A nil giveUp polls until
-// acquisition or cancellation; a nil Limiter admits immediately.
-//
-// This is the one sanctioned way for code below the admission layer to
-// take a limiter slot; the limiterdiscipline analyzer rejects blocking
-// Acquire everywhere outside internal/engine.
-func PollAcquire(ctx context.Context, l *Limiter, giveUp func() bool) bool {
-	rec := obs.FromContext(ctx)
-	if l == nil {
-		rec = nil // unlimited admission: nothing worth recording
-	}
-	for {
-		if giveUp != nil && giveUp() {
-			return false
-		}
-		if l.TryAcquire() {
-			rec.TryAcquire(true)
-			return true
-		}
-		rec.TryAcquire(false)
-		select {
-		case <-ctx.Done():
-			return false
-		case <-time.After(500 * time.Microsecond):
-		}
 	}
 }
 

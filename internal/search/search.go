@@ -91,8 +91,8 @@ type Options struct {
 	// Parallelism bounds the chain fan-out (0 selects GOMAXPROCS).
 	Parallelism int
 	// Limit, when non-nil, is the session's shared admission semaphore:
-	// each chain holds one slot; nested fault-sweep workers only borrow
-	// idle slots by TryAcquire.
+	// each chain worker holds one slot; nested fault-sweep workers only
+	// borrow idle slots (see engine.Fan).
 	Limit *pool.Limiter
 	// CheckpointEvery, when > 0 together with Checkpoint, emits a
 	// ChainCheckpoint every CheckpointEvery evaluations of each chain (at
@@ -220,15 +220,14 @@ func Run(ctx context.Context, app *graph.CoreGraph, opts Options) (*Result, erro
 	scratch := pool.NewFree(mapping.NewScratch)
 	sweepers := pool.NewFree(fault.NewSweeper)
 	eo := engine.Options{Parallelism: o.Parallelism, Limit: o.Limit}
-	intra := eo.IntraParallelism()
-	fanErr := engine.Fan(ctx, chains, eo, func(i int) error {
+	fanErr := engine.Fan(ctx, chains, eo, func(ctx context.Context, i int) error {
 		budget := per
 		if i < rem {
 			budget++
 		}
 		cr := runChain(ctx, comms, terms, o, b, i, budget, inits[i%len(inits)])
 		if cr.err == nil && ctx.Err() == nil {
-			finishChain(ctx, app, comms, o, cr, scratch, sweepers, intra)
+			finishChain(ctx, app, comms, o, cr, scratch, sweepers)
 		}
 		results[i] = cr
 		return cr.err
@@ -402,11 +401,11 @@ func snapshot(c *cand, fit float64) Candidate {
 // fitness-best candidate, keeps the better of the two as the chain
 // winner (so a chain can never regress below its seed — the search
 // matches or beats the synthesized baselines by construction), and
-// scores its survivability when a fault model is configured. The fault
-// sweep's inner scenario loop fans across intra workers that only
-// TryAcquire idle limiter slots, per the session's two-level
-// decomposition.
-func finishChain(ctx context.Context, app *graph.CoreGraph, comms []graph.Commodity, o Options, cr *chainResult, scratch *pool.Free[mapping.Scratch], sweepers *pool.Free[fault.Sweeper], intra int) {
+// scores its survivability when a fault model is configured. ctx is the
+// chain's unit context, so the fault sweep is a Fan nested in the
+// chain's slot: it works inline and borrows idle slots for its extra
+// workers.
+func finishChain(ctx context.Context, app *graph.CoreGraph, comms []graph.Commodity, o Options, cr *chainResult, scratch *pool.Free[mapping.Scratch], sweepers *pool.Free[fault.Sweeper]) {
 	evalOne := func(c *Candidate) bool {
 		topo, err := materialize(app, o.Seed, *c)
 		if err != nil {
@@ -446,7 +445,7 @@ func finishChain(ctx context.Context, app *graph.CoreGraph, comms []graph.Commod
 		return
 	}
 	sw := sweepers.Get()
-	rep, err := sw.SweepContext(ctx, r.Topology, r.Assign, comms, fault.Degraded(o.Mapping.RouteOptions()), scenarios, exhaustive, intra, o.Limit)
+	rep, err := sw.SweepContext(ctx, r.Topology, r.Assign, comms, fault.Degraded(o.Mapping.RouteOptions()), scenarios, exhaustive, o.Parallelism, o.Limit)
 	sweepers.Put(sw)
 	if err != nil {
 		if ctx.Err() == nil {

@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 
+	"sunmap/internal/engine"
+	"sunmap/internal/pool"
 	"sunmap/internal/topology"
 	"sunmap/internal/traffic"
 )
@@ -37,15 +39,16 @@ func TestRunContextCancellation(t *testing.T) {
 }
 
 func TestSweepContextParallelMatchesSequential(t *testing.T) {
-	// Each rate simulates with its own seeded RNG, so the parallel sweep
-	// must reproduce the sequential stats bit for bit, in rate order.
+	// Each rate simulates with its own seeded RNG, so a rate sweep fanned
+	// across workers must reproduce the sequential stats bit for bit, in
+	// rate order.
 	cfg := meshSimConfig(t)
 	rates := []float64{0.05, 0.1, 0.2}
 	seq, err := Sweep(cfg, rates)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := SweepLimited(context.Background(), cfg, rates, 3, nil)
+	par, err := sweep(context.Background(), cfg, rates, engine.Options{Parallelism: 3, Limit: pool.NewLimiter(3)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,18 +64,21 @@ func TestSweepContextParallelMatchesSequential(t *testing.T) {
 
 func TestSweepContextAbortsOnFirstError(t *testing.T) {
 	// An invalid rate must fail the sweep with its own error (not a
-	// cancellation) and stop the remaining rates from simulating.
+	// cancellation), and the lowest failing rate's error wins at one
+	// worker and at two.
 	cfg := meshSimConfig(t)
-	_, err := SweepLimited(context.Background(), cfg, []float64{1.5, 0.5}, 2, nil)
-	if err == nil || !strings.Contains(err.Error(), "rate 1.5") {
-		t.Fatalf("err = %v, want the rate-1.5 validation failure", err)
+	for _, par := range []int{1, 2} {
+		_, err := sweep(context.Background(), cfg, []float64{0.05, 1.5, 2.5}, engine.Options{Parallelism: par})
+		if err == nil || !strings.Contains(err.Error(), "rate 1.5") {
+			t.Fatalf("parallelism %d: err = %v, want the rate-1.5 validation failure", par, err)
+		}
 	}
 }
 
 func TestSweepContextCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := SweepLimited(ctx, meshSimConfig(t), []float64{0.1, 0.2}, 2, nil); err != context.Canceled {
+	if _, err := sweep(ctx, meshSimConfig(t), []float64{0.1, 0.2}, engine.Options{Parallelism: 2}); err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }

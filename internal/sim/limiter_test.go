@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"sunmap/internal/engine"
 	"sunmap/internal/pool"
 	"sunmap/internal/topology"
 	"sunmap/internal/traffic"
@@ -32,19 +33,27 @@ func sweepConfig(t *testing.T) Config {
 	}
 }
 
-// TestSweepSaturatedLimiterNoDeadlock is the regression test for the
-// pre-PR-8 nested blocking Acquire in SweepLimited: with every limiter
-// slot already held by the caller's chain (here: taken by the test and
-// never released), the old code blocked forever queueing for a session
-// slot per rate. The poll-style rework must complete the sweep inline
-// on the calling goroutine regardless.
-func TestSweepSaturatedLimiterNoDeadlock(t *testing.T) {
+// nestedSweep runs a 4-worker rate sweep inside the single unit of an
+// outer Fan on a one-slot limiter: the unit holds the only slot, so the
+// sweep must run its rates inline in it (a worker blocking for a second
+// slot would wait forever).
+func nestedSweep(t *testing.T, cfg Config, rates []float64) ([]*Stats, error) {
+	t.Helper()
 	limit := pool.NewLimiter(1)
-	if !limit.TryAcquire() {
-		t.Fatal("setup: could not saturate the limiter")
-	}
-	defer limit.Release()
+	var stats []*Stats
+	err := engine.Fan(context.Background(), 1, engine.Options{Parallelism: 1, Limit: limit}, func(ctx context.Context, _ int) (err error) {
+		stats, err = sweep(ctx, cfg, rates, engine.Options{Parallelism: 4, Limit: limit})
+		return err
+	})
+	return stats, err
+}
 
+// TestSweepSaturatedLimiterNoDeadlock is the regression test for the old
+// nested blocking Acquire in the simulator's rate sweep: with every
+// limiter slot held by the caller, a sweep that queued for a slot per
+// rate blocked forever. A sweep nested in a Fan unit must complete
+// inline in the unit's slot.
+func TestSweepSaturatedLimiterNoDeadlock(t *testing.T) {
 	rates := []float64{0.05, 0.1, 0.15, 0.2}
 	type result struct {
 		stats []*Stats
@@ -52,7 +61,7 @@ func TestSweepSaturatedLimiterNoDeadlock(t *testing.T) {
 	}
 	done := make(chan result, 1)
 	go func() {
-		stats, err := SweepLimited(context.Background(), sweepConfig(t), rates, 4, limit)
+		stats, err := nestedSweep(t, sweepConfig(t), rates)
 		done <- result{stats, err}
 	}()
 	select {
@@ -66,7 +75,7 @@ func TestSweepSaturatedLimiterNoDeadlock(t *testing.T) {
 			}
 		}
 	case <-time.After(30 * time.Second):
-		t.Fatal("SweepLimited deadlocked on a saturated limiter (nested blocking Acquire regression)")
+		t.Fatal("nested rate sweep deadlocked on a saturated limiter")
 	}
 }
 
@@ -77,17 +86,11 @@ func TestSweepSaturatedLimiterNoDeadlock(t *testing.T) {
 func TestSweepSaturatedMatchesUnlimited(t *testing.T) {
 	cfg := sweepConfig(t)
 	rates := []float64{0.05, 0.1, 0.15, 0.2}
-
-	limit := pool.NewLimiter(1)
-	if !limit.TryAcquire() {
-		t.Fatal("setup: could not saturate the limiter")
-	}
-	saturated, err := SweepLimited(context.Background(), cfg, rates, 4, limit)
-	limit.Release()
+	saturated, err := nestedSweep(t, cfg, rates)
 	if err != nil {
 		t.Fatal(err)
 	}
-	free, err := SweepLimited(context.Background(), cfg, rates, 4, nil)
+	free, err := sweep(context.Background(), cfg, rates, engine.Options{Parallelism: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

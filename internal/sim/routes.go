@@ -1,15 +1,9 @@
 package sim
 
 import (
-	"context"
-	"errors"
 	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"sunmap/internal/graph"
-	"sunmap/internal/pool"
 	"sunmap/internal/route"
 	"sunmap/internal/topology"
 )
@@ -97,90 +91,4 @@ func findLink(topo topology.Topology, u, v int) (int, error) {
 		}
 	}
 	return 0, fmt.Errorf("sim: no link %d->%d in %s", u, v, topo.Name())
-}
-
-// SweepLimited runs the simulator across injection rates and returns the
-// stats per rate — one curve of Fig. 8(b) — with cancellation and a
-// bounded worker pool sharing a session-wide admission semaphore with the
-// rest of the engine. parallelism <= 0 selects GOMAXPROCS. Work
-// distribution follows the two-level limiter discipline (the shape
-// fault.Sweeper established): the calling goroutine simulates rates
-// inline under whatever limiter slot its caller already holds, and up to
-// parallelism-1 extra workers are opportunistic — each polls limit with
-// pool.PollAcquire, borrowing idle budget when available and giving up
-// once the rates run out, so a fully subscribed limiter can never
-// deadlock on nested acquisition. Rates are claimed off an atomic
-// counter; each run is an independent seeded simulation, so results are
-// identical at every worker count and stay in rate order. A nil limit
-// admits helpers freely. The first per-rate failure cancels the remaining
-// simulations, matching the sequential sweep's abort-at-first-error
-// behavior; panics in a simulation become that rate's error instead of
-// crashing the worker goroutine's process.
-func SweepLimited(parent context.Context, cfg Config, rates []float64, parallelism int, limit *pool.Limiter) ([]*Stats, error) {
-	if parallelism <= 0 {
-		parallelism = runtime.GOMAXPROCS(0)
-	}
-	if parallelism > len(rates) {
-		parallelism = len(rates)
-	}
-	if parallelism < 1 {
-		parallelism = 1
-	}
-	ctx, cancel := context.WithCancel(parent)
-	defer cancel()
-	out := make([]*Stats, len(rates))
-	errs := make([]error, len(rates))
-	var next atomic.Int64
-	run := func() {
-		for {
-			i := int(next.Add(1)) - 1
-			if i >= len(rates) || ctx.Err() != nil {
-				return
-			}
-			c := cfg
-			c.InjectionRate = rates[i]
-			st, err := func() (st *Stats, err error) {
-				defer func() {
-					if r := recover(); r != nil {
-						st, err = nil, fmt.Errorf("panic at rate %g: %v", rates[i], r)
-					}
-				}()
-				return RunContext(ctx, c)
-			}()
-			if err != nil {
-				// A cancellation-induced abort isn't this rate's fault; the
-				// genuine failure (or the parent's error) is reported by
-				// whoever triggered it.
-				if !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded) {
-					errs[i] = fmt.Errorf("sim: sweep at rate %g: %w", rates[i], err)
-				}
-				cancel()
-				return
-			}
-			out[i] = st
-		}
-	}
-	var wg sync.WaitGroup
-	for w := 1; w < parallelism; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if !pool.PollAcquire(ctx, limit, func() bool { return next.Load() >= int64(len(rates)) }) {
-				return
-			}
-			defer limit.Release()
-			run()
-		}()
-	}
-	run()
-	wg.Wait()
-	if err := parent.Err(); err != nil {
-		return nil, err
-	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
 }

@@ -9,6 +9,12 @@
 // modelled by picking a path per packet). Flits advance one link per
 // ChannelDelay+RouterDelay cycles when buffers and credits allow; a packet
 // holds an output port from head to tail (wormhole).
+//
+// A run is single-goroutine and shares nothing with other runs, and it is
+// a pure function of its Config (seed included). The package has no
+// concurrency of its own: a rate sweep (Session.Simulate, the Fig. 8(b)
+// reproduction) fans its RunContext calls through engine.Fan, which
+// admits each worker on the session limiter.
 package sim
 
 import (

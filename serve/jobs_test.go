@@ -282,6 +282,70 @@ func TestServeSheddingAndClientBackoff(t *testing.T) {
 	}
 }
 
+// TestServeShedsSimulateFlood pins that simulations count toward
+// admission: on a parallelism-1 server with MaxQueueDepth 1, simulate
+// requests queue on the evaluation slot like any evaluation, so once one
+// is queued a flood of further simulate requests on /v1/do is shed with
+// 429 + Retry-After. (A simulation whose first worker ran without a slot
+// never queued, and nothing was shed.)
+func TestServeShedsSimulateFlood(t *testing.T) {
+	srv, _, sess := newJobServer(t, serve.Options{MaxQueueDepth: 1}, sunmap.WithParallelism(1))
+	body, _ := json.Marshal(sunmap.Request{
+		Op: sunmap.OpSimulate,
+		Simulate: &sunmap.SimRequest{
+			Topology: "mesh-4x4", Rates: []float64{0.1, 0.2, 0.3}, Seed: 1,
+			WarmupCycles: 100, MeasureCycles: 4000, DrainCycles: 4000,
+		},
+	})
+	send := func() (int, string) {
+		resp, err := http.Post(srv.URL+"/v1/do", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Error(err)
+			return 0, ""
+		}
+		resp.Body.Close()
+		return resp.StatusCode, resp.Header.Get("Retry-After")
+	}
+	var wg sync.WaitGroup
+	defer wg.Wait()
+	for range 2 {
+		wg.Add(1)
+		go func() { defer wg.Done(); send() }()
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for sess.Load().Waiting < 1 {
+		if time.Now().After(deadline) {
+			t.Fatal("simulate requests never queued for the evaluation slot")
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+
+	const flood = 8
+	codes := make([]int, flood)
+	retry := make([]string, flood)
+	for i := range flood {
+		wg.Add(1)
+		go func() { defer wg.Done(); codes[i], retry[i] = send() }()
+	}
+	wg.Wait()
+	shed := 0
+	for i, code := range codes {
+		switch code {
+		case http.StatusTooManyRequests:
+			shed++
+			if ra, err := strconv.Atoi(retry[i]); err != nil || ra < 1 {
+				t.Errorf("429 with Retry-After %q", retry[i])
+			}
+		case http.StatusOK:
+		default:
+			t.Errorf("flood request %d: status %d", i, code)
+		}
+	}
+	if shed == 0 {
+		t.Errorf("no simulate request of %d was shed behind a queued one", flood)
+	}
+}
+
 // TestServeBatchTimeoutClampEdges pins the clamp's boundary behavior:
 // negative budgets pass through to validation (bad_request, not
 // silently repaired), a budget exactly at the server default is kept,

@@ -320,7 +320,7 @@ func (s *Session) RoutingSweep(ctx context.Context, req SweepRequest) (*SweepRep
 	if err != nil {
 		return nil, err
 	}
-	rows, err := core.RoutingSweepContext(ctx, app, topo, opts, s.explore())
+	rows, err := core.RoutingSweepContext(ctx, app, topo, opts, s.engineOptions())
 	if err != nil {
 		return nil, err
 	}
@@ -366,7 +366,7 @@ func (s *Session) ParetoExplore(ctx context.Context, req ParetoRequest) (*Pareto
 		}
 		fm = &m
 	}
-	pts, err := core.ParetoExploreFault(ctx, app, topo, opts, req.Steps, fm, s.explore())
+	pts, err := core.ParetoExploreFault(ctx, app, topo, opts, req.Steps, fm, s.engineOptions())
 	if err != nil {
 		return nil, err
 	}
@@ -390,8 +390,11 @@ func (s *Session) ParetoExplore(ctx context.Context, req ParetoRequest) (*Pareto
 	return rep, nil
 }
 
-func (s *Session) explore() core.ExploreOptions {
-	return core.ExploreOptions{Parallelism: s.parallelism, Cache: s.cache, Progress: s.progress, Limit: s.limit, Scratch: s.scratch}
+// engineOptions hands the session's engine resources — parallelism,
+// cache, progress stream, limiter and scratch list — to an explorer or
+// an engine.Fan.
+func (s *Session) engineOptions() engine.Options {
+	return engine.Options{Parallelism: s.parallelism, Cache: s.cache, Progress: s.progress, Limit: s.limit, Scratch: s.scratch}
 }
 
 // selectDesign runs one selection on the session's engine resources —
@@ -445,9 +448,10 @@ func (s *Session) faultSpec(req *FaultSpec) *FaultSpec {
 }
 
 // Simulate sweeps the request's injection rates over the named topology
-// with the cycle-accurate simulator. Per-rate runs evaluate concurrently
-// within the session's parallelism; results are deterministic for a given
-// seed at every setting.
+// with the cycle-accurate simulator. The per-rate runs are the units of
+// one engine.Fan, so they queue for the session's limiter slots like any
+// evaluation; results are deterministic for a given seed at every
+// parallelism setting.
 func (s *Session) Simulate(ctx context.Context, req SimRequest) (*SimReport, error) {
 	ctx = s.traceCtx(ctx)
 	defer obs.FromContext(ctx).Start(obs.StageSimulate).End()
@@ -522,7 +526,17 @@ func (s *Session) Simulate(ctx context.Context, req SimRequest) (*SimReport, err
 		cfg.Routes = routes
 		cfg.Pattern = pat
 	}
-	stats, err := sim.SweepLimited(ctx, cfg, req.Rates, s.parallelism, s.limit)
+	stats := make([]*sim.Stats, len(req.Rates))
+	err = engine.Fan(ctx, len(req.Rates), s.engineOptions(), func(ctx context.Context, i int) error {
+		c := cfg
+		c.InjectionRate = req.Rates[i]
+		st, err := sim.RunContext(ctx, c)
+		if err != nil {
+			return fmt.Errorf("sim: sweep at rate %g: %w", req.Rates[i], err)
+		}
+		stats[i] = st
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -753,7 +767,11 @@ func (s *Session) faultSim(ctx context.Context, app *graph.CoreGraph, res *mappi
 	if req.SimCycle > 0 {
 		cfg.FaultCycle = req.SimCycle
 	}
-	st, err := sim.RunContext(ctx, cfg)
+	var st *sim.Stats
+	err = engine.Fan(ctx, 1, s.engineOptions(), func(ctx context.Context, _ int) (err error) {
+		st, err = sim.RunContext(ctx, cfg)
+		return err
+	})
 	if err != nil {
 		return nil, err
 	}
