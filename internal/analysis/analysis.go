@@ -5,13 +5,14 @@
 //
 // The engine's performance story rests on invariants the compiler cannot
 // see — byte-identical reports at every parallelism, allocation-free hot
-// loops, the limiter's one admission rule (slots taken only inside
-// internal/engine) — and PRs 4–7 enforced them only with runtime
-// tests and convention. The analyzers under this package (see the
-// sibling directories limiterdiscipline, detorder, hotpath,
-// ctxdiscipline and wrapsentinel, and the cmd/sunmap-lint multichecker)
-// turn every one of those invariant classes into a build-breaking
-// diagnostic.
+// loops, context and error-wrapping discipline, bounded metric labels —
+// which runtime tests and convention alone do not hold. The analyzers
+// under this package (see the sibling directories ctxdiscipline,
+// detorder, hotpath, obslabel and wrapsentinel, and the cmd/sunmap-lint
+// multichecker) turn every one of those invariant classes into a
+// build-breaking diagnostic. The limiter's one admission rule needs no
+// analyzer: its slot methods are unexported, so the compiler keeps them
+// inside internal/engine.
 //
 // The framework mirrors x/tools' API shape — Analyzer, Pass, Diagnostic
 // — so the checkers port to the upstream framework verbatim if the

@@ -6,12 +6,11 @@
 // Fixture packages live under the analyzer's testdata directory. They
 // are real, compiling packages (the go command only hides testdata from
 // `./...` wildcards, not from explicit arguments), so fixtures may
-// import the repo's internal packages — limiterdiscipline's fixtures
-// call the real pool.Limiter.
+// import the repo's internal packages.
 //
 // Expectations are trailing comments on the offending line:
 //
-//	l.Acquire(ctx) // want "blocking"
+//	for k := range m { // want "map iteration order"
 //
 // The string is a regular expression matched against the diagnostic
 // message. Several `// want "a" "b"` patterns on one line expect several

@@ -10,7 +10,6 @@ import (
 	"sunmap/internal/analysis/ctxdiscipline"
 	"sunmap/internal/analysis/detorder"
 	"sunmap/internal/analysis/hotpath"
-	"sunmap/internal/analysis/limiterdiscipline"
 	"sunmap/internal/analysis/obslabel"
 	"sunmap/internal/analysis/wrapsentinel"
 )
@@ -21,7 +20,6 @@ func All() []*analysis.Analyzer {
 		ctxdiscipline.Analyzer,
 		detorder.Analyzer,
 		hotpath.Analyzer,
-		limiterdiscipline.Analyzer,
 		obslabel.Analyzer,
 		wrapsentinel.Analyzer,
 	}

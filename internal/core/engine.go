@@ -20,7 +20,6 @@ import (
 	"sunmap/internal/fault"
 	"sunmap/internal/graph"
 	"sunmap/internal/mapping"
-	"sunmap/internal/pool"
 	"sunmap/internal/route"
 	"sunmap/internal/synth"
 	"sunmap/internal/topology"
@@ -67,10 +66,10 @@ type Config struct {
 	Progress engine.Progress
 	// Limit, when non-nil, bounds in-flight mapping evaluations across
 	// concurrent Select/explore calls sharing it (see engine.Options.Limit).
-	Limit *pool.Limiter
+	Limit *engine.Limiter
 	// Scratch, when non-nil, is the mapping scratch free list shared
 	// with other runs (see engine.Options.Scratch).
-	Scratch *pool.Free[mapping.Scratch]
+	Scratch *engine.Free[mapping.Scratch]
 	// Fault, when non-nil, adds a reliability axis to Phase 2: every
 	// feasible candidate's survivability under the model's failure
 	// scenarios is computed by degraded-mode rerouting (internal/fault)
@@ -251,7 +250,7 @@ func SelectContext(ctx context.Context, cfg Config) (*Selection, error) {
 		// one, Select provisions a run-local limiter sized to its own
 		// parallelism so that budget exists. Evaluate's worker pool never
 		// exceeds the same bound, so whole-candidate admission never blocks.
-		eo.Limit = pool.NewLimiter(cfg.Parallelism)
+		eo.Limit = engine.NewLimiter(cfg.Parallelism)
 	}
 
 	fns := []route.Function{cfg.Mapping.Routing}
@@ -308,7 +307,7 @@ func applyReliability(ctx context.Context, cfg Config, sel *Selection, eo engine
 			idxs = append(idxs, i)
 		}
 	}
-	sweepers := pool.NewFree(fault.NewSweeper)
+	sweepers := engine.NewFree(fault.NewSweeper)
 	err := engine.Fan(ctx, len(idxs), eo, func(ctx context.Context, j int) error {
 		c := &sel.Candidates[idxs[j]]
 		scenarios, exhaustive, err := fault.Scenarios(c.Result.Topology, *cfg.Fault)

@@ -9,7 +9,6 @@ import (
 	"sunmap/internal/fault"
 	"sunmap/internal/graph"
 	"sunmap/internal/mapping"
-	"sunmap/internal/pool"
 	"sunmap/internal/route"
 	"sunmap/internal/tech"
 	"sunmap/internal/topology"
@@ -189,7 +188,7 @@ func ParetoExploreFault(ctx context.Context, app *graph.CoreGraph, topo topology
 		if err != nil {
 			return nil, fmt.Errorf("core: pareto reliability: %w", err)
 		}
-		sweepers := pool.NewFree(fault.NewSweeper)
+		sweepers := engine.NewFree(fault.NewSweeper)
 		err = engine.Fan(ctx, len(cands), xo, func(ctx context.Context, i int) error {
 			sw := sweepers.Get()
 			rep, err := sw.SweepContext(ctx, topo, cands[i].res.Assign, comms, ropts, scenarios, exhaustive, xo.Parallelism, xo.Limit)

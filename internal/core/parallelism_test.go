@@ -16,7 +16,6 @@ import (
 	"sunmap/internal/engine"
 	"sunmap/internal/fault"
 	"sunmap/internal/mapping"
-	"sunmap/internal/pool"
 	"sunmap/internal/route"
 )
 
@@ -125,16 +124,16 @@ func TestSelectCancellationMidEscalation(t *testing.T) {
 // TestReliabilityRespectsLimiterCap is the regression gate for the old
 // hardcoded single-worker fault sweep: a fault-aware selection whose
 // parallelism exceeds its shared limiter cap must still complete (the
-// sweep's extra workers only TryAcquire — a fully subscribed limiter can
-// never deadlock nested fan-out) and must report exactly the sequential
-// results.
+// sweep's extra workers only poll for idle slots — a fully subscribed
+// limiter can never deadlock nested fan-out) and must report exactly the
+// sequential results.
 func TestReliabilityRespectsLimiterCap(t *testing.T) {
 	seq, err := SelectContext(context.Background(), faultSelectConfig(1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := faultSelectConfig(4)
-	cfg.Limit = pool.NewLimiter(2)
+	cfg.Limit = engine.NewLimiter(2)
 	got, err := SelectContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -11,9 +11,10 @@
 // outcome lands at its input index, so consumers observe exactly the
 // sequential, library-ordered result list.
 //
-// The engine is also the admission layer: Evaluate and Fan are the only
-// code that takes a session limiter's slots, Fan by one rule for
-// top-level and nested fan-outs alike (see Fan).
+// The engine is also the one admission module: it owns the session
+// Limiter, whose slot methods are unexported, so Evaluate's miss path and
+// Fan's workers are the only code that takes its slots — Fan by one rule
+// for top-level and nested fan-outs alike (see Fan).
 package engine
 
 import (
@@ -28,7 +29,6 @@ import (
 	"sunmap/internal/graph"
 	"sunmap/internal/mapping"
 	"sunmap/internal/obs"
-	"sunmap/internal/pool"
 	"sunmap/internal/topology"
 )
 
@@ -94,7 +94,7 @@ type Options struct {
 	// while it runs, so several concurrent engine calls — e.g. the
 	// requests of one Session.Batch — share a single session-wide
 	// parallelism budget instead of multiplying their pools.
-	Limit *pool.Limiter
+	Limit *Limiter
 	// Scratch, when non-nil, is the free list of mapping scratch sets
 	// (routers, LP arenas, path buffers) the run's evaluations borrow
 	// from. A Session passes one list to every engine run, so escalation
@@ -102,7 +102,7 @@ type Options struct {
 	// set only while it holds a Limit slot, so a list used only under one
 	// Limit never grows past its capacity. Nil gives the run a list of
 	// its own.
-	Scratch *pool.Free[mapping.Scratch]
+	Scratch *Free[mapping.Scratch]
 }
 
 // workers resolves Parallelism (0 or negative selects GOMAXPROCS) to a
@@ -127,13 +127,21 @@ func Sweep(ctx context.Context, app *graph.CoreGraph, lib []topology.Topology, o
 }
 
 // Evaluate runs an arbitrary job list (the generalization behind Sweep,
-// the routing sweep and the Pareto explorer) on the bounded pool.
+// the routing sweep and the Pareto explorer) as the units of one Fan on
+// up to Parallelism workers. A cache hit takes no Limit slot; a miss
+// takes one with the blocking acquire for the length of its mapping.
 // Outcomes are returned in job order regardless of Parallelism. The first
 // context cancellation aborts the run and returns the context's error;
-// per-job mapping failures do not abort and are recorded in the outcome.
-// Elapsed on progress events is advisory wall time, deliberately outside
-// the deterministic report surface; it is read through obs.Now, the
-// audited clock source.
+// per-job mapping failures do not abort and are recorded in the outcome,
+// while a panic outside the mapping (in Key or the progress callback)
+// fails the run with an ErrPanic error. Elapsed on progress events is
+// advisory wall time, deliberately outside the deterministic report
+// surface; it is read through obs.Now, the audited clock source.
+//
+// Evaluate must not run inside a Fan unit under the same Limit: at
+// parallelism 1 a miss's acquire would wait on the slot the calling unit
+// already holds. Mapping work nested in a unit calls
+// mapping.MapContextWith directly, as search's finishChain does.
 func Evaluate(ctx context.Context, app *graph.CoreGraph, jobs []Job, eo Options) ([]Outcome, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -147,16 +155,15 @@ func Evaluate(ctx context.Context, app *graph.CoreGraph, jobs []Job, eo Options)
 		digest = app.Digest() // only the cache key consumes it
 	}
 	out := make([]Outcome, len(jobs))
-	workers := eo.workers(len(jobs))
 
 	// Per-worker mapping scratch: each running evaluation borrows a
 	// Scratch (routing solver + swap-loop buffers) for its duration, from
 	// the caller's list or else a run-local one, so a library sweep reuses
-	// at most `workers` scratch sets instead of allocating routing state
-	// per candidate mapping.
+	// at most one scratch set per worker instead of allocating routing
+	// state per candidate mapping.
 	scratch := eo.Scratch
 	if scratch == nil {
-		scratch = pool.NewFree(mapping.NewScratch)
+		scratch = NewFree(mapping.NewScratch)
 	}
 
 	var progressMu sync.Mutex
@@ -166,13 +173,13 @@ func Evaluate(ctx context.Context, app *graph.CoreGraph, jobs []Job, eo Options)
 			return
 		}
 		progressMu.Lock()
+		defer progressMu.Unlock() // a panicking callback must not wedge the other workers
 		done++
 		ev.Done = done
 		eo.Progress(ev)
-		progressMu.Unlock()
 	}
 
-	runJob := func(i int) {
+	err := Fan(ctx, len(jobs), Options{Parallelism: eo.Parallelism}, func(_ context.Context, i int) error {
 		j := jobs[i]
 		ev := Event{
 			Index:    i,
@@ -189,20 +196,19 @@ func Evaluate(ctx context.Context, app *graph.CoreGraph, jobs []Job, eo Options)
 				ev.CacheHit = true
 				ev.Err = e.err
 				emit(ev)
-				return
+				return nil
 			}
 			rec.CacheMiss()
 		}
-		if err := eo.Limit.Acquire(ctx); err != nil {
-			return // canceled while queued for a session slot
+		if err := eo.Limit.acquire(ctx); err != nil {
+			return nil // canceled while queued for a session slot
 		}
-		start := obs.Now() // after Acquire: Elapsed is evaluation time, not queue wait
+		start := obs.Now() // after acquire: Elapsed is evaluation time, not queue wait
 		res, err := func() (res *mapping.Result, err error) {
-			defer eo.Limit.Release()
-			// Worker goroutines must not take the process down: a panic in
-			// an evaluation (e.g. on an adversarial input) becomes this
-			// job's error outcome, preserving the isolation contract that
-			// Session.Do/Batch and the serve layer promise.
+			defer eo.Limit.release()
+			// A panic in an evaluation (e.g. on an adversarial input)
+			// becomes this job's error outcome rather than the run's, so
+			// one bad candidate never hides its neighbours' results.
 			defer func() {
 				if r := recover(); r != nil {
 					res, err = nil, fmt.Errorf("%w evaluating %s: %v", ErrPanic, j.Topo.Name(), r)
@@ -213,7 +219,7 @@ func Evaluate(ctx context.Context, app *graph.CoreGraph, jobs []Job, eo Options)
 			return mapping.MapContextWith(ctx, app, j.Topo, j.Opts, sc)
 		}()
 		if ctx.Err() != nil {
-			return // canceled mid-map: don't cache or report partial work
+			return nil // canceled mid-map: don't cache or report partial work
 		}
 		eo.Cache.put(key, entry{res: res, err: err})
 		out[i] = Outcome{Result: res, Err: err}
@@ -222,10 +228,15 @@ func Evaluate(ctx context.Context, app *graph.CoreGraph, jobs []Job, eo Options)
 		rec.Observe(obs.StageEvaluate, ev.Elapsed)
 		evalSeconds.ObserveSeconds(int64(ev.Elapsed))
 		emit(ev)
-	}
-
-	pool.ForEach(ctx, len(jobs), workers, runJob)
-	if err := ctx.Err(); err != nil {
+		// Yield after each mapping: Fan's workers never block between
+		// units, so without a scheduling point here the GC's fractional
+		// mark worker waits for sysmon's preemption, the mutator pays in
+		// assists and a cold selection at parallelism 2 runs ~15% more
+		// GC cycles.
+		runtime.Gosched()
+		return nil
+	})
+	if err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -235,19 +246,20 @@ func Evaluate(ctx context.Context, app *graph.CoreGraph, jobs []Job, eo Options)
 // unit's goroutine holds a slot of.
 type slotKey struct{}
 
-// Fan runs n independent, index-addressed units of non-mapping work —
-// the reliability sweeps of a selection, the scenarios of one fault
-// sweep, the injection rates of a simulation, the search's annealing
-// chains — on up to Parallelism workers inside the Limit budget. It is
-// the one fan-out that takes limiter slots for such work, by one rule
-// read off ctx:
+// Fan runs n independent, index-addressed units — the reliability
+// sweeps of a selection, the scenarios of one fault sweep, the injection
+// rates of a simulation, the search's annealing chains — on up to
+// Parallelism workers inside the Limit budget. It is the one fan-out:
+// Evaluate and Session.Batch run on it without a Limit, because their
+// units take their own slots. With a Limit, its workers take slots by
+// one rule read off ctx:
 //
 //   - No slot held (a top-level request): every worker takes its slot
-//     with the blocking Acquire, so the work queues, shows in Waiting and
+//     with the blocking acquire, so the work queues, shows in Waiting and
 //     is shed by the serve layer like any mapping evaluation.
 //   - A slot of Limit already held (ctx is the unit context of an
 //     enclosing Fan): the calling goroutine runs units inline in that
-//     slot, and the extra workers borrow idle slots through PollAcquire,
+//     slot, and the extra workers borrow idle slots through pollAcquire,
 //     giving up once the units run out — a fully subscribed limiter can
 //     never deadlock on the nested fan-out.
 //
@@ -258,7 +270,7 @@ type slotKey struct{}
 // and runs to the end, so the lowest-index error — the one a sequential
 // run would hit — is returned whatever the worker count. A unit's panic
 // becomes its error, wrapping ErrPanic. Cancellation wins over unit
-// errors, mirroring Evaluate.
+// errors.
 func Fan(ctx context.Context, n int, eo Options, fn func(ctx context.Context, i int) error) error {
 	if n <= 0 {
 		return ctx.Err()
@@ -292,19 +304,22 @@ func Fan(ctx context.Context, n int, eo Options, fn func(ctx context.Context, i 
 			}
 		}
 	}
-	// Workers still waiting for a slot stop once the units run out.
-	actx, stop := context.WithCancel(ctx)
-	defer stop()
+	// Workers still waiting for a slot are retired once the units run
+	// out, before the finishing worker's slot goes back, so none of them
+	// takes a slot only to find no work; errRetired keeps that wait out
+	// of the limiter's accounting.
+	actx, stop := context.WithCancelCause(ctx)
+	defer stop(errRetired)
 	worker := func() {
-		defer stop()
 		if held {
-			if !PollAcquire(actx, limit, func() bool { return failed.Load() || next.Load() >= int64(n) }) {
+			if !limit.pollAcquire(actx, func() bool { return failed.Load() || next.Load() >= int64(n) }) {
 				return
 			}
-		} else if limit.Acquire(actx) != nil {
+		} else if limit.acquire(actx) != nil {
 			return
 		}
-		defer limit.Release()
+		defer limit.release()
+		defer stop(errRetired)
 		work()
 	}
 	var wg sync.WaitGroup
@@ -319,7 +334,7 @@ func Fan(ctx context.Context, n int, eo Options, fn func(ctx context.Context, i 
 	// slot it already holds.
 	if held {
 		work()
-		stop()
+		stop(errRetired)
 	} else {
 		worker()
 	}
@@ -339,38 +354,4 @@ func runUnit(ctx context.Context, i int, fn func(context.Context, int) error) (e
 		}
 	}()
 	return fn(ctx, i)
-}
-
-// PollAcquire opportunistically takes a limiter slot for a worker
-// nested under one that already holds a slot: it polls TryAcquire
-// (every 500µs) instead of joining the limiter's blocking queue, so
-// blocking Acquire callers keep strict priority — a Release wakes a
-// blocked sender before a later TryAcquire can win the slot — and a
-// fully subscribed limiter can never deadlock on nested acquisition. It
-// returns true once a slot is held (the caller must Release it), and
-// false when ctx is done or giveUp reports the work has run out. A nil
-// giveUp polls until acquisition or cancellation; a nil Limiter admits
-// immediately. Fan's nested workers are its only caller; the
-// limiterdiscipline analyzer rejects it, like Acquire and TryAcquire,
-// outside internal/engine.
-func PollAcquire(ctx context.Context, l *pool.Limiter, giveUp func() bool) bool {
-	rec := obs.FromContext(ctx)
-	if l == nil {
-		rec = nil // unlimited admission: nothing worth recording
-	}
-	for {
-		if giveUp != nil && giveUp() {
-			return false
-		}
-		if l.TryAcquire() {
-			rec.TryAcquire(true)
-			return true
-		}
-		rec.TryAcquire(false)
-		select {
-		case <-ctx.Done():
-			return false
-		case <-time.After(500 * time.Microsecond):
-		}
-	}
 }

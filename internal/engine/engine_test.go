@@ -2,13 +2,14 @@ package engine
 
 import (
 	"context"
+	"errors"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"sunmap/internal/apps"
 	"sunmap/internal/mapping"
-	"sunmap/internal/pool"
 	"sunmap/internal/route"
 	"sunmap/internal/topology"
 )
@@ -287,11 +288,11 @@ func TestSharedScratchBounded(t *testing.T) {
 	optSets := []mapping.Options{vopdOpts(), split}
 
 	var built atomic.Int64
-	scratch := pool.NewFree(func() *mapping.Scratch {
+	scratch := NewFree(func() *mapping.Scratch {
 		built.Add(1)
 		return mapping.NewScratch()
 	})
-	eo := Options{Parallelism: par, Limit: pool.NewLimiter(par), Scratch: scratch}
+	eo := Options{Parallelism: par, Limit: NewLimiter(par), Scratch: scratch}
 	got := make([][]Outcome, len(optSets))
 	errs := make([]error, len(optSets))
 	var wg sync.WaitGroup
@@ -316,4 +317,47 @@ func TestSharedScratchBounded(t *testing.T) {
 	if n := built.Load(); n < 1 || n > par {
 		t.Errorf("two runs sharing one list built %d scratch sets, want 1..%d", n, par)
 	}
+}
+
+// TestEvaluateProgressPanicIsError checks a panic outside the mapping —
+// here in the progress callback — fails the run with an ErrPanic error
+// instead of crashing the process, and leaks no limiter slot.
+func TestEvaluateProgressPanicIsError(t *testing.T) {
+	for _, par := range []int{1, 2} {
+		limit := NewLimiter(par)
+		_, err := Sweep(context.Background(), apps.VOPD(), vopdLib(t), vopdOpts(), Options{
+			Parallelism: par,
+			Limit:       limit,
+			Progress:    func(Event) { panic("boom") },
+		})
+		if !errors.Is(err, ErrPanic) {
+			t.Errorf("parallelism %d: Sweep returned %v, want an ErrPanic error", par, err)
+		}
+		if n := limit.InFlight(); n != 0 {
+			t.Errorf("parallelism %d: %d slots leaked by the panic", par, n)
+		}
+	}
+}
+
+// TestCacheHitsTakeNoSlot replays a cached sweep on a limiter whose only
+// slot is held elsewhere: every job is a hit, so the run must finish
+// without queueing for the slot.
+func TestCacheHitsTakeNoSlot(t *testing.T) {
+	app, lib, cache := apps.VOPD(), vopdLib(t), NewCache()
+	want, err := Sweep(context.Background(), app, lib, vopdOpts(), Options{Parallelism: 2, Cache: cache})
+	if err != nil {
+		t.Fatal(err)
+	}
+	limit := NewLimiter(1)
+	if err := limit.acquire(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	defer limit.release()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	got, err := Sweep(ctx, app, lib, vopdOpts(), Options{Parallelism: 2, Cache: cache, Limit: limit})
+	if err != nil {
+		t.Fatalf("cached sweep on a saturated limiter: %v", err)
+	}
+	sameOutcomes(t, got, want)
 }

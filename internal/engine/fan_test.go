@@ -6,8 +6,6 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"sunmap/internal/pool"
 )
 
 // TestFan checks the non-mapping fan-out: every unit runs, the Limit
@@ -15,7 +13,7 @@ import (
 // cancellation preempts unit errors.
 func TestFan(t *testing.T) {
 	var ran [16]bool
-	limit := pool.NewLimiter(2)
+	limit := NewLimiter(2)
 	var inFlight, maxInFlight atomic.Int32
 	err := Fan(context.Background(), len(ran), Options{Parallelism: 8, Limit: limit}, func(_ context.Context, i int) error {
 		if n := inFlight.Add(1); n > maxInFlight.Load() {
@@ -94,7 +92,7 @@ func TestFanLowestErrorWhenLaterUnitFailsFirst(t *testing.T) {
 // and the limiter must never admit more than P holders.
 func TestFanNestedNoDeadlock(t *testing.T) {
 	for _, par := range []int{1, 2, 4} {
-		limit := pool.NewLimiter(par)
+		limit := NewLimiter(par)
 		eo := Options{Parallelism: par, Limit: limit}
 		var units, over atomic.Int32
 		done := make(chan error, 1)
@@ -132,11 +130,11 @@ func TestFanNestedNoDeadlock(t *testing.T) {
 
 // TestFanTopLevelQueues pins the top-level half of the admission rule:
 // a Fan on a context that holds no slot takes its slot with the blocking
-// Acquire, so it waits in the limiter's queue (visible in Waiting) while
+// acquire, so it waits in the limiter's queue (visible in Waiting) while
 // another holder has the only slot.
 func TestFanTopLevelQueues(t *testing.T) {
-	limit := pool.NewLimiter(1)
-	if err := limit.Acquire(context.Background()); err != nil {
+	limit := NewLimiter(1)
+	if err := limit.acquire(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	var ran atomic.Bool
@@ -157,7 +155,7 @@ func TestFanTopLevelQueues(t *testing.T) {
 	if ran.Load() {
 		t.Fatal("a unit ran without a slot")
 	}
-	limit.Release()
+	limit.release()
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +168,7 @@ func TestFanTopLevelQueues(t *testing.T) {
 // instead of crashing the process, at one worker and at two.
 func TestFanPanicIsError(t *testing.T) {
 	for _, par := range []int{1, 2} {
-		limit := pool.NewLimiter(par)
+		limit := NewLimiter(par)
 		err := Fan(context.Background(), 4, Options{Parallelism: par, Limit: limit}, func(_ context.Context, i int) error {
 			if i == 2 {
 				panic("boom")
@@ -187,82 +185,82 @@ func TestFanPanicIsError(t *testing.T) {
 }
 
 func TestPollAcquireTakesFreeSlot(t *testing.T) {
-	l := pool.NewLimiter(1)
+	l := NewLimiter(1)
 	ctx := context.Background()
-	if !PollAcquire(ctx, l, nil) {
-		t.Fatal("PollAcquire failed on an idle limiter")
+	if !l.pollAcquire(ctx, nil) {
+		t.Fatal("pollAcquire failed on an idle limiter")
 	}
-	l.Release()
+	l.release()
 }
 
 func TestPollAcquireNilLimiter(t *testing.T) {
-	if !PollAcquire(context.Background(), nil, nil) {
+	if !(*Limiter)(nil).pollAcquire(context.Background(), nil) {
 		t.Fatal("nil limiter must admit immediately")
 	}
 }
 
 func TestPollAcquireGivesUp(t *testing.T) {
-	l := pool.NewLimiter(1)
-	if !l.TryAcquire() {
+	l := NewLimiter(1)
+	if !l.tryAcquire() {
 		t.Fatal("setup: could not take the only slot")
 	}
-	defer l.Release()
+	defer l.release()
 	done := make(chan bool, 1)
 	go func() {
-		done <- PollAcquire(context.Background(), l, func() bool { return true })
+		done <- l.pollAcquire(context.Background(), func() bool { return true })
 	}()
 	select {
 	case got := <-done:
 		if got {
-			t.Fatal("PollAcquire returned true though giveUp fired and the slot was held")
+			t.Fatal("pollAcquire returned true though giveUp fired and the slot was held")
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("PollAcquire did not honor giveUp on a saturated limiter")
+		t.Fatal("pollAcquire did not honor giveUp on a saturated limiter")
 	}
 }
 
 func TestPollAcquireHonorsContext(t *testing.T) {
-	l := pool.NewLimiter(1)
-	if !l.TryAcquire() {
+	l := NewLimiter(1)
+	if !l.tryAcquire() {
 		t.Fatal("setup: could not take the only slot")
 	}
-	defer l.Release()
+	defer l.release()
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan bool, 1)
 	go func() {
-		done <- PollAcquire(ctx, l, nil)
+		done <- l.pollAcquire(ctx, nil)
 	}()
 	cancel()
 	select {
 	case got := <-done:
 		if got {
-			t.Fatal("PollAcquire returned true after cancellation on a saturated limiter")
+			t.Fatal("pollAcquire returned true after cancellation on a saturated limiter")
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("PollAcquire did not honor context cancellation")
+		t.Fatal("pollAcquire did not honor context cancellation")
 	}
 }
 
 // TestPollAcquireEventuallyWins pins the opportunistic half: a poller
 // waiting on a saturated limiter takes the slot soon after it frees.
 func TestPollAcquireEventuallyWins(t *testing.T) {
-	l := pool.NewLimiter(1)
-	if !l.TryAcquire() {
+	l := NewLimiter(1)
+	if !l.tryAcquire() {
 		t.Fatal("setup: could not take the only slot")
 	}
 	done := make(chan bool, 1)
 	go func() {
-		done <- PollAcquire(context.Background(), l, nil)
+		done <- l.pollAcquire(context.Background(), nil)
 	}()
 	time.Sleep(2 * time.Millisecond)
-	l.Release()
+	l.release()
 	select {
 	case got := <-done:
 		if !got {
-			t.Fatal("PollAcquire gave up without giveUp or cancellation")
+			t.Fatal("pollAcquire gave up without giveUp or cancellation")
 		}
-		l.Release()
+		l.release()
 	case <-time.After(5 * time.Second):
-		t.Fatal("PollAcquire never took the freed slot")
+		t.Fatal("pollAcquire never took the freed slot")
 	}
 }

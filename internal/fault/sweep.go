@@ -8,7 +8,6 @@ import (
 
 	"sunmap/internal/engine"
 	"sunmap/internal/graph"
-	"sunmap/internal/pool"
 	"sunmap/internal/route"
 	"sunmap/internal/topology"
 )
@@ -217,7 +216,7 @@ func (r *Report) ConnectedFrac() float64 {
 // folds the outcomes into a Report; see (*Sweeper).SweepContext for the
 // admission and determinism contract. Callers sweeping many design
 // points should hold a Sweeper instead and reuse its buffers.
-func SweepContext(ctx context.Context, topo topology.Topology, assign []int, comms []graph.Commodity, opts route.Options, scenarios []Scenario, exhaustive bool, parallelism int, limit *pool.Limiter) (*Report, error) {
+func SweepContext(ctx context.Context, topo topology.Topology, assign []int, comms []graph.Commodity, opts route.Options, scenarios []Scenario, exhaustive bool, parallelism int, limit *engine.Limiter) (*Report, error) {
 	return NewSweeper().SweepContext(ctx, topo, assign, comms, opts, scenarios, exhaustive, parallelism, limit)
 }
 
@@ -230,7 +229,7 @@ func SweepContext(ctx context.Context, topo topology.Topology, assign []int, com
 // Sweeper runs one sweep at a time; SweepContext hands each of its
 // workers an Evaluator of its own.
 type Sweeper struct {
-	evs *pool.Free[Evaluator]
+	evs *engine.Free[Evaluator]
 	// gen numbers the sweeps; an Evaluator whose gen differs is still
 	// bound to an earlier design point and is rebound before use.
 	gen      uint64
@@ -249,7 +248,7 @@ const sweepUnit = 8
 
 // NewSweeper returns an empty Sweeper; buffers grow on first use.
 func NewSweeper() *Sweeper {
-	return &Sweeper{evs: pool.NewFree(func() *Evaluator { return &Evaluator{rt: route.NewRouter()} })}
+	return &Sweeper{evs: engine.NewFree(func() *Evaluator { return &Evaluator{rt: route.NewRouter()} })}
 }
 
 // SweepContext evaluates every failure scenario of one design point and
@@ -271,7 +270,7 @@ func NewSweeper() *Sweeper {
 // engine.Fan). Outcomes are index-addressed and folded sequentially, so
 // the report is byte-identical at every parallelism setting. ctx aborts
 // the sweep between units.
-func (sw *Sweeper) SweepContext(ctx context.Context, topo topology.Topology, assign []int, comms []graph.Commodity, opts route.Options, scenarios []Scenario, exhaustive bool, parallelism int, limit *pool.Limiter) (*Report, error) {
+func (sw *Sweeper) SweepContext(ctx context.Context, topo topology.Topology, assign []int, comms []graph.Commodity, opts route.Options, scenarios []Scenario, exhaustive bool, parallelism int, limit *engine.Limiter) (*Report, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}

@@ -110,10 +110,6 @@ type Options struct {
 	// WriteFault, when set, runs before every journal append and fails
 	// the append with its error — the chaos harness's fault injector.
 	WriteFault func(recType, id string) error
-	// Recorder, when set, receives job-lifecycle and journal-append
-	// spans (StageJobRun, StageJournalAppend). Nil disables span
-	// recording at the cost of one branch.
-	Recorder *obs.Recorder
 	// Logger receives degraded-path notices (journal write failures,
 	// runner panics, breaker transitions), each line carrying the job
 	// and request correlation ids. Nil discards them.
@@ -252,7 +248,6 @@ func Open(ctx context.Context, opts Options, run Runner) (*Store, error) {
 		if err != nil {
 			return nil, err
 		}
-		j.rec = s.opts.Recorder
 		if s.opts.WriteFault != nil {
 			fault := s.opts.WriteFault
 			j.fault = func(rec record) error { return fault(rec.Type, rec.ID) }
@@ -654,9 +649,7 @@ func (s *Store) runJob(ctx context.Context, jb *job) {
 		return s.run(jctx, kind, payload, ck)
 	}()
 	cancel()
-	elapsed := obs.Since(start)
-	jobRunSeconds.ObserveSeconds(int64(elapsed))
-	s.opts.Recorder.Observe(obs.StageJobRun, elapsed)
+	jobRunSeconds.ObserveSeconds(int64(obs.Since(start)))
 
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -67,9 +67,6 @@ type journal struct {
 	// fault, when set, is the chaos hook: it runs before every append
 	// and its error is returned as the append's failure.
 	fault func(rec record) error
-	// rec, when set, receives one StageJournalAppend span per append
-	// (nil-safe; mirrors Options.Recorder).
-	rec *obs.Recorder
 }
 
 func openJournal(path string) (*journal, error) {
@@ -154,9 +151,7 @@ func (j *journal) append(rec record) error {
 	if err := j.f.Sync(); err != nil {
 		return fmt.Errorf("jobs: journal sync: %w", err)
 	}
-	d := obs.Since(start)
-	fsyncSeconds.ObserveSeconds(int64(d))
-	j.rec.Observe(obs.StageJournalAppend, d)
+	fsyncSeconds.ObserveSeconds(int64(obs.Since(start)))
 	return nil
 }
 

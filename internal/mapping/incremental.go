@@ -91,7 +91,7 @@ import (
 // reference sweep. Buffers are bound to a topology per Map call and
 // regrown as needed, so one Scratch serves an entire library sweep. It is
 // single-goroutine state: give each worker its own (internal/engine pools
-// them via internal/pool.Free).
+// them on an engine.Free list).
 type Scratch struct {
 	rt  *route.Router
 	inc incState
@@ -888,7 +888,6 @@ func (st *incState) buildEval() (*evalResult, error) {
 		designArea:  sw.designArea,
 		networkArea: sw.networkArea,
 		powerMW:     bk.TotalMW(),
-		powerBk:     bk,
 		raw: rawMetrics{
 			hops:    st.res.AvgHops(),
 			areaMM2: sw.designArea,

@@ -132,8 +132,6 @@ type Result struct {
 	NetworkAreaMM2 float64
 	// PowerMW is the network power (switches, links and NI hookups).
 	PowerMW float64
-	// PowerBreakdown splits switch vs link power.
-	PowerBreakdown power.Breakdown
 	// AvgHops is the bandwidth-weighted mean hop count.
 	AvgHops float64
 	// Cost is the objective value of the final mapping.
@@ -241,7 +239,6 @@ func mapContext(ctx context.Context, g *graph.CoreGraph, topo topology.Topology,
 		ChipAreaMM2:    final.fp.ChipAreaMM2(),
 		NetworkAreaMM2: final.networkArea,
 		PowerMW:        final.powerMW,
-		PowerBreakdown: final.powerBk,
 		AvgHops:        final.route.AvgHops(),
 		Cost:           ev.objective(final),
 		BandwidthOK:    final.route.Feasible,
@@ -422,7 +419,6 @@ type evalResult struct {
 	designArea  float64
 	networkArea float64
 	powerMW     float64
-	powerBk     power.Breakdown
 	raw         rawMetrics
 }
 
@@ -509,7 +505,6 @@ func (ev *evaluator) cost(assign []int, exact *exactMode) (*evalResult, error) {
 		designArea:  designArea,
 		networkArea: networkArea,
 		powerMW:     bk.TotalMW(),
-		powerBk:     bk,
 		raw: rawMetrics{
 			hops:    res.AvgHops(),
 			areaMM2: designArea,

@@ -107,7 +107,7 @@ func TestRecorderNilSafe(t *testing.T) {
 	sp.End()
 	r.CacheHit()
 	r.CacheMiss()
-	r.TryAcquire(true)
+	r.LimiterPoll(true)
 	r.Observe(StageLimiterWait, time.Second)
 	if ts := r.Snapshot(); len(ts.Stages) != 0 || ts.Blocked != 0 {
 		t.Fatalf("nil recorder snapshot not empty: %+v", ts)
@@ -129,7 +129,7 @@ func TestRecorderSnapshotStageOrder(t *testing.T) {
 	}
 	r.Observe(StageLimiterWait, 5*time.Millisecond)
 	r.CacheHit()
-	r.TryAcquire(false)
+	r.LimiterPoll(false)
 	ts := r.Snapshot()
 	var names []string
 	for _, st := range ts.Stages {
@@ -162,7 +162,7 @@ func TestRecorderConcurrent(t *testing.T) {
 			for i := 0; i < per; i++ {
 				sp := rec.Start(StageEvaluate)
 				rec.CacheMiss()
-				rec.TryAcquire(i%2 == 0)
+				rec.LimiterPoll(i%2 == 0)
 				sp.End()
 			}
 		}()

@@ -27,26 +27,21 @@ const (
 	// Engine internals.
 	StageEvaluate    // one mapping evaluation (cache misses only)
 	StageLimiterWait // blocking admission wait ahead of an evaluation
-	// Durability layer.
-	StageJobRun        // one async job execution
-	StageJournalAppend // one fsync'd journal append
 
 	numStages
 )
 
 var stageNames = [numStages]string{
-	StageSelect:        "select",
-	StageMap:           "map",
-	StageRoutingSweep:  "routing-sweep",
-	StagePareto:        "pareto",
-	StageSimulate:      "simulate",
-	StageGenerate:      "generate",
-	StageFaultSweep:    "fault-sweep",
-	StageSearch:        "search",
-	StageEvaluate:      "evaluate",
-	StageLimiterWait:   "limiter-wait",
-	StageJobRun:        "job-run",
-	StageJournalAppend: "journal-append",
+	StageSelect:       "select",
+	StageMap:          "map",
+	StageRoutingSweep: "routing-sweep",
+	StagePareto:       "pareto",
+	StageSimulate:     "simulate",
+	StageGenerate:     "generate",
+	StageFaultSweep:   "fault-sweep",
+	StageSearch:       "search",
+	StageEvaluate:     "evaluate",
+	StageLimiterWait:  "limiter-wait",
 }
 
 // String returns the stage's exposition name.
@@ -138,10 +133,10 @@ func (r *Recorder) CacheMiss() {
 	}
 }
 
-// TryAcquire records one opportunistic limiter poll outcome — the
+// LimiterPoll records one opportunistic limiter poll outcome — the
 // signal that distinguishes "parallel but starved" (misses dominate)
 // from "never asked" (no samples at all).
-func (r *Recorder) TryAcquire(hit bool) {
+func (r *Recorder) LimiterPoll(hit bool) {
 	if r == nil {
 		return
 	}

@@ -42,7 +42,6 @@ import (
 	"sunmap/internal/fault"
 	"sunmap/internal/graph"
 	"sunmap/internal/mapping"
-	"sunmap/internal/pool"
 	"sunmap/internal/synth"
 	"sunmap/internal/topology"
 )
@@ -93,7 +92,7 @@ type Options struct {
 	// Limit, when non-nil, is the session's shared admission semaphore:
 	// each chain worker holds one slot; nested fault-sweep workers only
 	// borrow idle slots (see engine.Fan).
-	Limit *pool.Limiter
+	Limit *engine.Limiter
 	// CheckpointEvery, when > 0 together with Checkpoint, emits a
 	// ChainCheckpoint every CheckpointEvery evaluations of each chain (at
 	// step boundaries); the caller decides which emissions to make
@@ -217,8 +216,8 @@ func Run(ctx context.Context, app *graph.CoreGraph, opts Options) (*Result, erro
 	chains := o.Restarts
 	per, rem := o.Budget/chains, o.Budget%chains
 	results := make([]*chainResult, chains)
-	scratch := pool.NewFree(mapping.NewScratch)
-	sweepers := pool.NewFree(fault.NewSweeper)
+	scratch := engine.NewFree(mapping.NewScratch)
+	sweepers := engine.NewFree(fault.NewSweeper)
 	eo := engine.Options{Parallelism: o.Parallelism, Limit: o.Limit}
 	fanErr := engine.Fan(ctx, chains, eo, func(ctx context.Context, i int) error {
 		budget := per
@@ -405,7 +404,7 @@ func snapshot(c *cand, fit float64) Candidate {
 // chain's unit context, so the fault sweep is a Fan nested in the
 // chain's slot: it works inline and borrows idle slots for its extra
 // workers.
-func finishChain(ctx context.Context, app *graph.CoreGraph, comms []graph.Commodity, o Options, cr *chainResult, scratch *pool.Free[mapping.Scratch], sweepers *pool.Free[fault.Sweeper]) {
+func finishChain(ctx context.Context, app *graph.CoreGraph, comms []graph.Commodity, o Options, cr *chainResult, scratch *engine.Free[mapping.Scratch], sweepers *engine.Free[fault.Sweeper]) {
 	evalOne := func(c *Candidate) bool {
 		topo, err := materialize(app, o.Seed, *c)
 		if err != nil {

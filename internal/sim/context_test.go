@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"sunmap/internal/engine"
-	"sunmap/internal/pool"
 	"sunmap/internal/topology"
 	"sunmap/internal/traffic"
 )
@@ -48,7 +47,7 @@ func TestSweepContextParallelMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := sweep(context.Background(), cfg, rates, engine.Options{Parallelism: 3, Limit: pool.NewLimiter(3)})
+	par, err := sweep(context.Background(), cfg, rates, engine.Options{Parallelism: 3, Limit: engine.NewLimiter(3)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"sunmap/internal/engine"
-	"sunmap/internal/pool"
 	"sunmap/internal/topology"
 	"sunmap/internal/traffic"
 )
@@ -39,7 +38,7 @@ func sweepConfig(t *testing.T) Config {
 // slot would wait forever).
 func nestedSweep(t *testing.T, cfg Config, rates []float64) ([]*Stats, error) {
 	t.Helper()
-	limit := pool.NewLimiter(1)
+	limit := engine.NewLimiter(1)
 	var stats []*Stats
 	err := engine.Fan(context.Background(), 1, engine.Options{Parallelism: 1, Limit: limit}, func(ctx context.Context, _ int) (err error) {
 		stats, err = sweep(ctx, cfg, rates, engine.Options{Parallelism: 4, Limit: limit})
@@ -49,7 +48,7 @@ func nestedSweep(t *testing.T, cfg Config, rates []float64) ([]*Stats, error) {
 }
 
 // TestSweepSaturatedLimiterNoDeadlock is the regression test for the old
-// nested blocking Acquire in the simulator's rate sweep: with every
+// nested blocking acquire in the simulator's rate sweep: with every
 // limiter slot held by the caller, a sweep that queued for a slot per
 // rate blocked forever. A sweep nested in a Fan unit must complete
 // inline in the unit's slot.

@@ -78,8 +78,5 @@ func (c *closTopology) Quadrant(src, dst int) []bool {
 	return mask
 }
 
-// Middles returns the number of middle switches (the path diversity).
-func (c *closTopology) Middles() int { return c.m }
-
 // Params returns the (m, n, r) configuration.
 func (c *closTopology) Params() (m, n, r int) { return c.m, c.n, c.r }

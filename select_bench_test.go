@@ -2,11 +2,11 @@ package sunmap_test
 
 import (
 	"context"
+	"runtime"
 	"testing"
 	"time"
 
 	"sunmap"
-	"sunmap/internal/pool"
 )
 
 // selectRequest is the Fig. 6 / Fig. 7b library sweep for one app.
@@ -33,7 +33,7 @@ func coldSelect(b *testing.B, app string, opts ...sunmap.SessionOption) *sunmap.
 // the concurrent engine — the wall-clock speedup claim of the evaluation
 // engine. The parallel sub-benchmark reports the *achieved* speedup (the
 // ratio of a measured sequential run to the parallel ns/op, not the core
-// count) and the effective Limiter cap the run was admitted under as
+// count) and the GOMAXPROCS worker count the run was admitted under as
 // "workers". Compare across core counts with:
 //
 //	go test -bench 'BenchmarkSelect/' -benchtime 3x -cpu 1,4
@@ -56,8 +56,8 @@ func BenchmarkSelect(b *testing.B) {
 			coldSelect(b, app, sunmap.WithParallelism(1))
 			seqNs := float64(time.Since(start).Nanoseconds())
 			b.ReportMetric(seqNs/parNs, "speedup")
-			// Parallelism 0 resolves to the same cap the session provisions.
-			b.ReportMetric(float64(pool.NewLimiter(0).Cap()), "workers")
+			// Parallelism 0 resolves to GOMAXPROCS workers.
+			b.ReportMetric(float64(runtime.GOMAXPROCS(0)), "workers")
 			// One traced parallel run, also outside the timer: the
 			// limiter-wait and span-duration summary fields the bench
 			// harness folds into BENCH_*.json. "blocked-acquires" > 0 with

@@ -97,9 +97,6 @@ type Options struct {
 	// Opt-in: profiles expose internals and cost CPU while sampling, so
 	// they have no place on an exposed listener by default.
 	EnablePprof bool
-	// breaker tuning for tests; zero selects the jobs package defaults.
-	jobBreakerThreshold int
-	jobBreakerCooldown  time.Duration
 	// journalFault, when set, runs before every job journal append (the
 	// jobs.Options.WriteFault hook); tests use it to stall or observe
 	// appends.
@@ -175,13 +172,11 @@ func NewServer(ctx context.Context, s *sunmap.Session, opts Options) (*Server, e
 	opts = opts.withDefaults()
 	sv := &Server{sess: s, opts: opts}
 	store, err := jobs.Open(ctx, jobs.Options{
-		Dir:              opts.JobsDir,
-		Workers:          opts.JobWorkers,
-		Retention:        opts.JobRetention,
-		BreakerThreshold: opts.jobBreakerThreshold,
-		BreakerCooldown:  opts.jobBreakerCooldown,
-		WriteFault:       opts.journalFault,
-		Logger:           sv.logger(),
+		Dir:        opts.JobsDir,
+		Workers:    opts.JobWorkers,
+		Retention:  opts.JobRetention,
+		WriteFault: opts.journalFault,
+		Logger:     sv.logger(),
 	}, sv.runJob)
 	if err != nil {
 		return nil, err

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"sort"
 	"sync"
 	"time"
@@ -15,7 +14,6 @@ import (
 	"sunmap/internal/graph"
 	"sunmap/internal/mapping"
 	"sunmap/internal/obs"
-	"sunmap/internal/pool"
 	"sunmap/internal/route"
 	"sunmap/internal/search"
 	"sunmap/internal/sim"
@@ -43,14 +41,14 @@ type Session struct {
 	libOpts     topology.LibraryOptions
 	synth       *SynthOptions
 	fault       *FaultSpec
-	limit       *pool.Limiter
+	limit       *engine.Limiter
 	// scratch is the mapping scratch every engine run of the session
 	// borrows from; evaluations take a set only while holding a limit
 	// slot, so it never holds more sets than limit has slots.
-	scratch *pool.Free[mapping.Scratch]
+	scratch *engine.Free[mapping.Scratch]
 	// sweepers keeps FaultSweep's survivability sweepers warm across
 	// requests, one per concurrent sweep.
-	sweepers *pool.Free[fault.Sweeper]
+	sweepers *engine.Free[fault.Sweeper]
 	trace    *Trace
 	// scope holds the session's synthesized candidates and search
 	// winners, the only topologies no name can rebuild. It is bounded and
@@ -138,9 +136,9 @@ func NewSession(opts ...SessionOption) (*Session, error) {
 	}
 	s := c.Session
 	s.cache = engine.NewCache()
-	s.limit = pool.NewLimiter(s.parallelism)
-	s.scratch = pool.NewFree(mapping.NewScratch)
-	s.sweepers = pool.NewFree(fault.NewSweeper)
+	s.limit = engine.NewLimiter(s.parallelism)
+	s.scratch = engine.NewFree(mapping.NewScratch)
+	s.sweepers = engine.NewFree(fault.NewSweeper)
 	s.scope = topology.NewScope(topology.DefaultScopeLimit)
 	if p := s.progress; p != nil {
 		// Serialize callbacks across the session's concurrent engine runs
@@ -175,22 +173,6 @@ func (s *Session) Load() LoadStats {
 		InFlight: s.limit.InFlight(),
 		Waiting:  s.limit.Waiting(),
 	}
-}
-
-// workers resolves the session's parallelism to a concrete worker count
-// for n units of work.
-func (s *Session) workers(n int) int {
-	w := s.parallelism
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if w > n {
-		w = n
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
 }
 
 // topologyByName resolves a topology name for this session: the
@@ -969,10 +951,15 @@ func classifyError(err error) string {
 // and the context's error is returned alongside the partial results.
 func (s *Session) Batch(ctx context.Context, reqs []Request) ([]Report, error) {
 	reports := make([]Report, len(reqs))
-	pool.ForEach(ctx, len(reqs), s.workers(len(reqs)), func(i int) {
+	// No Limit: each request's own evaluations and fan-outs take the
+	// session's slots, so Batch only bounds how many requests run at once.
+	// Do turns its panics into error reports, so only cancellation fails
+	// the fan-out.
+	err := engine.Fan(ctx, len(reqs), engine.Options{Parallelism: s.parallelism}, func(_ context.Context, i int) error {
 		reports[i] = s.Do(ctx, reqs[i])
+		return nil
 	})
-	if err := ctx.Err(); err != nil {
+	if err != nil {
 		for i := range reports {
 			if reports[i].Op == "" && reports[i].Error == "" {
 				reports[i] = Report{
