@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync/atomic"
 )
 
 // Core describes one IP block of the SoC. Area and aspect-ratio bounds feed
@@ -74,6 +75,17 @@ type CoreGraph struct {
 	cores []Core
 	edges []Edge
 	index map[string]int
+
+	// derived caches Shared's results; AddCore and Connect clear it.
+	derived atomic.Pointer[derived]
+}
+
+// derived is what one state of a graph determines and every mapping of it
+// reads (see Shared).
+type derived struct {
+	cores []Core
+	comms []Commodity
+	err   error
 }
 
 // NewCoreGraph returns an empty core graph with the given name.
@@ -133,6 +145,7 @@ func (g *CoreGraph) AddCore(c Core) (int, error) {
 	}
 	g.cores = append(g.cores, c)
 	g.index[c.Name] = len(g.cores) - 1
+	g.derived.Store(nil)
 	return len(g.cores) - 1, nil
 }
 
@@ -162,6 +175,7 @@ func (g *CoreGraph) Connect(from, to string, bwMBps float64) error {
 		return fmt.Errorf("graph: flow %s->%s has non-positive bandwidth %g", from, to, bwMBps)
 	}
 	g.edges = append(g.edges, Edge{From: fi, To: ti, BandwidthMBps: bwMBps})
+	g.derived.Store(nil)
 	return nil
 }
 
@@ -249,6 +263,21 @@ func (g *CoreGraph) MaxEdgeMBps() float64 {
 		}
 	}
 	return m
+}
+
+// Shared returns what every mapping of the graph reads: the core list,
+// the commodity list in Commodities' order and Validate's verdict. They
+// are computed once per graph state (AddCore and Connect start a new one)
+// and shared by every caller, so neither slice may be modified. Concurrent
+// first callers may each compute them; the results are equal, and each is
+// immutable once published.
+func (g *CoreGraph) Shared() (cores []Core, comms []Commodity, err error) {
+	d := g.derived.Load()
+	if d == nil {
+		d = &derived{cores: g.Cores(), comms: g.Commodities(), err: g.Validate()}
+		g.derived.Store(d)
+	}
+	return d.cores, d.comms, d.err
 }
 
 // CommVolume returns the total bandwidth core i sends plus receives. The

@@ -300,3 +300,56 @@ func abs(x float64) float64 {
 	}
 	return x
 }
+
+// TestSharedFollowsMutation checks Shared against the copying accessors:
+// equal contents, computed once per graph state (repeat calls share one
+// backing array), recomputed after AddCore and Connect, and unaffected
+// by changes to what Cores and Commodities return.
+func TestSharedFollowsMutation(t *testing.T) {
+	g := buildSmall(t)
+	check := func(when string) {
+		t.Helper()
+		cores, comms, err := g.Shared()
+		if err != nil || !reflect.DeepEqual(cores, g.Cores()) || !reflect.DeepEqual(comms, g.Commodities()) {
+			t.Fatalf("%s: Shared = %v, %v, %v; want %v, %v, nil", when, cores, comms, err, g.Cores(), g.Commodities())
+		}
+		again, comms2, _ := g.Shared()
+		if &again[0] != &cores[0] || &comms2[0] != &comms[0] {
+			t.Fatalf("%s: Shared recomputed an unchanged graph", when)
+		}
+	}
+	check("built")
+	g.Cores()[0].Name = "changed"
+	g.Commodities()[0].ValueMBps = -1
+	check("after changing copies")
+	g.MustAddCore(Core{Name: "e", AreaMM2: 2})
+	check("after AddCore")
+	g.MustConnect("e", "a", 500)
+	check("after Connect")
+	if _, comms, _ := g.Shared(); comms[0].Src != 4 {
+		t.Errorf("Shared missed the new heaviest flow: %v", comms)
+	}
+	var empty CoreGraph
+	if _, _, err := empty.Shared(); err == nil {
+		t.Error("Shared passed an empty graph")
+	}
+}
+
+// TestSharedConcurrentFirstUse has goroutines race to compute a fresh
+// graph's shared state (run with -race): each must get the same lists.
+func TestSharedConcurrentFirstUse(t *testing.T) {
+	g := buildSmall(t)
+	want := g.Commodities()
+	done := make(chan []Commodity)
+	for i := 0; i < 8; i++ {
+		go func() {
+			_, comms, _ := g.Shared()
+			done <- comms
+		}()
+	}
+	for i := 0; i < 8; i++ {
+		if got := <-done; !reflect.DeepEqual(got, want) {
+			t.Errorf("Shared = %v, want %v", got, want)
+		}
+	}
+}

@@ -21,8 +21,9 @@ type benchCase struct {
 
 // benchCases are the tracked configurations: the two hot apps under the
 // two objectives the swap loop most often runs with, plus the other two
-// objectives and a Clos network, where the flat hop count leaves the
-// bound only its load and power terms.
+// objectives and Clos networks and a butterfly, where the flat hop count
+// leaves the bound only its load and power terms and min-delay candidates
+// mostly tie (the tie certificates' cases).
 var benchCases = []benchCase{
 	{"vopd/min-delay", apps.VOPD, "mesh-3x4", Options{Routing: route.MinPath, Objective: MinDelay, CapacityMBps: 500}},
 	{"vopd/weighted", apps.VOPD, "mesh-3x4", Options{Routing: route.MinPath, Objective: Weighted,
@@ -35,6 +36,9 @@ var benchCases = []benchCase{
 	{"vopd/clos/min-delay", apps.VOPD, "clos-m3n3r4", Options{Routing: route.MinPath, Objective: MinDelay, CapacityMBps: 500}},
 	{"mpeg4/clos/weighted", apps.MPEG4, "clos-m3n3r4", Options{Routing: route.MinPath, Objective: Weighted,
 		Weights: Weights{Delay: 1, Area: 1, Power: 1}, CapacityMBps: 500}},
+	{"synthetic32/butterfly-3ary4fly/min-delay", func() *graph.CoreGraph { return apps.Synthetic(32, 0.1, 600, 2) },
+		"butterfly-3ary4fly", Options{Routing: route.MinPath, Objective: MinDelay}},
+	{"netproc/clos/min-delay", apps.NetProc, "clos-m4n4r4", Options{Routing: route.MinPath, Objective: MinDelay}},
 }
 
 // BenchmarkMap times one full Map call (greedy seed, incremental swap
@@ -56,15 +60,9 @@ func BenchmarkMap(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-			n := float64(b.N)
-			b.ReportMetric(float64(sc.inc.work.evaluated)/n, "evaluated/op")
-			b.ReportMetric(float64(sc.inc.work.prunedEarly)/n, "pruned-early/op")
-			b.ReportMetric(float64(sc.inc.work.prunedMid)/n, "pruned-mid/op")
-			b.ReportMetric(float64(sc.inc.work.converged)/n, "converged/op")
-			b.ReportMetric(float64(sc.inc.work.routerEquiv)/n, "router-equiv/op")
-			b.ReportMetric(float64(sc.inc.work.sameDesign)/n, "same-design/op")
-			b.ReportMetric(float64(sc.inc.work.rerouted)/n, "rerouted/op")
-			b.ReportMetric(float64(sc.inc.work.singlePath)/n, "single-path/op")
+			for _, c := range sc.inc.work.named() {
+				b.ReportMetric(float64(c.n)/float64(b.N), c.name+"/op")
+			}
 		})
 		for _, bounded := range []bool{false, true} {
 			name := tc.name + "/swap-eval"
@@ -100,7 +98,11 @@ func benchSweepState(tb testing.TB, g *graph.CoreGraph, topo topology.Topology, 
 	tb.Helper()
 	opts = opts.withDefaults()
 	sc := NewScratch()
-	ev := &evaluator{g: g, topo: topo, comms: g.Commodities(), opts: opts, sc: sc}
+	cores, comms, err := g.Shared()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	ev := &evaluator{g: g, cores: cores, topo: topo, comms: comms, opts: opts, sc: sc}
 	st := &sc.inc
 	st.bind(ev, sc.rt)
 	assign := greedyInitial(g, topo, sc)

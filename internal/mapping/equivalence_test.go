@@ -246,26 +246,36 @@ func TestIncrementalMatchesReferenceSynthetic(t *testing.T) {
 
 // TestWorkCountsPartitionReference checks the sweep's candidate counters
 // against the reference sweep: evaluated, pruned (before or part-way
-// through routing) and skipped (after convergence, router-equivalent,
-// same design) must sum to the candidates the reference evaluates. Each
-// case must also make both skips fire, and the single-path splice on
-// butterflies (a Clos pair has one path per middle switch), so the
-// partition covers them. FuzzSweepMatchesReference checks the partition
-// on random inputs.
+// through routing), tied (before or part-way through routing) and skipped
+// (after convergence, router-equivalent, same design) must sum to the
+// candidates the reference evaluates. Each load-aware case must also make
+// both skips fire, and the single-path splice on butterflies (a Clos pair
+// has one path per middle switch), so the partition covers them. Each
+// min-delay case on a Clos network or a butterfly must make a tie
+// certificate fire, and never the mid-route one under SM; no other case
+// may fire either. FuzzSweepMatchesReference checks the partition on
+// random inputs.
 func TestWorkCountsPartitionReference(t *testing.T) {
 	ctx := context.Background()
+	minDelay := func(fn route.Function) Options {
+		return Options{Routing: fn, Objective: MinDelay, CapacityMBps: 500}
+	}
 	for _, tc := range []struct {
 		g    *graph.CoreGraph
 		topo string
 		opts Options
 	}{
-		{apps.VOPD(), "butterfly-3ary3fly", Options{Routing: route.MinPath, Objective: MinDelay, CapacityMBps: 500}},
+		{apps.VOPD(), "butterfly-3ary3fly", minDelay(route.MinPath)},
 		{apps.VOPD(), "clos-m3n4r5", Options{Routing: route.SplitMin, Objective: MinPower, CapacityMBps: 500}},
 		{apps.NetProc(), "butterfly-3ary3fly", Options{Routing: route.SplitMin, Objective: Weighted,
 			Weights: Weights{Delay: 1, Area: 1, Power: 1}, CapacityMBps: 500}},
+		{apps.VOPD(), "clos-m3n4r5", minDelay(route.MinPath)},
+		{apps.VOPD(), "clos-m3n4r5", minDelay(route.DimensionOrdered)},
+		{apps.VOPD(), "butterfly-3ary3fly", minDelay(route.SplitMin)},
+		{apps.VOPD(), "butterfly-3ary3fly", minDelay(route.DimensionOrdered)},
 	} {
 		topo := mustTopo(topology.ByName(tc.topo))
-		tag := tc.g.Name() + " on " + tc.topo
+		tag := tc.g.Name() + " on " + tc.topo + " (" + tc.opts.Routing.String() + "/" + tc.opts.Objective.String() + ")"
 		fast, ref := NewScratch(), NewScratch()
 		if _, err := MapContextWith(ctx, tc.g, topo, tc.opts, fast); err != nil {
 			t.Fatal(err)
@@ -274,8 +284,19 @@ func TestWorkCountsPartitionReference(t *testing.T) {
 			t.Fatal(err)
 		}
 		w := fast.inc.work
-		if w.routerEquiv == 0 || w.sameDesign == 0 || w.singlePath == 0 && topo.Kind() == topology.Butterfly {
+		if tc.opts.Routing != route.DimensionOrdered &&
+			(w.routerEquiv == 0 || w.sameDesign == 0 || w.singlePath == 0 && topo.Kind() == topology.Butterfly) {
 			t.Errorf("%s: a skip or splice never fired: %+v", tag, w)
+		}
+		switch {
+		case tc.opts.Objective != MinDelay:
+			if w.tieEarly+w.tieMid != 0 {
+				t.Errorf("%s: a tie certificate fired outside min-delay: %+v", tag, w)
+			}
+		case w.tieEarly+w.tieMid == 0:
+			t.Errorf("%s: no tie certificate fired: %+v", tag, w)
+		case tc.opts.Routing == route.SplitMin && w.tieMid != 0:
+			t.Errorf("%s: the mid-route tie certificate fired under SM: %+v", tag, w)
 		}
 		checkPartition(t, tag, w, ref.inc.work.reference)
 	}
@@ -285,7 +306,7 @@ func TestWorkCountsPartitionReference(t *testing.T) {
 // w sum to want, the reference sweep's candidate count.
 func checkPartition(t *testing.T, tag string, w workCounts, want int) {
 	t.Helper()
-	if got := w.evaluated + w.prunedEarly + w.prunedMid + w.converged + w.routerEquiv + w.sameDesign; got != want {
+	if got := w.evaluated + w.prunedEarly + w.prunedMid + w.converged + w.routerEquiv + w.sameDesign + w.tieEarly + w.tieMid; got != want {
 		t.Errorf("%s: counters sum to %d candidates, the reference evaluated %d: %+v", tag, got, want, w)
 	}
 }

@@ -65,6 +65,8 @@ func FuzzSweepMatchesReference(f *testing.F) {
 		w.converged -= before.converged
 		w.routerEquiv -= before.routerEquiv
 		w.sameDesign -= before.sameDesign
+		w.tieEarly -= before.tieEarly
+		w.tieMid -= before.tieMid
 		checkPartition(t, g.Name()+" on "+topo.Name(), w, refSc.inc.work.reference-refBefore)
 	})
 }

@@ -64,6 +64,32 @@
 //     current cost (see lowerBound), before any routing or part-way
 //     through it.
 //
+//     The bound cannot reject an exact tie, and under MinDelay most
+//     candidates on a Clos network, a butterfly or the star tie: every
+//     route there has the same router count (route.Router.UniformHops).
+//     A candidate's hop sum then adds the same terms in the same order as
+//     the baseline's and is bitwise equal, so only the load-balance
+//     tie-break and the overload factor can differ. While the baseline
+//     has no link past capacity, its cost is the hop term plus a term
+//     monotone in the largest link load, and an overload factor of at
+//     least 1 can only raise a candidate's; so a candidate whose largest
+//     link load reaches the baseline's scores at least the current cost,
+//     and the sweep's strict accept test rejects it. Two certificates
+//     find such candidates, with no slack.
+//
+//     The mid-route certificate (tieMid, MP and DO): a link's load only
+//     grows at commodity boundaries, since adding a non-negative float
+//     never lowers it, so once the running largest load that account
+//     keeps reaches the baseline's, the final one does too. SM's
+//     undo-and-commit fold is not monotone bit for bit, so SM is left
+//     out. The certificate before routing (tieEarly): when every route is
+//     load-independent (DO, or MP and SM with a single path for every
+//     pair), a link on no moved commodity's old or new path receives the
+//     same additions in the same order as in the baseline. If none of
+//     those paths crosses a link at the baseline's largest load, that
+//     load survives exactly (see tiesBeforeRouting), and the candidate is
+//     rejected before its switch terms are built.
+//
 // Everything the evaluator touches lives in a Scratch so steady-state
 // candidate evaluation allocates nothing (BenchmarkMap/swap-eval asserts
 // 0 allocs/op).
@@ -112,7 +138,7 @@ type Scratch struct {
 
 // workCounts are the incremental sweep's work counters. Every candidate
 // the reference sweep would evaluate lands in exactly one of the first
-// six. The counts depend only on the inputs, never on timing.
+// eight. The counts depend only on the inputs, never on timing.
 type workCounts struct {
 	evaluated   int // candidates evaluated to the end
 	prunedEarly int // rejected by the bound before any routing
@@ -120,9 +146,11 @@ type workCounts struct {
 	converged   int // never visited: after convergence
 	routerEquiv int // skipped: both terminals on the same inject and eject routers
 	sameDesign  int // skipped: an equivalent move was rejected since the last accepted swap
+	tieEarly    int // rejected before any routing: it can at best tie the current cost
+	tieMid      int // rejected part-way through routing: it can at best tie the current cost
 	rerouted    int // commodities routed rather than spliced
 	singlePath  int // commodities spliced past diverged links: their pair has one path
-	reference   int // candidates the reference sweep evaluated, which the first six partition
+	reference   int // candidates the reference sweep evaluated, which the first eight partition
 }
 
 // NewScratch returns an empty Scratch; buffers grow on first use.
@@ -156,7 +184,6 @@ type incState struct {
 	effChunks     int  // splitting granularity after defaulting
 
 	// Assignment-independent constants of the cost model.
-	cores     []graph.Core
 	linkLens  []float64
 	linkMW    []float64 // power per MB/s on each link
 	linkArea  float64
@@ -200,6 +227,17 @@ type incState struct {
 	powerMW    float64
 	overMark   []int
 	overIDs    []int
+
+	// Tie certificates (see the file comment). tie reports that they
+	// apply to this Map call: the objective is MinDelay and every route
+	// has the same router count. For the baseline, promote sets baseMax,
+	// its largest link load, baseOK when no link is past capacity, atMax
+	// and maxIDs, the links at baseMax (as a mask and a list), and, under
+	// MP and SM, allSingle when every commodity's pair has a single path.
+	tie, baseOK, allSingle bool
+	baseMax                float64
+	atMax                  []bool
+	maxIDs                 []int
 
 	// Same-design memo: termClass[t] is the lowest terminal with t's
 	// inject and eject routers, and memo[core*T+class] holds gen+1 once
@@ -350,14 +388,13 @@ func (st *incState) bind(ev *evaluator, rt *route.Router) {
 		st.effChunks = route.DefaultChunks
 	}
 
-	st.cores = ev.coreList()
 	// Estimated link lengths depend only on the topology template and the
 	// application's average core pitch — not on the assignment — so the
 	// in-loop wiring-area term is a per-Map constant.
-	st.linkLens, _ = floorplan.EstimateLinkLengthsMM(st.topo, nil, st.cores, opts.Floorplan)
+	st.linkLens, _ = floorplan.EstimateLinkLengthsMM(st.topo, nil, ev.cores, opts.Floorplan)
 	st.linkArea = area.LinkAreaMM2(st.linkLens, opts.Tech)
 	st.coreArea = ev.g.TotalCoreAreaMM2()
-	st.niMW = ev.niHookupMW(st.cores)
+	st.niMW = ev.niHookupMW(ev.cores)
 	st.totalMBps = 0
 	for _, c := range st.comms {
 		st.totalMBps += c.ValueMBps
@@ -371,6 +408,7 @@ func (st *incState) bind(ev *evaluator, rt *route.Router) {
 		(opts.Objective != Weighted || w.Delay >= 0 && w.Area >= 0 && w.Power >= 0)
 	st.needHops = opts.Objective == MinDelay || opts.Objective == Weighted && w.Delay != 0
 	st.needPower = opts.Objective == MinPower || opts.Objective == Weighted && w.Power != 0
+	st.tie = st.bounded && opts.Objective == MinDelay && !st.splitAll && rt.UniformHops()
 	if st.needPower {
 		st.linkMW = resizeFloats(st.linkMW, len(st.links))
 		for i, l := range st.linkLens {
@@ -407,6 +445,9 @@ func (st *incState) bind(ev *evaluator, rt *route.Router) {
 	st.dirtyIDs = st.dirtyIDs[:0]
 	st.overMark = resizeInts(st.overMark, l)
 	st.overIDs = st.overIDs[:0]
+	st.atMax = resizeBools(st.atMax, l)
+	clear(st.atMax)
+	st.maxIDs = st.maxIDs[:0]
 	st.epoch = 0
 	for _, sw := range []*switchTerms{&st.swBase, &st.swCand} {
 		if cap(sw.cfgs) < r {
@@ -582,6 +623,16 @@ func (st *incState) startBound(assign []int, fresh bool) {
 //sunmap:hotpath
 func (st *incState) eval(assign []int, ca, cb int, all bool, bound float64) (e *evalResult, pruned bool, err error) {
 	st.epoch++
+	st.setMoved(ca, cb)
+	prune := !all && !math.IsInf(bound, 1)
+	tie := prune && st.tie && st.baseOK
+	if tie && st.tiesBeforeRouting(assign) {
+		st.work.tieEarly++
+		return nil, true, nil
+	}
+	// SM's undo-and-commit fold is not monotone bit for bit, so the
+	// mid-route tie certificate needs MP or DO.
+	tieMid := tie && !st.splitMin
 	// The switch terms read only occupancy: a core-core swap keeps the
 	// baseline's, any other candidate computes its own before routing.
 	fresh := all || ca == -1 || cb == -1
@@ -590,12 +641,10 @@ func (st *incState) eval(assign []int, ca, cb int, all bool, bound float64) (e *
 		st.sw = &st.swCand
 		st.setSwitchTerms(st.sw, assign)
 	}
-	st.setMoved(ca, cb)
 	st.next = 0
 
 	res := &st.res
 	res.Reset(len(st.links), st.topo.NumRouters())
-	prune := !all && !math.IsInf(bound, 1)
 	if prune {
 		st.startBound(assign, fresh)
 		if st.lowerBound(res, 0)*(1-pruneSlack) >= bound {
@@ -654,6 +703,10 @@ func (st *incState) eval(assign []int, ca, cb int, all bool, bound float64) (e *
 		}
 		if prune {
 			st.account(res.LinkLoads, c, rec)
+			if tieMid && st.maxLoad >= st.baseMax {
+				st.work.tieMid++
+				return nil, true, nil
+			}
 			if st.lowerBound(res, k+1)*(1-pruneSlack) >= bound {
 				st.work.prunedMid++
 				return nil, true, nil
@@ -663,6 +716,55 @@ func (st *incState) eval(assign []int, ca, cb int, all bool, bound float64) (e *
 	route.FinalizeLoads(res, st.ev.opts.CapacityMBps)
 	e, err = st.buildEval()
 	return e, false, err
+}
+
+// tiesBeforeRouting reports that the candidate can at best tie the
+// baseline, before any of it is routed (the certificate before routing of
+// the file comment). The caller has checked that the tie certificates
+// apply and that no baseline link is past capacity.
+func (st *incState) tiesBeforeRouting(assign []int) bool {
+	if !st.oblivious && !st.allSingle {
+		return false
+	}
+	for _, k := range st.moved {
+		rec := &st.base[k]
+		for i := 0; i < rec.n; i++ {
+			if st.crossesMax(rec.arcs[i]) {
+				return false
+			}
+		}
+		c := st.comms[k]
+		srcT, dstT := assign[c.Src], assign[c.Dst]
+		switch {
+		case st.oblivious:
+			_, arcs, err := st.rt.PathDO(srcT, dstT, c)
+			if err != nil || st.crossesMax(arcs) {
+				return false // routing reports the error
+			}
+		case st.rt.SinglePath(srcT, dstT):
+			// MP and SM search only inside the pair's quadrant.
+			mask := st.rt.Quadrant(srcT, dstT)
+			for _, id := range st.maxIDs {
+				if l := st.links[id]; mask == nil || mask[l.From] && mask[l.To] {
+					return false
+				}
+			}
+		default:
+			return false
+		}
+	}
+	return true
+}
+
+// crossesMax reports whether a path crosses a link at the baseline's
+// largest load.
+func (st *incState) crossesMax(arcs []int) bool {
+	for _, id := range arcs {
+		if st.atMax[id] {
+			return true
+		}
+	}
+	return false
 }
 
 // setSwitchTerms computes the switch terms of assign into sw.
@@ -778,6 +880,32 @@ func (st *incState) promote(assign []int) {
 		st.hopTerm[k], st.powTerm[k] = h, p
 		st.hopSuf[k] = st.hopSuf[k+1] + h
 		st.powSuf[k] = st.powSuf[k+1] + p
+	}
+	if st.tie {
+		st.promoteTie(assign)
+	}
+}
+
+// promoteTie records the tie certificates' view of the baseline, whose
+// routing st.res holds.
+func (st *incState) promoteTie(assign []int) {
+	st.baseMax = st.res.MaxLinkLoad
+	limit := st.ev.opts.CapacityMBps
+	st.baseOK = limit <= 0 || st.baseMax <= limit
+	for _, id := range st.maxIDs {
+		st.atMax[id] = false
+	}
+	st.maxIDs = st.maxIDs[:0]
+	for id, l := range st.res.LinkLoads {
+		if l == st.baseMax {
+			st.atMax[id] = true
+			st.maxIDs = append(st.maxIDs, id)
+		}
+	}
+	st.allSingle = !st.oblivious
+	for k := 0; st.allSingle && k < len(st.comms); k++ {
+		c := st.comms[k]
+		st.allSingle = st.rt.SinglePath(assign[c.Src], assign[c.Dst])
 	}
 }
 

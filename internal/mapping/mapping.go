@@ -171,7 +171,10 @@ func mapContext(ctx context.Context, g *graph.CoreGraph, topo topology.Topology,
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if err := g.Validate(); err != nil {
+	// The core and commodity lists depend only on the application, so
+	// every Map call of one graph shares them (read-only).
+	cores, comms, err := g.Shared()
+	if err != nil {
 		return nil, fmt.Errorf("mapping: %w", err)
 	}
 	if g.NumCores() > topo.NumTerminals() {
@@ -182,12 +185,10 @@ func mapContext(ctx context.Context, g *graph.CoreGraph, topo topology.Topology,
 	if err := opts.Tech.Validate(); err != nil {
 		return nil, fmt.Errorf("mapping: %w", err)
 	}
-	comms := g.Commodities()
-
 	if sc == nil {
 		sc = NewScratch()
 	}
-	ev := &evaluator{g: g, topo: topo, comms: comms, opts: opts, sc: sc}
+	ev := &evaluator{g: g, cores: cores, topo: topo, comms: comms, opts: opts, sc: sc}
 
 	assign := greedyInitial(g, topo, sc)
 	sc.occupant = resizeInts(sc.occupant, topo.NumTerminals())
@@ -211,7 +212,6 @@ func mapContext(ctx context.Context, g *graph.CoreGraph, topo topology.Topology,
 	// incremental.go for why). Both estimate link lengths in the loop; the
 	// LP floorplanner runs once, on the final mapping.
 	var swaps int
-	var err error
 	if reference {
 		swaps, err = sweepReference(ctx, ev, assign, occupant)
 	} else {
@@ -432,21 +432,12 @@ type exactMode struct{}
 // evaluations of one Map call.
 type evaluator struct {
 	g     *graph.CoreGraph
+	cores []graph.Core // shared with every Map call of g: read-only
 	topo  topology.Topology
-	comms []graph.Commodity
+	comms []graph.Commodity // shared like cores
 	opts  Options
 	norm  rawMetrics // normalization baseline for the weighted objective
 	sc    *Scratch   // full-evaluation workspace (router, floorplanner); always set
-	cores []graph.Core
-}
-
-// coreList returns the core list, copied out of the graph once per Map
-// call.
-func (ev *evaluator) coreList() []graph.Core {
-	if ev.cores == nil {
-		ev.cores = ev.g.Cores()
-	}
-	return ev.cores
 }
 
 // cost evaluates a mapping: route, size switches, estimate (or exactly
@@ -465,7 +456,7 @@ func (ev *evaluator) cost(assign []int, exact *exactMode) (*evalResult, error) {
 	for _, c := range cfgs {
 		swArea += area.SwitchAreaMM2(c, t)
 	}
-	cores := ev.coreList()
+	cores := ev.cores
 
 	var err error
 	var linkLens []float64

@@ -1,7 +1,9 @@
 package mapping
 
 import (
+	"context"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -293,5 +295,43 @@ func TestPartialOccupancyHypercubeMapping(t *testing.T) {
 	checkValidMapping(t, res, 12)
 	if !res.BandwidthOK {
 		t.Errorf("VOPD on hypercube infeasible (max load %g)", res.Route.MaxLinkLoad)
+	}
+}
+
+// TestMapLeavesSharedAppStateIntact maps one application concurrently,
+// under every routing function and both sweeps, on workers with their
+// own Scratch (run with -race). Every Map call reads the graph's shared
+// core and commodity lists; none may change them, and all workers must
+// agree.
+func TestMapLeavesSharedAppStateIntact(t *testing.T) {
+	g := apps.VOPD()
+	wantCores, wantComms := g.Cores(), g.Commodities()
+	topo := mustTopo(topology.NewMesh(3, 4))
+	fns := []route.Function{route.DimensionOrdered, route.MinPath, route.SplitMin, route.SplitAll}
+	results := make([][2]*Result, len(fns))
+	errs := make(chan error, 2*len(fns))
+	for i, fn := range fns {
+		for j, reference := range []bool{false, true} {
+			go func() {
+				opts := Options{Routing: fn, Objective: MinPower, CapacityMBps: 500, SwapPasses: 1}
+				res, err := mapContext(context.Background(), g, topo, opts, nil, reference)
+				results[i][j] = res
+				errs <- err
+			}()
+		}
+	}
+	for range 2 * len(fns) {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, r := range results {
+		if !reflect.DeepEqual(r[0].Assign, r[1].Assign) || r[0].Cost != r[1].Cost {
+			t.Errorf("%v: incremental and reference sweeps disagree", fns[i])
+		}
+	}
+	cores, comms, _ := g.Shared()
+	if !reflect.DeepEqual(cores, wantCores) || !reflect.DeepEqual(comms, wantComms) {
+		t.Error("a Map call changed the application's shared core or commodity list")
 	}
 }

@@ -290,14 +290,26 @@ func (rt *Router) routeSplit(srcT, dstT int, c graph.Commodity, res *Result, chu
 	// Accumulate identical consecutive chunk paths into one FlowPath to
 	// keep Paths compact; loads must still be updated per chunk so later
 	// chunks see the congestion earlier ones created.
+	//
+	// A fault-free SM pair whose quadrant holds one path gets that path
+	// from every chunk's search, whatever the loads, so only the first
+	// chunk searches; the rest replay its path through the same load and
+	// merge steps.
+	single := minOnly && rt.down == nil && rt.SinglePath(srcT, dstT)
 	frac := 1.0 / float64(chunks)
 	acc := rt.accs[:0]
 	rt.chunkAcc = rt.chunkAcc[:0]
 	for i := 0; i < chunks; i++ {
-		verts, arcs, ok := rt.shortest(src, dst, res.LinkLoads, bias, dag, rt.down, mask)
-		if !ok {
-			rt.accs = acc
-			return fmt.Errorf("route: no path for commodity %d chunk %d on %s", c.ID, i, topo.Name()) //sunmap:alloc error path
+		var verts, arcs []int
+		if single && i > 0 {
+			verts, arcs = acc[0].verts, acc[0].arcs
+		} else {
+			var ok bool
+			verts, arcs, ok = rt.shortest(src, dst, res.LinkLoads, bias, dag, rt.down, mask)
+			if !ok {
+				rt.accs = acc
+				return fmt.Errorf("route: no path for commodity %d chunk %d on %s", c.ID, i, topo.Name()) //sunmap:alloc error path
+			}
 		}
 		bw := c.ValueMBps * frac
 		for _, id := range arcs {

@@ -60,6 +60,10 @@ type Router struct {
 	dags   [][]bool
 	single []uint8
 
+	// uniform caches UniformHops for the bound topology: 0 (not
+	// computed), 1 (no) or 2 (yes).
+	uniform uint8
+
 	// do is the bound topology's dimension-ordered routing shape.
 	do doShape
 
@@ -82,6 +86,7 @@ func (rt *Router) Bind(topo topology.Topology) {
 	}
 	rt.topo = topo
 	rt.do = doShapeOf(topo)
+	rt.uniform = 0
 	n := topo.NumTerminals() * topo.NumTerminals()
 	if cap(rt.quads) < n {
 		rt.quads = make([][]bool, n) //sunmap:alloc first-bind growth, recycled across topologies
@@ -117,11 +122,7 @@ func (rt *Router) MinHopDAG(srcT, dstT int) []bool {
 		mask := rt.Quadrant(srcT, dstT)
 		src, dst := rt.topo.InjectRouter(srcT), rt.topo.EjectRouter(dstT)
 		g := rt.topo.Graph()
-		if n := g.NumVertices(); len(rt.hopDist) < n {
-			rt.hopDist = make([]int, n)  //sunmap:alloc first-use growth, recycled across pairs and topologies
-			rt.hopQueue = make([]int, n) //sunmap:alloc first-use growth, recycled across pairs and topologies
-			rt.hopOn = make([]bool, n)   //sunmap:alloc first-use growth, recycled across pairs and topologies
-		}
+		rt.growHopScratch(g.NumVertices())
 		dense := make([]bool, len(rt.topo.Links())) //sunmap:alloc once-per-terminal-pair cache fill, cold after warmup
 		g.MinHopArcsInto(dense, src, dst, mask, rt.hopDist, rt.hopQueue, rt.hopOn)
 		rt.dags[i] = dense
@@ -169,6 +170,76 @@ func (rt *Router) singlePath(srcT, dstT int) bool {
 		}
 	}
 	return routers == hops
+}
+
+// UniformHops reports whether every router path from an inject router to
+// an eject router of the bound topology crosses the same number of
+// routers, computing the flag on first use. Then every route of every
+// routing function has MinHops routers, whatever the loads.
+//
+// The flag is set when the routers reachable from the inject routers fall
+// into stages: every inject router in stage 0, every link from one stage
+// to the next, and every eject router in the same last stage. A path
+// gains one stage per link, so each has as many routers as there are
+// stages. Clos networks, butterflies and the star qualify; a mesh,
+// torus, hypercube or octagon, whose links run both ways, never does.
+func (rt *Router) UniformHops() bool {
+	if rt.uniform == 0 {
+		rt.uniform = 1
+		if rt.uniformHops() {
+			rt.uniform = 2
+		}
+	}
+	return rt.uniform == 2
+}
+
+func (rt *Router) uniformHops() bool {
+	topo := rt.topo
+	g := topo.Graph()
+	n := g.NumVertices()
+	rt.growHopScratch(n)
+	stage, queue, tail := rt.hopDist[:n], rt.hopQueue[:n], 0
+	for r := range stage {
+		stage[r] = -1
+	}
+	numT := topo.NumTerminals()
+	for t := 0; t < numT; t++ {
+		if r := topo.InjectRouter(t); stage[r] == -1 {
+			stage[r] = 0
+			queue[tail] = r
+			tail++
+		}
+	}
+	for i := 0; i < tail; i++ {
+		u := queue[i]
+		for _, a := range g.Out(u) {
+			switch stage[a.To] {
+			case -1:
+				stage[a.To] = stage[u] + 1
+				queue[tail] = a.To
+				tail++
+			case stage[u] + 1:
+			default:
+				return false
+			}
+		}
+	}
+	last := stage[topo.EjectRouter(0)]
+	for t := 1; t < numT; t++ {
+		if stage[topo.EjectRouter(t)] != last {
+			return false
+		}
+	}
+	return last >= 0
+}
+
+// growHopScratch sizes the BFS scratch for n routers.
+func (rt *Router) growHopScratch(n int) {
+	if len(rt.hopDist) < n {
+		rt.hopDist = make([]int, n)  //sunmap:alloc first-use growth, recycled across pairs and topologies
+		rt.hopQueue = make([]int, n) //sunmap:alloc first-use growth, recycled across pairs and topologies
+		rt.hopOn = make([]bool, n)   //sunmap:alloc first-use growth, recycled across pairs and topologies
+	}
 }
 
 // PathMP computes the congestion-aware shortest path of commodity c from

@@ -331,13 +331,19 @@ func RunContext(ctx context.Context, cfg Config) (*Stats, error) {
 	occ := make([]int, topo.NumRouters())
 
 	// Output state per link: wormhole owner (buffer index or -1), credits
-	// (free downstream slots) and round-robin pointer.
+	// (free downstream slots) and round-robin pointer. owned is the
+	// inverse of owner: the link each buffer owns, or -1. A buffer's head
+	// packet walks one path, so it owns at most one link.
 	owner := make([]int, len(links))
 	credits := make([]int, len(links))
 	rr := make([]int, topo.NumRouters())
 	for i := range owner {
 		owner[i] = -1
 		credits[i] = cfg.BufDepthFlits
+	}
+	owned := make([]int, numBufs)
+	for i := range owned {
+		owned[i] = -1
 	}
 	// Ejection: one port per terminal, one flit per cycle, wormhole owner.
 	ejOwner := make([]int, nTerm)
@@ -488,7 +494,8 @@ func RunContext(ctx context.Context, cfg Config) (*Stats, error) {
 					if h.seq != 0 { // only head flits acquire new ports
 						continue
 					}
-					if wantsLink(h, li) && !claimedElsewhere(bi, li, owner) {
+					// A buffer owning another link cannot claim this one.
+					if wantsLink(h, li) && (owned[bi] == -1 || owned[bi] == li) {
 						chosen = bi
 						rr[r] = (rr[r] + k + 1) % n
 						break
@@ -505,9 +512,9 @@ func RunContext(ctx context.Context, cfg Config) (*Stats, error) {
 			returnCredit(chosen, len(links), credits)
 			fl.hop++
 			credits[li]--
-			owner[li] = chosen
+			owner[li], owned[chosen] = chosen, li
 			if fl.tail {
-				owner[li] = -1
+				owner[li], owned[chosen] = -1, -1
 			}
 			transit = append(transit, inTransit{fl: fl, arrive: cycle + perHop, destBuf: linkBuf(li)})
 		}
@@ -615,17 +622,6 @@ func RunContext(ctx context.Context, cfg Config) (*Stats, error) {
 // wantsLink reports whether the flit's next traversal is link li.
 func wantsLink(h *flit, li int) bool {
 	return h.hop < len(h.pkt.links) && h.pkt.links[h.hop] == li
-}
-
-// claimedElsewhere prevents one input buffer from owning two outputs
-// (its head packet can only be walking one path).
-func claimedElsewhere(bi, li int, owner []int) bool {
-	for o, ob := range owner {
-		if o != li && ob == bi {
-			return true
-		}
-	}
-	return false
 }
 
 // returnCredit frees a slot: link buffers return a credit to their link;
