@@ -71,17 +71,7 @@ func TestWorkCountsGolden(t *testing.T) {
 	if err != nil {
 		t.Fatalf("%v (run with -update to create it)", err)
 	}
-	gotLines, wantLines := strings.Split(got, "\n"), strings.Split(string(want), "\n")
-	for i := 0; i < max(len(gotLines), len(wantLines)); i++ {
-		var g, w string
-		if i < len(gotLines) {
-			g = gotLines[i]
-		}
-		if i < len(wantLines) {
-			w = wantLines[i]
-		}
-		if g != w {
-			t.Errorf("work counts differ from %s:\n got: %s\nwant: %s", path, g, w)
-		}
+	if string(want) != got {
+		t.Errorf("work counts differ from %s; explain the change, then rerun with -update.\ngot:\n%swant:\n%s", path, got, want)
 	}
 }
