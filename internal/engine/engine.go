@@ -19,6 +19,7 @@ package engine
 
 import (
 	"context"
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"runtime"
@@ -128,15 +129,17 @@ func Sweep(ctx context.Context, app *graph.CoreGraph, lib []topology.Topology, o
 
 // Evaluate runs an arbitrary job list (the generalization behind Sweep,
 // the routing sweep and the Pareto explorer) as the units of one Fan on
-// up to Parallelism workers. A cache hit takes no Limit slot; a miss
-// takes one with the blocking acquire for the length of its mapping.
+// up to Parallelism workers. With a Cache, every job's key is built
+// before the fan-out (see cacheKeys). A cache hit takes no Limit slot; a
+// miss takes one with the blocking acquire for the length of its mapping.
 // Outcomes are returned in job order regardless of Parallelism. The first
 // context cancellation aborts the run and returns the context's error;
 // per-job mapping failures do not abort and are recorded in the outcome,
-// while a panic outside the mapping (in Key or the progress callback)
-// fails the run with an ErrPanic error. Elapsed on progress events is
-// advisory wall time, deliberately outside the deterministic report
-// surface; it is read through obs.Now, the audited clock source.
+// while a panic outside the mapping (in building the keys or in the
+// progress callback) fails the run with an ErrPanic error. Elapsed on
+// progress events is advisory wall time, deliberately outside the
+// deterministic report surface; it is read through obs.Now, the audited
+// clock source.
 //
 // Evaluate must not run inside a Fan unit under the same Limit: at
 // parallelism 1 a miss's acquire would wait on the slot the calling unit
@@ -150,9 +153,12 @@ func Evaluate(ctx context.Context, app *graph.CoreGraph, jobs []Job, eo Options)
 		return nil, nil
 	}
 	rec := obs.FromContext(ctx)
-	var digest string
+	var keys [][sha256.Size]byte
 	if eo.Cache != nil {
-		digest = app.Digest() // only the cache key consumes it
+		var err error
+		if keys, err = cacheKeys(app, jobs); err != nil {
+			return nil, err
+		}
 	}
 	out := make([]Outcome, len(jobs))
 
@@ -187,9 +193,9 @@ func Evaluate(ctx context.Context, app *graph.CoreGraph, jobs []Job, eo Options)
 			Topology: j.Topo.Name(),
 			Routing:  j.Opts.Routing.String(),
 		}
-		var key string
+		var key [sha256.Size]byte
 		if eo.Cache != nil {
-			key = Key(digest, j.Topo, j.Opts)
+			key = keys[i]
 			if e, ok := eo.Cache.get(key); ok {
 				rec.CacheHit()
 				out[i] = Outcome{Result: e.res, Err: e.err}

@@ -9,9 +9,11 @@
 package graph
 
 import (
+	"crypto/sha256"
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 	"sync/atomic"
 )
 
@@ -76,16 +78,22 @@ type CoreGraph struct {
 	edges []Edge
 	index map[string]int
 
-	// derived caches Shared's results; AddCore and Connect clear it.
+	// derived caches Shared's results and the Digest; AddCore and
+	// Connect clear it.
 	derived atomic.Pointer[derived]
 }
 
-// derived is what one state of a graph determines and every mapping of it
-// reads (see Shared).
+// derived is what one state of a graph determines (see Shared and
+// Digest). Each part is computed on first use, so a cache hit that needs
+// only the digest never builds the commodity list.
 type derived struct {
-	cores []Core
-	comms []Commodity
-	err   error
+	sharedOnce sync.Once
+	cores      []Core
+	comms      []Commodity
+	err        error
+
+	digestOnce sync.Once
+	digest     [sha256.Size]byte
 }
 
 // NewCoreGraph returns an empty core graph with the given name.
@@ -268,16 +276,21 @@ func (g *CoreGraph) MaxEdgeMBps() float64 {
 // Shared returns what every mapping of the graph reads: the core list,
 // the commodity list in Commodities' order and Validate's verdict. They
 // are computed once per graph state (AddCore and Connect start a new one)
-// and shared by every caller, so neither slice may be modified. Concurrent
-// first callers may each compute them; the results are equal, and each is
-// immutable once published.
+// and shared by every caller, so neither slice may be modified.
 func (g *CoreGraph) Shared() (cores []Core, comms []Commodity, err error) {
-	d := g.derived.Load()
-	if d == nil {
-		d = &derived{cores: g.Cores(), comms: g.Commodities(), err: g.Validate()}
-		g.derived.Store(d)
-	}
+	d := g.state()
+	d.sharedOnce.Do(func() { d.cores, d.comms, d.err = g.Cores(), g.Commodities(), g.Validate() })
 	return d.cores, d.comms, d.err
+}
+
+// state returns the derived values of the graph's current state.
+// Concurrent first callers agree on one: the first to publish wins.
+func (g *CoreGraph) state() *derived {
+	if d := g.derived.Load(); d != nil {
+		return d
+	}
+	g.derived.CompareAndSwap(nil, new(derived))
+	return g.derived.Load()
 }
 
 // CommVolume returns the total bandwidth core i sends plus receives. The

@@ -1,23 +1,29 @@
 package mapping
 
 import (
-	"fmt"
-	"strings"
+	"encoding/binary"
+	"math"
 
 	"sunmap/internal/route"
 )
 
-// CacheKey returns a canonical, deterministic encoding of every option
-// that influences a Map result. Two Options values with the same key map
-// any (app, topology) pair to the same Result, so the key — combined with
-// the app digest and topology name — content-addresses the evaluation
-// cache used by internal/engine.
+// AppendCacheKey appends a canonical, deterministic binary encoding of
+// every option that influences a Map result to b and returns the extended
+// slice. Two Options values with the same encoding map any (app,
+// topology) pair to the same Result, so the encoding — combined with the
+// app digest and the topology's name and structure — content-addresses
+// the evaluation cache used by internal/engine.
 //
 // Canonicalization applies the same defaulting Map itself performs and
 // zeroes fields that are inert under the current settings (Weights outside
 // the Weighted objective, Chunks outside the splitting routing functions),
 // so semantically identical configurations collide onto one cache entry.
-func (o Options) CacheKey() string {
+// Integers enter as uvarints and floats as their IEEE-754 bits, so -0 and
+// +0 (and NaNs of distinct payloads) stay apart; the technology name is
+// length-prefixed.
+//
+//sunmap:hotpath
+func (o Options) AppendCacheKey(b []byte) []byte {
 	o = o.withDefaults()
 	if o.Objective != Weighted {
 		o.Weights = Weights{}
@@ -35,13 +41,15 @@ func (o Options) CacheKey() string {
 		fp.Tangents = 5
 	}
 	t := o.Tech
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "v1|rt=%d|obj=%d|w=%g,%g,%g|cap=%g|maxarea=%g|maxaspect=%g|",
-		int(o.Routing), int(o.Objective), o.Weights.Delay, o.Weights.Area, o.Weights.Power,
-		o.CapacityMBps, o.MaxAreaMM2, o.MaxChipAspect)
-	fmt.Fprintf(&sb, "swaps=%d|fp=%g,%d|chunks=%d|", o.SwapPasses, fp.SpacingMM, fp.Tangents, o.Chunks)
-	fmt.Fprintf(&sb, "tech=%s,%d,%g,%g,%g,%g,%g,%g,%g,%g,%g,%d,%d",
-		t.Name, t.FeatureNM, t.XbarAreaMM2, t.BufAreaMM2, t.LogicAreaMM2, t.LinkAreaMM2PerMM,
-		t.BufWritePJ, t.BufReadPJ, t.XbarPJ, t.ArbPJ, t.LinkPJPerMM, t.FlitBits, t.BufDepthFlits)
-	return sb.String()
+	for _, v := range [...]int{int(o.Routing), int(o.Objective), o.SwapPasses, fp.Tangents, o.Chunks, t.FeatureNM, t.FlitBits, t.BufDepthFlits, len(t.Name)} {
+		b = binary.AppendUvarint(b, uint64(v))
+	}
+	b = append(b, t.Name...) //sunmap:alloc grows only past the caller's buffer
+	for _, v := range [...]float64{
+		o.Weights.Delay, o.Weights.Area, o.Weights.Power, o.CapacityMBps, o.MaxAreaMM2, o.MaxChipAspect, fp.SpacingMM,
+		t.XbarAreaMM2, t.BufAreaMM2, t.LogicAreaMM2, t.LinkAreaMM2PerMM, t.BufWritePJ, t.BufReadPJ, t.XbarPJ, t.ArbPJ, t.LinkPJPerMM,
+	} {
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+	}
+	return b
 }

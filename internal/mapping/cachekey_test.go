@@ -11,6 +11,9 @@ import (
 	"sunmap/internal/topology"
 )
 
+// cacheKey is the binary encoding as a comparable string.
+func cacheKey(o Options) string { return string(o.AppendCacheKey(nil)) }
+
 func TestCacheKeyCanonicalizesDefaults(t *testing.T) {
 	// The zero Options and an Options spelling out every default must
 	// collide: Map treats them identically, so the cache must too.
@@ -21,8 +24,8 @@ func TestCacheKeyCanonicalizesDefaults(t *testing.T) {
 		Tech:       tech.Tech100nm(),
 		SwapPasses: 16,
 	}
-	if zero.CacheKey() != explicit.CacheKey() {
-		t.Errorf("zero options and explicit defaults disagree:\n%s\n%s", zero.CacheKey(), explicit.CacheKey())
+	if cacheKey(zero) != cacheKey(explicit) {
+		t.Errorf("zero options and explicit defaults disagree:\n%x\n%x", cacheKey(zero), cacheKey(explicit))
 	}
 }
 
@@ -32,7 +35,7 @@ func TestCacheKeyIgnoresInertFields(t *testing.T) {
 	// Weights are inert outside the Weighted objective.
 	w := base
 	w.Weights = Weights{Delay: 1, Area: 2, Power: 3}
-	if base.CacheKey() != w.CacheKey() {
+	if cacheKey(base) != cacheKey(w) {
 		t.Error("weights changed the key under a non-weighted objective")
 	}
 	weighted := base
@@ -40,26 +43,26 @@ func TestCacheKeyIgnoresInertFields(t *testing.T) {
 	weighted.Weights = Weights{Delay: 1}
 	weighted2 := weighted
 	weighted2.Weights = Weights{Delay: 1, Area: 1}
-	if weighted.CacheKey() == weighted2.CacheKey() {
+	if cacheKey(weighted) == cacheKey(weighted2) {
 		t.Error("weights did not change the key under the Weighted objective")
 	}
 
 	// Chunks are inert under single-path routing functions.
 	c := base
 	c.Chunks = 64
-	if base.CacheKey() != c.CacheKey() {
+	if cacheKey(base) != cacheKey(c) {
 		t.Error("chunks changed the key under MinPath")
 	}
 	sm := base
 	sm.Routing = route.SplitMin
 	smDefault := sm
 	smDefault.Chunks = 32 // the route.Options default
-	if sm.CacheKey() != smDefault.CacheKey() {
+	if cacheKey(sm) != cacheKey(smDefault) {
 		t.Error("explicit default chunks changed the key under SplitMin")
 	}
 	sm64 := sm
 	sm64.Chunks = 64
-	if sm.CacheKey() == sm64.CacheKey() {
+	if cacheKey(sm) == cacheKey(sm64) {
 		t.Error("chunks did not change the key under SplitMin")
 	}
 }
@@ -72,9 +75,9 @@ func TestCacheKeyDistinguishesDesignPoints(t *testing.T) {
 		{Routing: route.MinPath, Objective: MinDelay, CapacityMBps: 1000},
 		{Routing: route.MinPath, Objective: MinDelay, CapacityMBps: 500, MaxAreaMM2: 60},
 	}
-	seen := map[string]bool{base.CacheKey(): true}
+	seen := map[string]bool{cacheKey(base): true}
 	for i, v := range variants {
-		k := v.CacheKey()
+		k := cacheKey(v)
 		if seen[k] {
 			t.Errorf("variant %d collides with an earlier design point", i)
 		}
@@ -86,7 +89,7 @@ func TestCacheKeyDistinguishesDesignPoints(t *testing.T) {
 	}
 	other := base
 	other.Tech = tech90
-	if other.CacheKey() == base.CacheKey() {
+	if cacheKey(other) == cacheKey(base) {
 		t.Error("technology point did not change the key")
 	}
 }

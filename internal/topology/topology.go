@@ -290,9 +290,28 @@ func (b *base) allRouters() []bool {
 // PhysicalLinks counts physical channels: bidirectional pairs collapse to
 // one (mesh-style links), one-way channels (butterfly/clos stages) count
 // individually. Fig. 6(b)'s resource-utilization chart uses this count
-// plus one network-interface link per mapped core.
+// plus one network-interface link per mapped core. It equals
+// len(Channels(t)) without building the groups: a link opens a channel
+// when no lower-ID link joins the same router pair.
 func PhysicalLinks(t Topology) int {
-	return len(Channels(t))
+	g := t.Graph()
+	n := 0
+	for _, l := range t.Links() {
+		if !linkedBefore(g, l.From, l.To, l.ID) && !linkedBefore(g, l.To, l.From, l.ID) {
+			n++
+		}
+	}
+	return n
+}
+
+// linkedBefore reports whether g has an arc u->v with an ID below id.
+func linkedBefore(g *graph.Digraph, u, v, id int) bool {
+	for _, a := range g.Out(u) {
+		if a.To == v && a.ID < id {
+			return true
+		}
+	}
+	return false
 }
 
 // Channels groups the directed links into physical channels: every link
