@@ -117,18 +117,26 @@ func MPEG4() *graph.CoreGraph {
 // opposite node, giving the all-to-all-ish load the paper describes.
 func NetProc() *graph.CoreGraph {
 	g := graph.NewCoreGraph("netproc")
-	const n = 16
-	for i := 0; i < n; i++ {
-		g.MustAddCore(graph.Core{Name: fmt.Sprintf("node%02d", i), AreaMM2: 4.5})
+	n := len(netProcNames)
+	for _, name := range netProcNames {
+		g.MustAddCore(graph.Core{Name: name, AreaMM2: 4.5})
 	}
-	name := func(i int) string { return fmt.Sprintf("node%02d", i%n) }
-	for i := 0; i < n; i++ {
-		g.MustConnect(name(i), name(i+1), 200)
-		g.MustConnect(name(i), name(i+4), 200)
-		g.MustConnect(name(i), name(i+8), 200)
+	for i, name := range netProcNames {
+		g.MustConnect(name, netProcNames[(i+1)%n], 200)
+		g.MustConnect(name, netProcNames[(i+4)%n], 200)
+		g.MustConnect(name, netProcNames[(i+8)%n], 200)
 	}
 	return g
 }
+
+// netProcNames are NetProc's 16 core names, formatted once: every
+// request naming the app rebuilds its graph.
+var netProcNames = func() (names [16]string) {
+	for i := range names {
+		names[i] = fmt.Sprintf("node%02d", i)
+	}
+	return names
+}()
 
 // DSPFilter returns the 6-core DSP filter design of Fig. 10(a): six 200
 // MB/s flows and the 600 MB/s FFT->Filter->IFFT spine. Use DSPCapacityMBps

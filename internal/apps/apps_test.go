@@ -1,6 +1,7 @@
 package apps
 
 import (
+	"fmt"
 	"testing"
 
 	"sunmap/internal/graph"
@@ -92,6 +93,29 @@ func TestNetProcShape(t *testing.T) {
 		if g.CommVolume(i) != v0 {
 			t.Errorf("node %d volume %g != node 0 volume %g", i, g.CommVolume(i), v0)
 		}
+	}
+}
+
+// TestNetProcMatchesFormattedBuild checks NetProc against the build
+// that formatted every name at each use: same graph, same digest.
+func TestNetProcMatchesFormattedBuild(t *testing.T) {
+	want := graph.NewCoreGraph("netproc")
+	const n = 16
+	for i := 0; i < n; i++ {
+		want.MustAddCore(graph.Core{Name: fmt.Sprintf("node%02d", i), AreaMM2: 4.5})
+	}
+	name := func(i int) string { return fmt.Sprintf("node%02d", i%n) }
+	for i := 0; i < n; i++ {
+		want.MustConnect(name(i), name(i+1), 200)
+		want.MustConnect(name(i), name(i+4), 200)
+		want.MustConnect(name(i), name(i+8), 200)
+	}
+	got := NetProc()
+	if got.Digest() != want.Digest() {
+		t.Error("NetProc digest differs from the formatted build's")
+	}
+	if g, w := graph.Format(got), graph.Format(want); g != w {
+		t.Errorf("NetProc graph differs:\n%s\nwant\n%s", g, w)
 	}
 }
 

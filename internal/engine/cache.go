@@ -4,9 +4,6 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
-	"math"
-	"math/bits"
-	"reflect"
 	"sync"
 	"sync/atomic"
 
@@ -25,12 +22,12 @@ var (
 	cacheMissCount = cacheLookups.With("miss")
 )
 
-// cacheKeys returns every job's evaluation key. One run digests the
-// application once and each distinct topology once: jobs holding the
-// same pointer share its structural digest. A topology of any other
-// dynamic type is digested per job, since a map keyed by an interface
-// panics on a non-comparable value. A panic in a Topology method fails
-// the run with an ErrPanic error, as it would inside a unit.
+// cacheKeys returns every job's evaluation key. The application is
+// digested once per run; a topology's structural digest comes from
+// topology.Digest, which a library, synthesized or discovered topology
+// computes once per object, so a warm run hashes no structure. A panic in
+// a Topology method fails the run with an ErrPanic error, as it would
+// inside a unit.
 func cacheKeys(app *graph.CoreGraph, jobs []Job) (keys [][sha256.Size]byte, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -39,17 +36,8 @@ func cacheKeys(app *graph.CoreGraph, jobs []Job) (keys [][sha256.Size]byte, err 
 	}()
 	appDigest := app.Digest()
 	keys = make([][sha256.Size]byte, len(jobs))
-	digests := make(map[topology.Topology][sha256.Size]byte, len(jobs))
 	for i, j := range jobs {
-		var d [sha256.Size]byte
-		if reflect.TypeOf(j.Topo).Kind() != reflect.Pointer {
-			d = topoDigest(j.Topo)
-		} else if memo, ok := digests[j.Topo]; ok {
-			d = memo
-		} else {
-			d = topoDigest(j.Topo)
-			digests[j.Topo] = d
-		}
+		d := topology.Digest(j.Topo)
 		keys[i] = key(&appDigest, &d, j.Topo.Name(), j.Opts)
 	}
 	return keys, nil
@@ -68,60 +56,6 @@ func key(app, topo *[sha256.Size]byte, name string, opts mapping.Options) [sha25
 	b := binary.AppendUvarint(buf[:2*sha256.Size], uint64(len(name)))
 	b = append(b, name...) //sunmap:alloc only a name longer than the buffer's headroom spills to the heap
 	return sha256.Sum256(opts.AppendCacheKey(b))
-}
-
-// topoDigest hashes the structure the mapper observes — terminals,
-// routers, links, terminal attachment and placement — so two topologies
-// that happen to share a Name() (e.g. custom library entries) cannot
-// collide onto one cache entry. Integers enter as uvarints and positions
-// as uvarints of their byte-reversed IEEE-754 bits — the gob encoding,
-// injective and a few bytes for the short mantissas of grid coordinates
-// — streamed through a stack buffer into one SHA-256 state.
-//
-//sunmap:hotpath
-func topoDigest(t topology.Topology) [sha256.Size]byte {
-	const record = 48 // bound on one encoded link, terminal or router
-	h := sha256.New()
-	var buf [512]byte
-	links := t.Links()
-	nt, nr := t.NumTerminals(), t.NumRouters()
-	b := buf[:0]
-	for _, v := range [...]int{int(t.Kind()), nt, nr, len(links)} {
-		b = binary.AppendUvarint(b, uint64(v))
-	}
-	for _, l := range links {
-		if len(b)+record > len(buf) {
-			h.Write(b)
-			b = buf[:0]
-		}
-		b = binary.AppendUvarint(b, uint64(l.ID))
-		b = binary.AppendUvarint(b, uint64(l.From))
-		b = binary.AppendUvarint(b, uint64(l.To))
-	}
-	for term := 0; term < nt; term++ {
-		if len(b)+record > len(buf) {
-			h.Write(b)
-			b = buf[:0]
-		}
-		x, y := t.TerminalPosition(term)
-		b = binary.AppendUvarint(b, uint64(t.InjectRouter(term)))
-		b = binary.AppendUvarint(b, uint64(t.EjectRouter(term)))
-		b = binary.AppendUvarint(b, bits.ReverseBytes64(math.Float64bits(x)))
-		b = binary.AppendUvarint(b, bits.ReverseBytes64(math.Float64bits(y)))
-	}
-	for r := 0; r < nr; r++ {
-		if len(b)+record > len(buf) {
-			h.Write(b)
-			b = buf[:0]
-		}
-		x, y := t.Position(r)
-		b = binary.AppendUvarint(b, bits.ReverseBytes64(math.Float64bits(x)))
-		b = binary.AppendUvarint(b, bits.ReverseBytes64(math.Float64bits(y)))
-	}
-	h.Write(b)
-	var sum [sha256.Size]byte
-	h.Sum(sum[:0])
-	return sum
 }
 
 // entry is one memoized evaluation. Hard mapping failures (structural

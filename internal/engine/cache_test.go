@@ -7,8 +7,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	"sunmap/internal/apps"
@@ -19,7 +19,7 @@ import (
 	"sunmap/internal/topology"
 )
 
-// fmtTopoDigest is the text encoding topoDigest replaced, kept as the
+// fmtTopoDigest is the text encoding topology.Digest replaced, kept as the
 // oracle its binary encoding is checked against.
 func fmtTopoDigest(t topology.Topology) string {
 	h := sha256.New()
@@ -97,7 +97,7 @@ func TestTopoDigestMatchesFmtOracle(t *testing.T) {
 	binOf := make(map[string][sha256.Size]byte)
 	txtOf := make(map[[sha256.Size]byte]string)
 	for _, topo := range corpus {
-		bin, txt := topoDigest(topo), fmtTopoDigest(topo)
+		bin, txt := topology.Digest(topo), fmtTopoDigest(topo)
 		if b, ok := binOf[txt]; ok && b != bin {
 			t.Errorf("%s: text digest matches an earlier topology's, binary digest does not", topo.Name())
 		}
@@ -111,47 +111,35 @@ func TestTopoDigestMatchesFmtOracle(t *testing.T) {
 	}
 }
 
-// countingTopo counts Links calls: on a warm cache, only key building
-// reads them.
-type countingTopo struct {
-	topology.Topology
-	links atomic.Int32
-}
-
-func (c *countingTopo) Links() []topology.Link {
-	c.links.Add(1)
-	return c.Topology.Links()
-}
-
 // TestEvaluateDigestsEachTopologyOnce runs a routing-sweep-shaped job
-// list — one topology, four option sets — on a warm cache and checks the
-// run digested the topology once.
+// list — one library topology, four option sets — and checks the
+// topology's structure is hashed once per object, not once per run:
+// warm key building allocates only the key list, where hashing a
+// structure allocates its SHA-256 state.
 func TestEvaluateDigestsEachTopologyOnce(t *testing.T) {
 	mesh, err := topology.NewMesh(3, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	topo := &countingTopo{Topology: mesh}
 	var jobs []Job
 	for _, fn := range []route.Function{route.DimensionOrdered, route.MinPath, route.SplitMin, route.SplitAll} {
 		o := vopdOpts()
 		o.Routing = fn
-		jobs = append(jobs, Job{Topo: topo, Opts: o})
+		jobs = append(jobs, Job{Topo: mesh, Opts: o})
 	}
-	cache := NewCache()
-	eo := Options{Parallelism: 2, Cache: cache}
-	if _, err := Evaluate(context.Background(), apps.VOPD(), jobs, eo); err != nil {
+	app := apps.VOPD()
+	cold, err := cacheKeys(app, jobs)
+	if err != nil {
 		t.Fatal(err)
 	}
-	topo.links.Store(0)
-	if _, err := Evaluate(context.Background(), apps.VOPD(), jobs, eo); err != nil {
-		t.Fatal(err)
-	}
-	if st := cache.Stats(); st.Hits != uint64(len(jobs)) {
-		t.Fatalf("stats = %+v, want %d hits", st, len(jobs))
-	}
-	if n := topo.links.Load(); n != 1 {
-		t.Errorf("warm run read the topology's links %d times, want 1", n)
+	allocs := testing.AllocsPerRun(10, func() {
+		warm, err := cacheKeys(app, jobs)
+		if err != nil || !slices.Equal(warm, cold) {
+			t.Fatalf("warm keys differ from the first run's (err %v)", err)
+		}
+	})
+	if allocs != 1 {
+		t.Errorf("warm key building allocates %.0f times, want 1 (the key list)", allocs)
 	}
 }
 
@@ -161,9 +149,10 @@ type uncomparable struct {
 	tags []string
 }
 
-// TestEvaluateUncomparableTopology checks key building accepts a
-// value-typed, non-comparable Topology implementation without panicking,
-// and that two such values of one network share their cache entry.
+// TestEvaluateUncomparableTopology checks key building and routing
+// accept a value-typed, non-comparable Topology implementation without
+// panicking, and that two such values of one network share their cache
+// entry.
 func TestEvaluateUncomparableTopology(t *testing.T) {
 	mesh, err := topology.NewMesh(3, 4)
 	if err != nil {
@@ -171,8 +160,14 @@ func TestEvaluateUncomparableTopology(t *testing.T) {
 	}
 	cache := NewCache()
 	lib := []topology.Topology{uncomparable{mesh, []string{"a"}}, uncomparable{mesh, []string{"b"}}}
-	if _, err := Sweep(context.Background(), apps.VOPD(), lib, vopdOpts(), Options{Parallelism: 1, Cache: cache}); err != nil {
+	outs, err := Sweep(context.Background(), apps.VOPD(), lib, vopdOpts(), Options{Parallelism: 1, Cache: cache})
+	if err != nil {
 		t.Fatal(err)
+	}
+	for i, o := range outs {
+		if o.Err != nil {
+			t.Errorf("outcome %d: %v", i, o.Err)
+		}
 	}
 	if st := cache.Stats(); st.Hits != 1 || st.Entries != 1 {
 		t.Errorf("stats = %+v, want 1 hit and 1 entry", st)
@@ -244,10 +239,10 @@ func warmNetProcSweep(tb testing.TB) (*graph.CoreGraph, []topology.Topology, map
 }
 
 // maxHitAllocs is the measured allocation count of a warm 16-core
-// library sweep: the job, key and outcome lists, the per-run
-// topology-digest map, the run-local scratch list and Fan's fixed cost.
-// Text-formatted keys took 1,353.
-const maxHitAllocs = 21
+// library sweep: the job, key and outcome lists, the run-local scratch
+// list and Fan's fixed cost. Text-formatted keys took 1,353, and a
+// per-run topology-digest map 21.
+const maxHitAllocs = 18
 
 // TestEvaluateHitAllocs is the hit path's allocation gate.
 func TestEvaluateHitAllocs(t *testing.T) {

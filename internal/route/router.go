@@ -5,8 +5,9 @@
 // Route entry point every one of those evaluations allocates dist/prev
 // arrays, a priority queue, path slices and a fresh quadrant mask per
 // commodity. A Router owns all of that scratch — a graph.SPSolver, path
-// buffers, a per-terminal-pair quadrant-mask cache and the split-routing
-// accumulator arena — so steady-state routing work allocates nothing.
+// buffers and the split-routing accumulator arena — and reads quadrant
+// masks from the bound topology's shared routing tables, so steady-state
+// routing work allocates nothing.
 // Every search takes its weights as arguments: the live link loads plus a
 // commodity-scaled tie-break bias for the load-aware functions, and an
 // all-zero load vector with bias 1 for the unit-weight DO fallback.
@@ -21,6 +22,7 @@ package route
 
 import (
 	"fmt"
+	"reflect"
 
 	"sunmap/internal/graph"
 	"sunmap/internal/topology"
@@ -51,25 +53,21 @@ type Router struct {
 	// the mapper's delta evaluator replays for spliced commodities.
 	chunkAcc []int
 
-	// Quadrant-mask, min-hop-DAG and single-path caches for the bound
-	// topology, indexed src*T+dst. Entries are computed lazily and shared
-	// read-only with the solver; all depend only on the terminal pair,
-	// never on loads. single holds 0 (not computed), 1 (no) or 2 (yes).
-	topo   topology.Topology
-	quads  [][]bool
-	dags   [][]bool
-	single []uint8
-
-	// uniform caches UniformHops for the bound topology: 0 (not
-	// computed), 1 (no) or 2 (yes).
-	uniform uint8
+	// topo is the bound topology and tb its routing tables: quadrant
+	// masks, min-hop DAGs and single-path and uniform-hops flags, all
+	// functions of the structure alone. A topology of the topology
+	// package shares one set of tables with every Router (see
+	// topology.SharedTables); any other implementation gets a private
+	// set, flagged by private.
+	topo    topology.Topology
+	tb      *topology.RouteTables
+	private bool
 
 	// do is the bound topology's dimension-ordered routing shape.
 	do doShape
 
-	// BFS scratch for filling a min-hop-DAG cache entry.
-	hopDist, hopQueue []int
-	hopOn             []bool
+	// hop is the BFS scratch of a min-hop-DAG or uniform-hops fill.
+	hop topology.HopScratch
 }
 
 // NewRouter returns a Router with empty scratch; buffers grow on first use.
@@ -77,170 +75,51 @@ func NewRouter() *Router {
 	return &Router{sp: graph.NewSPSolver()}
 }
 
-// Bind points the Router's quadrant cache and DO shape at topo, clearing
-// the cache when the topology changes. Routing entry points call it
-// implicitly.
+// Bind points the Router at topo's routing tables and DO shape. Routing
+// entry points call it implicitly. Identity is the tables' pointer: a
+// topology of the topology package brings its shared tables, so Bind
+// never compares Topology values, and every Router bound to one object
+// reads the same read-only masks. Any other implementation gets private
+// tables, kept while Bind sees the same value again; a value that cannot
+// be compared gets fresh tables at every Bind.
 func (rt *Router) Bind(topo topology.Topology) {
-	if rt.topo == topo {
+	tb := topology.SharedTables(topo)
+	private := tb == nil
+	switch {
+	case !private && tb == rt.tb, private && rt.private && identical(rt.topo, topo):
 		return
+	case private:
+		tb = topology.NewRouteTables(topo)
 	}
-	rt.topo = topo
+	rt.topo, rt.tb, rt.private = topo, tb, private
 	rt.do = doShapeOf(topo)
-	rt.uniform = 0
-	n := topo.NumTerminals() * topo.NumTerminals()
-	if cap(rt.quads) < n {
-		rt.quads = make([][]bool, n) //sunmap:alloc first-bind growth, recycled across topologies
-		rt.dags = make([][]bool, n)  //sunmap:alloc first-bind growth, recycled across topologies
-		rt.single = make([]uint8, n) //sunmap:alloc first-bind growth, recycled across topologies
-	}
-	rt.quads = rt.quads[:n]
-	rt.dags = rt.dags[:n]
-	rt.single = rt.single[:n]
-	for i := range rt.quads {
-		rt.quads[i] = nil
-		rt.dags[i] = nil
-		rt.single[i] = 0
-	}
 }
 
-// Quadrant returns the cached minimum-path mask for the terminal pair,
-// computing it on first use. The mask is shared and must not be mutated.
-func (rt *Router) Quadrant(srcT, dstT int) []bool {
-	i := srcT*rt.topo.NumTerminals() + dstT
-	if rt.quads[i] == nil {
-		rt.quads[i] = rt.topo.Quadrant(srcT, dstT)
-	}
-	return rt.quads[i]
+// identical reports whether a and b are one Topology value without the
+// panic == raises on two values of one non-comparable dynamic type.
+func identical(a, b topology.Topology) bool {
+	v := reflect.ValueOf(a)
+	return v.IsValid() && v.Type() == reflect.TypeOf(b) && v.Comparable() && a == b
 }
 
-// MinHopDAG returns the cached dense arc mask of the terminal pair's
-// minimum-hop path DAG (the SM flow-splitting region), computing it on
-// first use. The mask is shared and must not be mutated.
-func (rt *Router) MinHopDAG(srcT, dstT int) []bool {
-	i := srcT*rt.topo.NumTerminals() + dstT
-	if rt.dags[i] == nil {
-		mask := rt.Quadrant(srcT, dstT)
-		src, dst := rt.topo.InjectRouter(srcT), rt.topo.EjectRouter(dstT)
-		g := rt.topo.Graph()
-		rt.growHopScratch(g.NumVertices())
-		dense := make([]bool, len(rt.topo.Links())) //sunmap:alloc once-per-terminal-pair cache fill, cold after warmup
-		g.MinHopArcsInto(dense, src, dst, mask, rt.hopDist, rt.hopQueue, rt.hopOn)
-		rt.dags[i] = dense
-	}
-	return rt.dags[i]
-}
+// Quadrant returns the bound topology's minimum-path mask for the
+// terminal pair (topology.RouteTables.Quadrant). The mask is shared and
+// must not be mutated.
+func (rt *Router) Quadrant(srcT, dstT int) []bool { return rt.tb.Quadrant(srcT, dstT) }
+
+// MinHopDAG returns the dense arc mask of the terminal pair's
+// minimum-hop path DAG (the SM flow-splitting region). The mask is
+// shared and must not be mutated.
+func (rt *Router) MinHopDAG(srcT, dstT int) []bool { return rt.tb.MinHopDAG(srcT, dstT, &rt.hop) }
 
 // SinglePath reports whether the terminal pair's quadrant holds exactly
-// one simple inject-to-eject path, computing the flag on first use. Then
-// every quadrant-restricted search returns that path whatever the loads:
-// MP's search and each of SM's chunk searches on the min-hop DAG. SA
-// searches the whole graph, so the flag says nothing about SA routes.
-//
-// The flag is set when inject and eject are one router, or when the
-// quadrant holds exactly MinHops routers. A quadrant path has at least
-// MinHops routers, so each one visits every quadrant router; an arc that
-// skipped ahead along a minimum path would make a shorter one, so each
-// visits them in the same order. No topology has parallel links, so that
-// order fixes the arcs too. Every butterfly pair, mesh pairs sharing a
-// row or column, hypercube neighbours and the star qualify.
-func (rt *Router) SinglePath(srcT, dstT int) bool {
-	i := srcT*rt.topo.NumTerminals() + dstT
-	if rt.single[i] == 0 {
-		rt.single[i] = 1
-		if rt.singlePath(srcT, dstT) {
-			rt.single[i] = 2
-		}
-	}
-	return rt.single[i] == 2
-}
+// one simple inject-to-eject path (topology.RouteTables.SinglePath).
+func (rt *Router) SinglePath(srcT, dstT int) bool { return rt.tb.SinglePath(srcT, dstT) }
 
-func (rt *Router) singlePath(srcT, dstT int) bool {
-	hops := rt.topo.MinHops(srcT, dstT)
-	if hops < 2 {
-		return hops == 1
-	}
-	mask := rt.Quadrant(srcT, dstT)
-	if mask == nil {
-		return rt.topo.NumRouters() == hops
-	}
-	routers := 0
-	for _, in := range mask {
-		if in {
-			routers++
-		}
-	}
-	return routers == hops
-}
-
-// UniformHops reports whether every router path from an inject router to
-// an eject router of the bound topology crosses the same number of
-// routers, computing the flag on first use. Then every route of every
-// routing function has MinHops routers, whatever the loads.
-//
-// The flag is set when the routers reachable from the inject routers fall
-// into stages: every inject router in stage 0, every link from one stage
-// to the next, and every eject router in the same last stage. A path
-// gains one stage per link, so each has as many routers as there are
-// stages. Clos networks, butterflies and the star qualify; a mesh,
-// torus, hypercube or octagon, whose links run both ways, never does.
-func (rt *Router) UniformHops() bool {
-	if rt.uniform == 0 {
-		rt.uniform = 1
-		if rt.uniformHops() {
-			rt.uniform = 2
-		}
-	}
-	return rt.uniform == 2
-}
-
-func (rt *Router) uniformHops() bool {
-	topo := rt.topo
-	g := topo.Graph()
-	n := g.NumVertices()
-	rt.growHopScratch(n)
-	stage, queue, tail := rt.hopDist[:n], rt.hopQueue[:n], 0
-	for r := range stage {
-		stage[r] = -1
-	}
-	numT := topo.NumTerminals()
-	for t := 0; t < numT; t++ {
-		if r := topo.InjectRouter(t); stage[r] == -1 {
-			stage[r] = 0
-			queue[tail] = r
-			tail++
-		}
-	}
-	for i := 0; i < tail; i++ {
-		u := queue[i]
-		for _, a := range g.Out(u) {
-			switch stage[a.To] {
-			case -1:
-				stage[a.To] = stage[u] + 1
-				queue[tail] = a.To
-				tail++
-			case stage[u] + 1:
-			default:
-				return false
-			}
-		}
-	}
-	last := stage[topo.EjectRouter(0)]
-	for t := 1; t < numT; t++ {
-		if stage[topo.EjectRouter(t)] != last {
-			return false
-		}
-	}
-	return last >= 0
-}
-
-// growHopScratch sizes the BFS scratch for n routers.
-func (rt *Router) growHopScratch(n int) {
-	if len(rt.hopDist) < n {
-		rt.hopDist = make([]int, n)  //sunmap:alloc first-use growth, recycled across pairs and topologies
-		rt.hopQueue = make([]int, n) //sunmap:alloc first-use growth, recycled across pairs and topologies
-		rt.hopOn = make([]bool, n)   //sunmap:alloc first-use growth, recycled across pairs and topologies
-	}
-}
+// UniformHops reports whether every inject-to-eject router path of the
+// bound topology crosses the same number of routers
+// (topology.RouteTables.UniformHops).
+func (rt *Router) UniformHops() bool { return rt.tb.UniformHops(&rt.hop) }
 
 // PathMP computes the congestion-aware shortest path of commodity c from
 // terminal srcT to dstT given the current per-link loads — the Fig. 5

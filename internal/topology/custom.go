@@ -132,8 +132,14 @@ func (c *customTopology) buildQuadrants() {
 // Quadrant returns a copy of the precomputed minimum-path mask for the
 // terminal pair's routers.
 func (c *customTopology) Quadrant(src, dst int) []bool {
-	mask := c.quad[c.inject[src]*c.NumRouters()+c.eject[dst]]
+	mask := c.mask(src, dst)
 	out := make([]bool, len(mask))
 	copy(out, mask)
 	return out
+}
+
+// mask is the terminal pair's precomputed mask itself, which must not be
+// mutated; the routing tables read it in place.
+func (c *customTopology) mask(src, dst int) []bool {
+	return c.quad[c.inject[src]*c.NumRouters()+c.eject[dst]]
 }

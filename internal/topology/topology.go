@@ -14,6 +14,7 @@
 package topology
 
 import (
+	"crypto/sha256"
 	"fmt"
 	"sync"
 
@@ -173,6 +174,14 @@ type base struct {
 	// shared across engine workers, hence the sync.Once guard.
 	minHopsOnce sync.Once
 	minHops     []int // src*numTerminals+dst -> routers traversed (-1 unreachable)
+
+	// The structural digest (Digest) and the routing tables
+	// (SharedTables) are derived the same way: once per object, on first
+	// use, and read-only afterwards.
+	digestOnce sync.Once
+	digest     [sha256.Size]byte
+	tablesOnce sync.Once
+	tables     *RouteTables
 }
 
 func newBase(name string, kind Kind, numRouters, numTerminals int) *base {

@@ -50,8 +50,9 @@ type Session struct {
 	// requests, one per concurrent sweep.
 	sweepers *engine.Free[fault.Sweeper]
 	trace    *Trace
-	// scope holds the session's synthesized candidates and search
-	// winners, the only topologies no name can rebuild. It is bounded and
+	// scope is the session's topology catalog: its libraries, the
+	// library topologies its requests name, and its synthesized
+	// candidates and search winners, each built once. It is bounded and
 	// session-local, so a serve process never leaks names and tenants
 	// never collide on them.
 	scope *topology.Scope
@@ -175,15 +176,16 @@ func (s *Session) Load() LoadStats {
 	}
 }
 
-// topologyByName resolves a topology name for this session: the
-// session scope's synthesized and discovered topologies first, then the
-// library grammar. Scope names can never shadow library names
-// (Scope.Register rejects the library grammar), so the precedence is safe.
+// topologyByName resolves a topology name in the session's catalog:
+// synthesized and discovered topologies, then the library grammar, each
+// name giving the same object on every request while it is held.
+// Unresolvable names wrap ErrUnknownTopology, as TopologyByName does.
 func (s *Session) topologyByName(name string) (Topology, error) {
-	if t, ok := s.scope.Lookup(name); ok {
-		return t, nil
+	t, err := s.scope.Resolve(name)
+	if err != nil {
+		return nil, fmt.Errorf("sunmap: %w %q: %w", ErrUnknownTopology, name, err)
 	}
-	return TopologyByName(name)
+	return t, nil
 }
 
 // SynthCandidates synthesizes the application-specific candidate
@@ -380,14 +382,19 @@ func (s *Session) engineOptions() engine.Options {
 }
 
 // selectDesign runs one selection on the session's engine resources —
-// the single place session knobs map onto core.Config — under an
-// optional failure model, and registers every synthesized candidate it
-// evaluated in the session scope, so each synth row of the report
-// resolves by name in follow-up requests.
+// the single place session knobs map onto core.Config — over the
+// catalog's library for the app's core count, under an optional failure
+// model, and registers every synthesized candidate it evaluated in the
+// session scope, so each synth row of the report resolves by name in
+// follow-up requests.
 func (s *Session) selectDesign(ctx context.Context, app *graph.CoreGraph, opts mapping.Options, escalate bool, synthOpts *SynthOptions, spec *FaultSpec) (*core.Selection, error) {
+	lib, err := s.scope.Library(app.NumCores(), s.libOpts)
+	if err != nil {
+		return nil, fmt.Errorf("core: %w", err) // as core.SelectContext words its own library's error
+	}
 	cfg := core.Config{
 		App:             app,
-		LibraryOpts:     s.libOpts,
+		Library:         lib,
 		Synth:           synthOpts,
 		Mapping:         opts,
 		EscalateRouting: escalate,
