@@ -13,12 +13,23 @@ import (
 	"sync"
 	"testing"
 
+	"sunmap"
 	"sunmap/internal/exp"
 )
 
 // bgctx saves threading context.Background() through every benchmark
 // body; benchmarks run to completion, so cancellation is moot.
 var bgctx = context.Background()
+
+// coldSession returns a fresh Session, so each iteration regenerates its
+// figure from an empty evaluation cache.
+func coldSession(b *testing.B) *sunmap.Session {
+	s, err := sunmap.NewSession()
+	if err != nil {
+		b.Fatal(err)
+	}
+	return s
+}
 
 // logOnce prints each experiment's table a single time per bench run.
 var logOnce sync.Map
@@ -33,7 +44,7 @@ func logTable(b *testing.B, key, table string) {
 // comparison of Fig. 3(d).
 func BenchmarkFig3dVOPDMeshTorus(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r, err := exp.Runner{}.Fig3d(bgctx)
+		r, err := exp.Fig3d(bgctx, coldSession(b))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -45,7 +56,7 @@ func BenchmarkFig3dVOPDMeshTorus(b *testing.B) {
 // characteristics of Fig. 6(a-d): hops, resources, area and power.
 func BenchmarkFig6VOPDTopologies(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r, err := exp.Runner{}.Fig6(bgctx)
+		r, err := exp.Fig6(bgctx, coldSession(b))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -58,7 +69,7 @@ func BenchmarkFig6VOPDTopologies(b *testing.B) {
 // infeasibility.
 func BenchmarkFig7bMPEG4(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r, err := exp.Runner{}.Fig7b(bgctx)
+		r, err := exp.Fig7b(bgctx, coldSession(b))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -71,7 +82,7 @@ func BenchmarkFig7bMPEG4(b *testing.B) {
 // iteration; run sunexp for the full sweep).
 func BenchmarkFig8bNetProcLatency(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r, err := exp.Runner{}.Fig8b(bgctx, []float64{0.1, 0.3, 0.5})
+		r, err := exp.Fig8b(bgctx, coldSession(b), []float64{0.1, 0.3, 0.5})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -83,7 +94,7 @@ func BenchmarkFig8bNetProcLatency(b *testing.B) {
 // of Fig. 8(c, d).
 func BenchmarkFig8cdNetProcAreaPower(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r, err := exp.Runner{}.Fig8cd(bgctx)
+		r, err := exp.Fig8cd(bgctx, coldSession(b))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -95,7 +106,7 @@ func BenchmarkFig8cdNetProcAreaPower(b *testing.B) {
 // Fig. 9(a) for MPEG4 on a mesh under DO/MP/SM/SA.
 func BenchmarkFig9aRoutingFunctions(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r, err := exp.Runner{}.Fig9a(bgctx)
+		r, err := exp.Fig9a(bgctx, coldSession(b))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -107,7 +118,7 @@ func BenchmarkFig9aRoutingFunctions(b *testing.B) {
 // exploration of Fig. 9(b).
 func BenchmarkFig9bParetoExploration(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r, err := exp.Runner{}.Fig9b(bgctx)
+		r, err := exp.Fig9b(bgctx, coldSession(b))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -119,7 +130,7 @@ func BenchmarkFig9bParetoExploration(b *testing.B) {
 // Fig. 10: selection, floorplan and trace-driven simulated latency.
 func BenchmarkFig10DSPFlow(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r, err := exp.Runner{}.Fig10(bgctx)
+		r, err := exp.Fig10(bgctx, coldSession(b))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -131,7 +142,7 @@ func BenchmarkFig10DSPFlow(b *testing.B) {
 // simulation Fig. 11 snapshots.
 func BenchmarkFig11SystemCGeneration(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r, err := exp.Runner{}.Fig11(bgctx)
+		r, err := exp.Fig11(bgctx, coldSession(b))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -145,10 +156,10 @@ func BenchmarkFig11SystemCGeneration(b *testing.B) {
 func BenchmarkFullFlowAllApps(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for _, f := range []func() error{
-			func() error { _, err := exp.Runner{}.Fig6(bgctx); return err },   // VOPD
-			func() error { _, err := exp.Runner{}.Fig7b(bgctx); return err },  // MPEG4
-			func() error { _, err := exp.Runner{}.Fig8cd(bgctx); return err }, // NetProc
-			func() error { _, err := exp.Runner{}.Fig10(bgctx); return err },  // DSP
+			func() error { _, err := exp.Fig6(bgctx, coldSession(b)); return err },   // VOPD
+			func() error { _, err := exp.Fig7b(bgctx, coldSession(b)); return err },  // MPEG4
+			func() error { _, err := exp.Fig8cd(bgctx, coldSession(b)); return err }, // NetProc
+			func() error { _, err := exp.Fig10(bgctx, coldSession(b)); return err },  // DSP
 		} {
 			if err := f(); err != nil {
 				b.Fatal(err)

@@ -19,7 +19,7 @@ import (
 	"strings"
 	"time"
 
-	"sunmap/internal/engine"
+	"sunmap"
 	"sunmap/internal/exp"
 )
 
@@ -32,21 +32,26 @@ func main() {
 
 type experiment struct {
 	name string
-	run  func(ctx context.Context, r exp.Runner, rates []float64) (fmt.Stringer, error)
+	run  func(ctx context.Context, s *sunmap.Session, rates []float64) (fmt.Stringer, error)
 }
 
 var experiments = []experiment{
-	{"fig3d", func(ctx context.Context, r exp.Runner, _ []float64) (fmt.Stringer, error) { return r.Fig3d(ctx) }},
-	{"fig6", func(ctx context.Context, r exp.Runner, _ []float64) (fmt.Stringer, error) { return r.Fig6(ctx) }},
-	{"fig7b", func(ctx context.Context, r exp.Runner, _ []float64) (fmt.Stringer, error) { return r.Fig7b(ctx) }},
-	{"fig8b", func(ctx context.Context, r exp.Runner, rates []float64) (fmt.Stringer, error) {
-		return r.Fig8b(ctx, rates)
+	{"fig3d", fig(exp.Fig3d)},
+	{"fig6", fig(exp.Fig6)},
+	{"fig7b", fig(exp.Fig7b)},
+	{"fig8b", func(ctx context.Context, s *sunmap.Session, rates []float64) (fmt.Stringer, error) {
+		return exp.Fig8b(ctx, s, rates)
 	}},
-	{"fig8cd", func(ctx context.Context, r exp.Runner, _ []float64) (fmt.Stringer, error) { return r.Fig8cd(ctx) }},
-	{"fig9a", func(ctx context.Context, r exp.Runner, _ []float64) (fmt.Stringer, error) { return r.Fig9a(ctx) }},
-	{"fig9b", func(ctx context.Context, r exp.Runner, _ []float64) (fmt.Stringer, error) { return r.Fig9b(ctx) }},
-	{"fig10", func(ctx context.Context, r exp.Runner, _ []float64) (fmt.Stringer, error) { return r.Fig10(ctx) }},
-	{"fig11", func(ctx context.Context, r exp.Runner, _ []float64) (fmt.Stringer, error) { return r.Fig11(ctx) }},
+	{"fig8cd", fig(exp.Fig8cd)},
+	{"fig9a", fig(exp.Fig9a)},
+	{"fig9b", fig(exp.Fig9b)},
+	{"fig10", fig(exp.Fig10)},
+	{"fig11", fig(exp.Fig11)},
+}
+
+// fig adapts a figure without a rate axis to an experiment's run.
+func fig[R fmt.Stringer](f func(context.Context, *sunmap.Session) (R, error)) func(context.Context, *sunmap.Session, []float64) (fmt.Stringer, error) {
+	return func(ctx context.Context, s *sunmap.Session, _ []float64) (fmt.Stringer, error) { return f(ctx, s) }
 }
 
 func run(args []string, out io.Writer) error {
@@ -64,13 +69,13 @@ func run(args []string, out io.Writer) error {
 		ctx, cancel = context.WithTimeout(ctx, *timeout)
 		defer cancel()
 	}
-	if *jobs < 0 {
-		return fmt.Errorf("negative -j %d", *jobs)
-	}
-	// One cache across all figures: experiments that revisit the same
+	// One session across all figures: experiments that revisit the same
 	// application and options (e.g. fig10 and fig11's DSP selection)
-	// reuse memoized design points instead of re-mapping them.
-	runner := exp.Runner{Parallelism: *jobs, Cache: engine.NewCache()}
+	// reuse its cached design points instead of re-mapping them.
+	sess, err := sunmap.NewSession(sunmap.WithParallelism(*jobs))
+	if err != nil {
+		return err
+	}
 	var rateList []float64
 	for _, part := range strings.Split(*rates, ",") {
 		part = strings.TrimSpace(part)
@@ -90,7 +95,7 @@ func run(args []string, out io.Writer) error {
 			continue
 		}
 		start := time.Now()
-		res, err := e.run(ctx, runner, rateList)
+		res, err := e.run(ctx, sess, rateList)
 		if err != nil {
 			return fmt.Errorf("%s: %w", e.name, err)
 		}

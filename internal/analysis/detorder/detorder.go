@@ -4,7 +4,8 @@
 // global math/rand source, or the wall clock leaks into an output.
 //
 // Three construct classes are flagged, in the deterministic packages
-// only (core, engine, fault, jobs, obs, search, serve — see DetPackages):
+// only (core, engine, exp, fault, jobs, obs, search, serve — see
+// DetPackages):
 //
 //  1. a `range` over a map whose body appends to a slice or sends on a
 //     channel — iteration order reaches an ordered sink. Sorting the
@@ -36,6 +37,7 @@ import (
 var DetPackages = map[string]bool{
 	"sunmap/internal/core":   true,
 	"sunmap/internal/engine": true,
+	"sunmap/internal/exp":    true,
 	"sunmap/internal/fault":  true,
 	"sunmap/internal/jobs":   true,
 	"sunmap/internal/obs":    true,

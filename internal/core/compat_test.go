@@ -8,6 +8,7 @@ package core
 import (
 	"context"
 
+	"sunmap/internal/engine"
 	"sunmap/internal/graph"
 	"sunmap/internal/mapping"
 	"sunmap/internal/topology"
@@ -21,11 +22,11 @@ func Select(cfg Config) (*Selection, error) {
 // RoutingSweep runs RoutingSweepContext under a background context with
 // default exploration options.
 func RoutingSweep(app *graph.CoreGraph, topo topology.Topology, opts mapping.Options) ([]RoutingSweepRow, error) {
-	return RoutingSweepContext(context.Background(), app, topo, opts, ExploreOptions{})
+	return RoutingSweepContext(context.Background(), app, topo, opts, engine.Options{})
 }
 
 // ParetoExplore runs ParetoExploreFault without a fault model under a
 // background context with default exploration options.
 func ParetoExplore(app *graph.CoreGraph, topo topology.Topology, opts mapping.Options, steps int) ([]ParetoPoint, error) {
-	return ParetoExploreFault(context.Background(), app, topo, opts, steps, nil, ExploreOptions{})
+	return ParetoExploreFault(context.Background(), app, topo, opts, steps, nil, engine.Options{})
 }

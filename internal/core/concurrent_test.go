@@ -214,7 +214,7 @@ func TestSharedCacheAcrossSelectAndExplorers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := RoutingSweepContext(context.Background(), app, mesh, opts, ExploreOptions{Cache: cache}); err != nil {
+		if _, err := RoutingSweepContext(context.Background(), app, mesh, opts, engine.Options{Cache: cache}); err != nil {
 			t.Fatal(err)
 		}
 		afterSweep := cache.Stats()

@@ -20,6 +20,7 @@ import (
 	"sunmap/internal/fault"
 	"sunmap/internal/graph"
 	"sunmap/internal/mapping"
+	"sunmap/internal/rank"
 	"sunmap/internal/route"
 	"sunmap/internal/synth"
 	"sunmap/internal/topology"
@@ -31,10 +32,8 @@ type Config struct {
 	App *graph.CoreGraph
 	// Library lists the candidate topologies. Nil selects the default
 	// library for the app's core count (all mesh/torus/hypercube/
-	// butterfly/clos configurations, plus extras per LibraryOpts).
+	// butterfly/clos configurations).
 	Library []topology.Topology
-	// LibraryOpts tunes the default enumeration when Library is nil.
-	LibraryOpts topology.LibraryOptions
 	// Synth, when non-nil, augments the candidate set with
 	// application-specific topologies synthesized from the core graph
 	// (internal/synth): clustered min-cut partitions, a trimmed mesh and a
@@ -139,64 +138,6 @@ func (s *Selection) SynthCount() int {
 	return n
 }
 
-// BestPerKind returns, for each topology family present, the feasible
-// candidate with the lowest cost — the per-family rows of Fig. 6/7.
-func (s *Selection) BestPerKind() map[topology.Kind]*mapping.Result {
-	out := make(map[topology.Kind]*mapping.Result)
-	for _, c := range s.Candidates {
-		if c.Result == nil || !c.Feasible() {
-			continue
-		}
-		k := c.Result.Topology.Kind()
-		if cur, ok := out[k]; !ok || less(c.Result, cur) {
-			out[k] = c.Result
-		}
-	}
-	return out
-}
-
-// BestComposite re-ranks the feasible candidates with a composite
-// judgement across delay, area and power: each metric is normalized by the
-// best value any feasible candidate achieves, then combined with the given
-// weights. This is Phase 2's multi-objective mode — the reasoning of
-// Section 6.1's MPEG4 discussion, where the mesh's "large savings in area
-// and power ... overshadow the slightly higher communication delay cost".
-// It returns nil when nothing is feasible.
-func (s *Selection) BestComposite(wDelay, wArea, wPower float64) *mapping.Result {
-	minHops, minArea, minPower := math.Inf(1), math.Inf(1), math.Inf(1)
-	for _, c := range s.Candidates {
-		if c.Result == nil || !c.Feasible() {
-			continue
-		}
-		minHops = math.Min(minHops, c.Result.AvgHops)
-		minArea = math.Min(minArea, c.Result.DesignAreaMM2)
-		minPower = math.Min(minPower, c.Result.PowerMW)
-	}
-	var best *mapping.Result
-	bestScore := math.Inf(1)
-	for _, c := range s.Candidates {
-		if c.Result == nil || !c.Feasible() {
-			continue
-		}
-		r := c.Result
-		score := wDelay*safeDiv(r.AvgHops, minHops) +
-			wArea*safeDiv(r.DesignAreaMM2, minArea) +
-			wPower*safeDiv(r.PowerMW, minPower)
-		if score < bestScore || (score == bestScore && best != nil && less(r, best)) {
-			bestScore = score
-			best = r
-		}
-	}
-	return best
-}
-
-func safeDiv(a, b float64) float64 {
-	if b <= 0 {
-		return 1
-	}
-	return a / b
-}
-
 // ReliabilityScore is the composite objective of a fault-aware ranking:
 // objective cost normalized by the best feasible cost, plus w·(1 −
 // survivability). A non-positive w selects the default weight 1. Phase
@@ -207,7 +148,11 @@ func ReliabilityScore(cost, bestCost, survivability, w float64) float64 {
 	if w <= 0 {
 		w = 1
 	}
-	return safeDiv(cost, bestCost) + w*(1-survivability)
+	norm := 1.0
+	if bestCost > 0 {
+		norm = cost / bestCost
+	}
+	return norm + w*(1-survivability)
 }
 
 // escalation orders the routing functions by increasing flexibility.
@@ -228,7 +173,7 @@ func SelectContext(ctx context.Context, cfg Config) (*Selection, error) {
 	lib := cfg.Library
 	if lib == nil {
 		var err error
-		lib, err = topology.Library(cfg.App.NumCores(), cfg.LibraryOpts)
+		lib, err = topology.Library(cfg.App.NumCores(), topology.LibraryOptions{})
 		if err != nil {
 			return nil, fmt.Errorf("core: %w", err)
 		}
@@ -340,7 +285,7 @@ func applyReliability(ctx context.Context, cfg Config, sel *Selection, eo engine
 		switch {
 		case best == -1 || score < bestScore-scoreTol:
 			best, bestScore = i, score
-		case score <= bestScore+scoreTol && less(c.Result, sel.Candidates[best].Result):
+		case score <= bestScore+scoreTol && rank.Less(point(c.Result), point(sel.Candidates[best].Result)):
 			best = i // score tie: fall back to the fault-free ordering
 		}
 	}
@@ -350,9 +295,8 @@ func applyReliability(ctx context.Context, cfg Config, sel *Selection, eo engine
 	return nil
 }
 
-// phase2 ranks one routing function's library-ordered outcomes: lowest
-// cost among feasible candidates; ties break on fewer routers, then name,
-// for determinism.
+// phase2 ranks one routing function's library-ordered outcomes by
+// rank.Less, folded in library order.
 func phase2(outcomes []engine.Outcome) (*Selection, error) {
 	s := &Selection{Candidates: make([]Candidate, 0, len(outcomes))}
 	for _, o := range outcomes {
@@ -376,7 +320,7 @@ func phase2(outcomes []engine.Outcome) (*Selection, error) {
 		if c.Result == nil || !c.Feasible() {
 			continue
 		}
-		if best == -1 || less(c.Result, s.Candidates[best].Result) {
+		if best == -1 || rank.Less(point(c.Result), point(s.Candidates[best].Result)) {
 			best = i
 		}
 	}
@@ -386,26 +330,9 @@ func phase2(outcomes []engine.Outcome) (*Selection, error) {
 	return s, nil
 }
 
-// less orders candidates by objective cost, breaking ties toward lower
-// power, then lower area, then fewer routers: among configurations the
-// objective cannot distinguish (every Clos is 3 hops), the cheaper network
-// wins, as a designer would choose. Costs within the mapper's tiny
-// load-balance tie-break term (1e-3) count as equal.
-func less(a, b *mapping.Result) bool {
-	const tieTol = 2e-3
-	if d := a.Cost - b.Cost; d < -tieTol || d > tieTol {
-		return d < 0
-	}
-	if a.PowerMW != b.PowerMW {
-		return a.PowerMW < b.PowerMW
-	}
-	if a.DesignAreaMM2 != b.DesignAreaMM2 {
-		return a.DesignAreaMM2 < b.DesignAreaMM2
-	}
-	if a.Topology.NumRouters() != b.Topology.NumRouters() {
-		return a.Topology.NumRouters() < b.Topology.NumRouters()
-	}
-	return a.Topology.Name() < b.Topology.Name()
+// point is what Phase 2 ranks a mapped candidate by (see rank.Less).
+func point(r *mapping.Result) rank.Point {
+	return rank.Point{Cost: r.Cost, PowerMW: r.PowerMW, AreaMM2: r.DesignAreaMM2, Routers: r.Topology.NumRouters(), Name: r.Topology.Name()}
 }
 
 // SummaryRow is one line of the per-topology comparison tables

@@ -6,9 +6,26 @@ import (
 	"sunmap/internal/apps"
 	"sunmap/internal/graph"
 	"sunmap/internal/mapping"
+	"sunmap/internal/rank"
 	"sunmap/internal/route"
 	"sunmap/internal/topology"
 )
+
+// bestPerKind returns each topology family's Phase-2 winner among the
+// feasible candidates, folded in library order.
+func bestPerKind(sel *Selection) map[topology.Kind]*mapping.Result {
+	out := make(map[topology.Kind]*mapping.Result)
+	for _, c := range sel.Candidates {
+		if c.Result == nil || !c.Feasible() {
+			continue
+		}
+		k := c.Result.Topology.Kind()
+		if cur, ok := out[k]; !ok || rank.Less(point(c.Result), point(cur)) {
+			out[k] = c.Result
+		}
+	}
+	return out
+}
 
 func vopdConfig(obj mapping.Objective) Config {
 	return Config{
@@ -62,7 +79,7 @@ func TestVOPDPerKindShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	best := sel.BestPerKind()
+	best := bestPerKind(sel)
 	for _, k := range []topology.Kind{topology.Mesh, topology.Torus, topology.Hypercube, topology.Butterfly, topology.Clos} {
 		if best[k] == nil {
 			t.Fatalf("no feasible %v mapping for VOPD", k)
@@ -121,7 +138,7 @@ func TestMPEG4EscalatesToSplitAndDropsButterfly(t *testing.T) {
 	if sel.RoutingUsed == route.MinPath || sel.RoutingUsed == route.DimensionOrdered {
 		t.Errorf("routing used = %v, want a splitting function", sel.RoutingUsed)
 	}
-	best := sel.BestPerKind()
+	best := bestPerKind(sel)
 	if best[topology.Butterfly] != nil {
 		t.Errorf("butterfly feasible for MPEG4 (%s), paper says no feasible mapping",
 			best[topology.Butterfly].Topology.Name())
@@ -174,7 +191,11 @@ func TestSelectErrors(t *testing.T) {
 
 func TestFeasibleCountAndExtras(t *testing.T) {
 	cfg := vopdConfig(mapping.MinDelay)
-	cfg.LibraryOpts.IncludeExtras = true
+	lib, err := topology.Library(cfg.App.NumCores(), topology.LibraryOptions{IncludeExtras: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Library = lib
 	sel, err := Select(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -14,17 +14,12 @@ import (
 	"sunmap/internal/topology"
 )
 
-// ExploreOptions tunes the engine run backing an explorer call: worker
-// pool width, shared evaluation cache and progress stream.
-type ExploreOptions = engine.Options
-
 // RoutingSweepRow reports the minimum link bandwidth a routing function
 // needs on one topology — the bars of Fig. 9(a).
 type RoutingSweepRow struct {
-	Function      route.Function
-	RequiredMBps  float64
-	AvgHops       float64
-	FeasibleAt500 bool
+	Function     route.Function
+	RequiredMBps float64
+	AvgHops      float64
 }
 
 // RoutingSweepContext maps the application onto topo once per routing
@@ -35,7 +30,7 @@ type RoutingSweepRow struct {
 // functions evaluate concurrently (bounded by xo.Parallelism), reusing any
 // design points already memoized in xo.Cache — e.g. by an escalated Select
 // on the same application.
-func RoutingSweepContext(ctx context.Context, app *graph.CoreGraph, topo topology.Topology, opts mapping.Options, xo ExploreOptions) ([]RoutingSweepRow, error) {
+func RoutingSweepContext(ctx context.Context, app *graph.CoreGraph, topo topology.Topology, opts mapping.Options, xo engine.Options) ([]RoutingSweepRow, error) {
 	jobs := make([]engine.Job, len(escalation))
 	for i, fn := range escalation {
 		o := opts
@@ -53,10 +48,9 @@ func RoutingSweepContext(ctx context.Context, app *graph.CoreGraph, topo topolog
 		}
 		res := o.Result
 		rows = append(rows, RoutingSweepRow{
-			Function:      escalation[i],
-			RequiredMBps:  res.Route.MaxLinkLoad,
-			AvgHops:       res.AvgHops,
-			FeasibleAt500: res.Route.MaxLinkLoad <= 500+1e-6,
+			Function:     escalation[i],
+			RequiredMBps: res.Route.MaxLinkLoad,
+			AvgHops:      res.AvgHops,
 		})
 	}
 	return rows, nil
@@ -100,7 +94,7 @@ type ParetoPoint struct {
 // front is marked in the (area, power, survivability) space, so a
 // designer reads off how much area or power buying fault tolerance
 // costs. A nil fm gives the two-objective area-power exploration.
-func ParetoExploreFault(ctx context.Context, app *graph.CoreGraph, topo topology.Topology, opts mapping.Options, steps int, fm *fault.Model, xo ExploreOptions) ([]ParetoPoint, error) {
+func ParetoExploreFault(ctx context.Context, app *graph.CoreGraph, topo topology.Topology, opts mapping.Options, steps int, fm *fault.Model, xo engine.Options) ([]ParetoPoint, error) {
 	if steps < 2 {
 		steps = 5
 	}

@@ -43,9 +43,6 @@ func TestRoutingSweepMPEG4Mesh(t *testing.T) {
 	if byFn[route.SplitAll].RequiredMBps > 500 {
 		t.Errorf("SA requires %g, want <= 500", byFn[route.SplitAll].RequiredMBps)
 	}
-	if byFn[route.SplitMin].FeasibleAt500 != true || byFn[route.MinPath].FeasibleAt500 != false {
-		t.Error("FeasibleAt500 flags wrong")
-	}
 }
 
 func TestRoutingSweepVOPDAllFeasible(t *testing.T) {

@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"sunmap/internal/apps"
+	"sunmap/internal/engine"
 	"sunmap/internal/fault"
 	"sunmap/internal/mapping"
 	"sunmap/internal/route"
@@ -133,7 +134,7 @@ func TestParetoReliabilityAxis(t *testing.T) {
 	topo := mustMesh34(t)
 	opts := mapping.Options{Routing: route.MinPath, CapacityMBps: 500}
 
-	plain, err := ParetoExploreFault(context.Background(), app, topo, opts, 3, nil, ExploreOptions{Parallelism: 4})
+	plain, err := ParetoExploreFault(context.Background(), app, topo, opts, 3, nil, engine.Options{Parallelism: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +145,7 @@ func TestParetoReliabilityAxis(t *testing.T) {
 	}
 
 	fm := &fault.Model{K: 1, Elements: fault.Links}
-	pts, err := ParetoExploreFault(context.Background(), app, topo, opts, 3, fm, ExploreOptions{Parallelism: 4})
+	pts, err := ParetoExploreFault(context.Background(), app, topo, opts, 3, fm, engine.Options{Parallelism: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,84 +1,200 @@
 // Package exp reproduces every table and figure of the paper's evaluation
-// (Section 6). Each Fig* function regenerates one artifact and returns a
-// structured result with a text rendering; cmd/sunexp prints them and the
-// root-level benchmarks time them. Paper-reported values are embedded so
-// the renderings show paper-vs-measured side by side (EXPERIMENTS.md is
-// produced from this output).
+// (Section 6). Each Fig* function builds Session requests, runs them on
+// the caller's Session and renders the returned reports, so the figures
+// take the same path as a `POST /v1/do` client; cmd/sunexp prints them
+// and the root-level benchmarks time them. Paper-reported values are
+// embedded so the renderings show paper-vs-measured side by side
+// (EXPERIMENTS.md is produced from this output).
 package exp
 
 import (
 	"context"
 	"fmt"
+	"math"
+	"sort"
 	"strings"
 
+	"sunmap"
 	"sunmap/internal/apps"
-	"sunmap/internal/core"
-	"sunmap/internal/engine"
-	"sunmap/internal/mapping"
-	"sunmap/internal/route"
-	"sunmap/internal/topology"
+	"sunmap/internal/rank"
 )
 
 // kindOrder fixes the row order of the per-topology tables.
-var kindOrder = []topology.Kind{
-	topology.Mesh, topology.Torus, topology.Hypercube, topology.Clos, topology.Butterfly,
+var kindOrder = []string{"mesh", "torus", "hypercube", "clos", "butterfly"}
+
+// videoSpec is the mapping of the video experiments (Section 6.1):
+// min-delay objective, 500 MB/s links, 0.1 µm technology, under the
+// given routing function.
+func videoSpec(routing string) sunmap.MapSpec {
+	return sunmap.MapSpec{Routing: routing, Objective: "delay", CapacityMBps: apps.DefaultCapacityMBps}
 }
 
-// videoOptions returns the mapping options of the video experiments
-// (Section 6.1): 500 MB/s links, 0.1 µm technology.
-func videoOptions(fn route.Function, obj mapping.Objective) mapping.Options {
-	return mapping.Options{
-		Routing:      fn,
-		Objective:    obj,
-		CapacityMBps: apps.DefaultCapacityMBps,
+// run executes reqs on s as one batch and returns their reports in
+// request order, or the first failed report's error.
+func run(ctx context.Context, s *sunmap.Session, reqs ...sunmap.Request) ([]sunmap.Report, error) {
+	reps, err := s.Batch(ctx, reqs)
+	if err != nil {
+		return nil, err
 	}
+	for _, rep := range reps {
+		if err := rep.Err(); err != nil {
+			return nil, fmt.Errorf("%s: %w", rep.Op, err)
+		}
+	}
+	return reps, nil
 }
 
-// Row is one per-topology line of a comparison table.
-type Row struct {
-	Topology string
-	AvgHops  float64
-	AreaMM2  float64
-	PowerMW  float64
-	Switches int
-	Links    int
-	Feasible bool
+// design is one feasible candidate of a selection: its row of the
+// comparison table and its mapped design point.
+type design struct {
+	row sunmap.TopologyRow
+	rep *sunmap.DesignReport
+}
+
+// point is what Phase 2 ranks the design by.
+func (d design) point() rank.Point {
+	return rank.Point{Cost: d.rep.Cost, PowerMW: d.rep.PowerMW, AreaMM2: d.rep.DesignAreaMM2, Routers: d.row.Switches, Name: d.row.Topology}
+}
+
+// selection runs one select on s and returns its report with the
+// feasible candidates' designs (see designs).
+func selection(ctx context.Context, s *sunmap.Session, req sunmap.SelectRequest) (*sunmap.SelectReport, []design, error) {
+	reps, err := run(ctx, s, sunmap.Request{Op: sunmap.OpSelect, Select: &req})
+	if err != nil {
+		return nil, nil, err
+	}
+	sel := reps[0].Select
+	ds, err := designs(ctx, s, req, sel)
+	return sel, ds, err
+}
+
+// designs maps every feasible row of sel, the outcome of req on s, under
+// the routing function the selection settled on. Each map is a hit in the
+// session cache. The designs come back in library order, the order Phase
+// 2 folds candidates in; rows outside the default library (synthesized
+// candidates) follow in row order.
+func designs(ctx context.Context, s *sunmap.Session, req sunmap.SelectRequest, sel *sunmap.SelectReport) ([]design, error) {
+	if sel.Best == nil {
+		return nil, nil // nothing feasible
+	}
+	spec := req.Mapping
+	spec.Routing = sel.RoutingUsed
+	var ds []design
+	var reqs []sunmap.Request
+	for _, row := range sel.Rows {
+		if row.Feasible {
+			ds = append(ds, design{row: row})
+			reqs = append(reqs, sunmap.Request{Op: sunmap.OpMap, Map: &sunmap.MapRequest{App: req.App, Topology: row.Topology, Mapping: spec}})
+		}
+	}
+	reps, err := run(ctx, s, reqs...)
+	if err != nil {
+		return nil, err
+	}
+	for i := range ds {
+		ds[i].rep = reps[i].Map
+	}
+	// The selected design assigns every core, so its length is the
+	// app's core count, which fixes the library.
+	lib, err := sunmap.Library(len(sel.Best.Assign), sunmap.LibraryOptions{})
+	if err != nil {
+		return nil, err
+	}
+	pos := make(map[string]int, len(lib))
+	for i, t := range lib {
+		pos[t.Name()] = i
+	}
+	at := func(d design) int {
+		if p, ok := pos[d.row.Topology]; ok {
+			return p
+		}
+		return len(lib)
+	}
+	sort.SliceStable(ds, func(i, j int) bool { return at(ds[i]) < at(ds[j]) })
+	return ds, nil
+}
+
+// familyWinners returns each topology family's Phase-2 winner among ds,
+// folded in ds's order — the per-family rows of Fig. 6, 7(b) and 8(c,d).
+func familyWinners(ds []design) map[string]design {
+	out := make(map[string]design)
+	for _, d := range ds {
+		if cur, ok := out[d.row.Kind]; !ok || rank.Less(d.point(), cur.point()) {
+			out[d.row.Kind] = d
+		}
+	}
+	return out
+}
+
+// familyRows lists the family winners' table rows in kindOrder.
+func familyRows(ds []design) []sunmap.TopologyRow {
+	best := familyWinners(ds)
+	var rows []sunmap.TopologyRow
+	for _, k := range kindOrder {
+		if d, ok := best[k]; ok {
+			rows = append(rows, d.row)
+		}
+	}
+	return rows
+}
+
+// composite re-ranks the designs with a composite judgement across
+// delay, area and power: each metric is normalized by the best value any
+// design achieves, then combined with the given weights, and score ties
+// fall back to Phase 2's order. This is Phase 2's multi-objective mode —
+// the reasoning of Section 6.1's MPEG4 discussion, where the mesh's
+// "large savings in area and power ... overshadow the slightly higher
+// communication delay cost". It returns nil when ds is empty.
+func composite(ds []design, wDelay, wArea, wPower float64) *design {
+	minHops, minArea, minPower := math.Inf(1), math.Inf(1), math.Inf(1)
+	for _, d := range ds {
+		minHops = math.Min(minHops, d.row.AvgHops)
+		minArea = math.Min(minArea, d.row.AreaMM2)
+		minPower = math.Min(minPower, d.row.PowerMW)
+	}
+	norm := func(v, min float64) float64 {
+		if min <= 0 {
+			return 1
+		}
+		return v / min
+	}
+	var best *design
+	bestScore := math.Inf(1)
+	for i := range ds {
+		d := &ds[i]
+		score := wDelay*norm(d.row.AvgHops, minHops) + wArea*norm(d.row.AreaMM2, minArea) + wPower*norm(d.row.PowerMW, minPower)
+		if score < bestScore || (score == bestScore && best != nil && rank.Less(d.point(), best.point())) {
+			bestScore = score
+			best = d
+		}
+	}
+	return best
 }
 
 // Fig3dResult compares VOPD on mesh vs torus (Fig. 3d).
 type Fig3dResult struct {
-	Mesh, Torus Row
+	Mesh, Torus *sunmap.DesignReport
 	// Paper values for reference.
 	PaperHopsRatio, PaperAreaRatio, PaperPowerRatio float64
 }
 
-// Fig3d reproduces the motivating mesh-vs-torus table on the runner's
-// engine: both mappings go through the pool and the shared cache, so
-// fig6's later library sweep reuses the identical design points.
-func (r Runner) Fig3d(ctx context.Context) (*Fig3dResult, error) {
-	g := apps.VOPD()
-	mesh, err := topology.NewMesh(3, 4)
+// Fig3d reproduces the motivating mesh-vs-torus table: two map requests,
+// whose design points fig6's later library sweep finds in the session
+// cache.
+func Fig3d(ctx context.Context, s *sunmap.Session) (*Fig3dResult, error) {
+	var reqs []sunmap.Request
+	for _, topo := range []string{"mesh-3x4", "torus-3x4"} {
+		reqs = append(reqs, sunmap.Request{Op: sunmap.OpMap, Map: &sunmap.MapRequest{
+			App: sunmap.AppSpec{Name: "vopd"}, Topology: topo, Mapping: videoSpec("MP"),
+		}})
+	}
+	reps, err := run(ctx, s, reqs...)
 	if err != nil {
 		return nil, err
 	}
-	torus, err := topology.NewTorus(3, 4)
-	if err != nil {
-		return nil, err
-	}
-	opts := videoOptions(route.MinPath, mapping.MinDelay)
-	outcomes, err := engine.Sweep(ctx, g, []topology.Topology{mesh, torus}, opts, r.explore())
-	if err != nil {
-		return nil, err
-	}
-	for _, o := range outcomes {
-		if o.Err != nil {
-			return nil, o.Err
-		}
-	}
-	mres, tres := outcomes[0].Result, outcomes[1].Result
 	return &Fig3dResult{
-		Mesh:            toRow(mres),
-		Torus:           toRow(tres),
+		Mesh:            reps[0].Map,
+		Torus:           reps[1].Map,
 		PaperHopsRatio:  0.90, // 2.03 / 2.25
 		PaperAreaRatio:  1.06, // 57.91 / 54.59
 		PaperPowerRatio: 1.22, // 454.9 / 372.1
@@ -93,7 +209,7 @@ func (r *Fig3dResult) String() string {
 	fmt.Fprintf(&sb, "%-10s %9.2f %12.2f %11.2f   (paper %.2f)\n",
 		"avg hops", r.Mesh.AvgHops, r.Torus.AvgHops, ratio(r.Torus.AvgHops, r.Mesh.AvgHops), r.PaperHopsRatio)
 	fmt.Fprintf(&sb, "%-10s %9.2f %12.2f %11.2f   (paper %.2f)\n",
-		"area mm2", r.Mesh.AreaMM2, r.Torus.AreaMM2, ratio(r.Torus.AreaMM2, r.Mesh.AreaMM2), r.PaperAreaRatio)
+		"area mm2", r.Mesh.DesignAreaMM2, r.Torus.DesignAreaMM2, ratio(r.Torus.DesignAreaMM2, r.Mesh.DesignAreaMM2), r.PaperAreaRatio)
 	fmt.Fprintf(&sb, "%-10s %9.1f %12.1f %11.2f   (paper %.2f)\n",
 		"power mW", r.Mesh.PowerMW, r.Torus.PowerMW, ratio(r.Torus.PowerMW, r.Mesh.PowerMW), r.PaperPowerRatio)
 	return sb.String()
@@ -101,45 +217,17 @@ func (r *Fig3dResult) String() string {
 
 // Fig6Result holds the VOPD per-topology characteristics (Fig. 6a-d).
 type Fig6Result struct {
-	Rows []Row
+	Rows []sunmap.TopologyRow
 	Best string
 }
 
-// Fig6 reproduces the VOPD topology comparison on the runner's engine.
-func (r Runner) Fig6(ctx context.Context) (*Fig6Result, error) {
-	sel, err := core.SelectContext(ctx, r.selectConfig(core.Config{
-		App:     apps.VOPD(),
-		Mapping: videoOptions(route.MinPath, mapping.MinDelay),
-	}))
+// Fig6 reproduces the VOPD topology comparison with one select.
+func Fig6(ctx context.Context, s *sunmap.Session) (*Fig6Result, error) {
+	sel, ds, err := selection(ctx, s, sunmap.SelectRequest{App: sunmap.AppSpec{Name: "vopd"}, Mapping: videoSpec("MP")})
 	if err != nil {
 		return nil, err
 	}
-	out := &Fig6Result{}
-	if sel.Best != nil {
-		out.Best = sel.Best.Topology.Name()
-	}
-	best := sel.BestPerKind()
-	rows := sel.Summaries()
-	for _, k := range kindOrder {
-		r, ok := best[k]
-		if !ok {
-			continue
-		}
-		for _, row := range rows {
-			if row.Topology == r.Topology.Name() {
-				out.Rows = append(out.Rows, Row{
-					Topology: row.Topology,
-					AvgHops:  row.AvgHops,
-					AreaMM2:  row.AreaMM2,
-					PowerMW:  row.PowerMW,
-					Switches: row.Switches,
-					Links:    row.Links,
-					Feasible: row.Feasible,
-				})
-			}
-		}
-	}
-	return out, nil
+	return &Fig6Result{Rows: familyRows(ds), Best: sel.Topology}, nil
 }
 
 // String renders the four panels of Fig. 6 as one table.
@@ -157,53 +245,28 @@ func (r *Fig6Result) String() string {
 
 // Fig7bResult holds the MPEG4 table (Fig. 7b).
 type Fig7bResult struct {
-	Rows        []Row
-	RoutingUsed route.Function
+	Rows        []sunmap.TopologyRow
+	RoutingUsed string
 	Best        string
 	// ButterflyInfeasible records the paper's "No Feasible Mapping" cell.
 	ButterflyInfeasible bool
 }
 
-// Fig7b reproduces the MPEG4 mapping table on the runner's engine.
-func (r Runner) Fig7b(ctx context.Context) (*Fig7bResult, error) {
-	sel, err := core.SelectContext(ctx, r.selectConfig(core.Config{
-		App:             apps.MPEG4(),
-		Mapping:         videoOptions(route.MinPath, mapping.MinDelay),
-		EscalateRouting: true,
-	}))
+// Fig7b reproduces the MPEG4 mapping table with one escalating select.
+func Fig7b(ctx context.Context, s *sunmap.Session) (*Fig7bResult, error) {
+	sel, ds, err := selection(ctx, s, sunmap.SelectRequest{App: sunmap.AppSpec{Name: "mpeg4"}, Mapping: videoSpec("MP"), Escalate: true})
 	if err != nil {
 		return nil, err
 	}
-	out := &Fig7bResult{RoutingUsed: sel.RoutingUsed, ButterflyInfeasible: true}
+	out := &Fig7bResult{Rows: familyRows(ds), RoutingUsed: sel.RoutingUsed}
 	// Phase 2 with the composite judgement of Section 6.1: the mesh's
 	// area/power savings outweigh its slightly higher delay.
-	if best := sel.BestComposite(1, 1, 1); best != nil {
-		out.Best = best.Topology.Name()
+	if best := composite(ds, 1, 1, 1); best != nil {
+		out.Best = best.row.Topology
 	}
-	best := sel.BestPerKind()
-	for _, k := range kindOrder {
-		r, ok := best[k]
-		if !ok {
-			continue
-		}
-		out.Rows = append(out.Rows, rowFromResult(r))
-	}
-	if best[topology.Butterfly] != nil {
-		out.ButterflyInfeasible = false
-	}
+	_, bfly := familyWinners(ds)["butterfly"]
+	out.ButterflyInfeasible = !bfly
 	return out, nil
-}
-
-func rowFromResult(r *mapping.Result) Row {
-	return Row{
-		Topology: r.Topology.Name(),
-		AvgHops:  r.AvgHops,
-		AreaMM2:  r.DesignAreaMM2,
-		PowerMW:  r.PowerMW,
-		Switches: r.Topology.NumRouters(),
-		Links:    topology.PhysicalLinks(r.Topology),
-		Feasible: r.Feasible(),
-	}
 }
 
 // String renders the Fig. 7(b) table.
@@ -225,23 +288,18 @@ func (r *Fig7bResult) String() string {
 
 // Fig9aResult holds the routing-function bandwidth sweep (Fig. 9a).
 type Fig9aResult struct {
-	Rows []core.RoutingSweepRow
+	Rows []sunmap.SweepRow
 }
 
-// Fig9a reproduces the minimum-bandwidth bars on the runner's engine.
-func (r Runner) Fig9a(ctx context.Context) (*Fig9aResult, error) {
-	mesh, err := topology.NewMesh(3, 4)
+// Fig9a reproduces the minimum-bandwidth bars with one routing sweep.
+func Fig9a(ctx context.Context, s *sunmap.Session) (*Fig9aResult, error) {
+	reps, err := run(ctx, s, sunmap.Request{Op: sunmap.OpRoutingSweep, RoutingSweep: &sunmap.SweepRequest{
+		App: sunmap.AppSpec{Name: "mpeg4"}, Topology: "mesh-3x4", Mapping: videoSpec(""),
+	}})
 	if err != nil {
 		return nil, err
 	}
-	rows, err := core.RoutingSweepContext(ctx, apps.MPEG4(), mesh, mapping.Options{
-		Objective:    mapping.MinDelay,
-		CapacityMBps: apps.DefaultCapacityMBps,
-	}, r.explore())
-	if err != nil {
-		return nil, err
-	}
-	return &Fig9aResult{Rows: rows}, nil
+	return &Fig9aResult{Rows: reps[0].RoutingSweep.Rows}, nil
 }
 
 // String renders the Fig. 9(a) bars.
@@ -250,7 +308,7 @@ func (r *Fig9aResult) String() string {
 	sb.WriteString("Fig 9(a) - MPEG4 on mesh: minimum required link bandwidth per routing function\n")
 	fmt.Fprintf(&sb, "%-4s %14s %12s\n", "fn", "required MB/s", "fits 500?")
 	for _, row := range r.Rows {
-		fmt.Fprintf(&sb, "%-4v %14.1f %12v\n", row.Function, row.RequiredMBps, row.FeasibleAt500)
+		fmt.Fprintf(&sb, "%-4v %14.1f %12v\n", row.Function, row.RequiredMBps, row.FeasibleAtCap)
 	}
 	sb.WriteString("(paper: only the split-traffic functions fit under 500 MB/s)\n")
 	return sb.String()
@@ -258,23 +316,18 @@ func (r *Fig9aResult) String() string {
 
 // Fig9bResult holds the Pareto exploration (Fig. 9b).
 type Fig9bResult struct {
-	Points []core.ParetoPoint
+	Points []sunmap.ParetoPointRow
 }
 
-// Fig9b reproduces the Pareto exploration on the runner's engine.
-func (r Runner) Fig9b(ctx context.Context) (*Fig9bResult, error) {
-	mesh, err := topology.NewMesh(3, 4)
+// Fig9b reproduces the Pareto exploration with one pareto request.
+func Fig9b(ctx context.Context, s *sunmap.Session) (*Fig9bResult, error) {
+	reps, err := run(ctx, s, sunmap.Request{Op: sunmap.OpPareto, Pareto: &sunmap.ParetoRequest{
+		App: sunmap.AppSpec{Name: "mpeg4"}, Topology: "mesh-3x4", Mapping: videoSpec("SM"), Steps: 5,
+	}})
 	if err != nil {
 		return nil, err
 	}
-	pts, err := core.ParetoExploreFault(ctx, apps.MPEG4(), mesh, mapping.Options{
-		Routing:      route.SplitMin,
-		CapacityMBps: apps.DefaultCapacityMBps,
-	}, 5, nil, r.explore())
-	if err != nil {
-		return nil, err
-	}
-	return &Fig9bResult{Points: pts}, nil
+	return &Fig9bResult{Points: reps[0].Pareto.Points}, nil
 }
 
 // String renders the Fig. 9(b) point cloud.
@@ -291,8 +344,6 @@ func (r *Fig9bResult) String() string {
 	}
 	return sb.String()
 }
-
-func toRow(r *mapping.Result) Row { return rowFromResult(r) }
 
 func ratio(a, b float64) float64 {
 	if b == 0 {

@@ -1,14 +1,25 @@
 package exp
 
 import (
+	"context"
 	"strings"
 	"testing"
 
-	"sunmap/internal/route"
+	"sunmap"
 )
 
+// session returns a fresh Session for one test.
+func session(t *testing.T) *sunmap.Session {
+	t.Helper()
+	s, err := sunmap.NewSession()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
 func TestFig3dShape(t *testing.T) {
-	r, err := Fig3d()
+	r, err := Fig3d(context.Background(), session(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -17,8 +28,8 @@ func TestFig3dShape(t *testing.T) {
 	if r.Torus.AvgHops > r.Mesh.AvgHops {
 		t.Errorf("torus hops %g > mesh hops %g", r.Torus.AvgHops, r.Mesh.AvgHops)
 	}
-	if r.Mesh.AreaMM2 >= r.Torus.AreaMM2 {
-		t.Errorf("mesh area %g >= torus area %g", r.Mesh.AreaMM2, r.Torus.AreaMM2)
+	if r.Mesh.DesignAreaMM2 >= r.Torus.DesignAreaMM2 {
+		t.Errorf("mesh area %g >= torus area %g", r.Mesh.DesignAreaMM2, r.Torus.DesignAreaMM2)
 	}
 	if r.Mesh.PowerMW >= r.Torus.PowerMW {
 		t.Errorf("mesh power %g >= torus power %g", r.Mesh.PowerMW, r.Torus.PowerMW)
@@ -27,8 +38,8 @@ func TestFig3dShape(t *testing.T) {
 	if r.Mesh.AvgHops < 1.8 || r.Mesh.AvgHops > 3.0 {
 		t.Errorf("mesh hops %g, paper 2.25", r.Mesh.AvgHops)
 	}
-	if r.Mesh.AreaMM2 < 27 || r.Mesh.AreaMM2 > 110 {
-		t.Errorf("mesh area %g, paper 54.59", r.Mesh.AreaMM2)
+	if r.Mesh.DesignAreaMM2 < 27 || r.Mesh.DesignAreaMM2 > 110 {
+		t.Errorf("mesh area %g, paper 54.59", r.Mesh.DesignAreaMM2)
 	}
 	if r.Mesh.PowerMW < 180 || r.Mesh.PowerMW > 750 {
 		t.Errorf("mesh power %g, paper 372.1", r.Mesh.PowerMW)
@@ -39,15 +50,15 @@ func TestFig3dShape(t *testing.T) {
 }
 
 func TestFig6Shape(t *testing.T) {
-	r, err := Fig6()
+	r, err := Fig6(context.Background(), session(t))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(r.Rows) != 5 {
 		t.Fatalf("%d rows, want 5 families", len(r.Rows))
 	}
-	byName := make(map[string]Row)
-	var bfly, mesh Row
+	byName := make(map[string]sunmap.TopologyRow)
+	var bfly, mesh sunmap.TopologyRow
 	for _, row := range r.Rows {
 		byName[row.Topology] = row
 		if strings.HasPrefix(row.Topology, "butterfly") {
@@ -78,20 +89,20 @@ func TestFig6Shape(t *testing.T) {
 }
 
 func TestFig7bShape(t *testing.T) {
-	r, err := Fig7b()
+	r, err := Fig7b(context.Background(), session(t))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !r.ButterflyInfeasible {
 		t.Error("butterfly feasible for MPEG4; paper reports no feasible mapping")
 	}
-	if r.RoutingUsed != route.SplitMin && r.RoutingUsed != route.SplitAll {
+	if r.RoutingUsed != "SM" && r.RoutingUsed != "SA" {
 		t.Errorf("routing used %v, want a splitting function", r.RoutingUsed)
 	}
 	if len(r.Rows) != 4 {
 		t.Fatalf("%d feasible families, want 4 (all but butterfly)", len(r.Rows))
 	}
-	var mesh, torus Row
+	var mesh, torus sunmap.TopologyRow
 	for _, row := range r.Rows {
 		if strings.HasPrefix(row.Topology, "mesh") {
 			mesh = row
@@ -114,26 +125,26 @@ func TestFig7bShape(t *testing.T) {
 }
 
 func TestFig9aShape(t *testing.T) {
-	r, err := Fig9a()
+	r, err := Fig9a(context.Background(), session(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	byFn := make(map[route.Function]float64)
+	byFn := make(map[string]float64)
 	for _, row := range r.Rows {
 		byFn[row.Function] = row.RequiredMBps
 	}
-	if byFn[route.DimensionOrdered] < 910 || byFn[route.MinPath] < 910 {
+	if byFn["DO"] < 910 || byFn["MP"] < 910 {
 		t.Errorf("single-path required BW below the 910 flow: DO=%g MP=%g",
-			byFn[route.DimensionOrdered], byFn[route.MinPath])
+			byFn["DO"], byFn["MP"])
 	}
-	if byFn[route.SplitMin] > 500 || byFn[route.SplitAll] > 500 {
+	if byFn["SM"] > 500 || byFn["SA"] > 500 {
 		t.Errorf("splitting functions exceed 500: SM=%g SA=%g",
-			byFn[route.SplitMin], byFn[route.SplitAll])
+			byFn["SM"], byFn["SA"])
 	}
 }
 
 func TestFig9bShape(t *testing.T) {
-	r, err := Fig9b()
+	r, err := Fig9b(context.Background(), session(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +164,7 @@ func TestFig9bShape(t *testing.T) {
 
 func TestFig8bShape(t *testing.T) {
 	// Short rate axis keeps the test fast while covering the crossover.
-	r, err := Fig8b([]float64{0.1, 0.4})
+	r, err := Fig8b(context.Background(), session(t), []float64{0.1, 0.4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,14 +187,14 @@ func TestFig8bShape(t *testing.T) {
 }
 
 func TestFig8cdShape(t *testing.T) {
-	r, err := Fig8cd()
+	r, err := Fig8cd(context.Background(), session(t))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(r.Rows) != 5 {
 		t.Fatalf("%d rows, want 5", len(r.Rows))
 	}
-	var clos, bfly Row
+	var clos, bfly sunmap.TopologyRow
 	for _, row := range r.Rows {
 		if strings.HasPrefix(row.Topology, "clos") {
 			clos = row
@@ -205,7 +216,7 @@ func TestFig8cdShape(t *testing.T) {
 }
 
 func TestFig10Shape(t *testing.T) {
-	r, err := Fig10()
+	r, err := Fig10(context.Background(), session(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +242,7 @@ func TestFig10Shape(t *testing.T) {
 }
 
 func TestFig11Shape(t *testing.T) {
-	r, err := Fig11()
+	r, err := Fig11(context.Background(), session(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,11 +261,11 @@ func TestFig11Shape(t *testing.T) {
 }
 
 func TestRenderingsNonEmpty(t *testing.T) {
-	r3, err := Fig3d()
+	r3, err := Fig3d(context.Background(), session(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	r9a, err := Fig9a()
+	r9a, err := Fig9a(context.Background(), session(t))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,97 +3,57 @@ package exp
 import (
 	"context"
 	"fmt"
-	"sort"
 	"strings"
 
+	"sunmap"
 	"sunmap/internal/apps"
-	"sunmap/internal/core"
-	"sunmap/internal/engine"
-	"sunmap/internal/mapping"
-	"sunmap/internal/route"
-	"sunmap/internal/sim"
-	"sunmap/internal/tech"
-	"sunmap/internal/topology"
-	"sunmap/internal/traffic"
-	"sunmap/internal/xpipes"
 )
 
 // DefaultRates is the injection-rate axis of Fig. 8(b).
 var DefaultRates = []float64{0.05, 0.1, 0.2, 0.3, 0.4, 0.5}
 
-// netprocTopologies builds the 16-node networks of the NetProc study.
-func netprocTopologies() (map[string]topology.Topology, []string, error) {
-	mk := func(t topology.Topology, err error) (topology.Topology, error) { return t, err }
-	out := make(map[string]topology.Topology)
-	order := []string{"mesh", "torus", "clos", "butterfly"}
-	var err error
-	if out["mesh"], err = mk(topology.NewMesh(4, 4)); err != nil {
-		return nil, nil, err
-	}
-	if out["torus"], err = mk(topology.NewTorus(4, 4)); err != nil {
-		return nil, nil, err
-	}
-	if out["clos"], err = mk(topology.NewClos(4, 4, 4)); err != nil {
-		return nil, nil, err
-	}
-	if out["butterfly"], err = mk(topology.NewButterfly(4, 2)); err != nil {
-		return nil, nil, err
-	}
-	return out, order, nil
+// netproc lists the 16-node networks of the NetProc study (Fig. 8b):
+// column label, then topology name.
+var netproc = [][2]string{
+	{"mesh", "mesh-4x4"},
+	{"torus", "torus-4x4"},
+	{"clos", "clos-m4n4r4"},
+	{"butterfly", "butterfly-4ary2fly"},
 }
 
 // Fig8bResult holds latency-vs-injection curves (Fig. 8b).
 type Fig8bResult struct {
 	Rates  []float64
-	Curves map[string][]*sim.Stats
+	Curves map[string][]sunmap.SimRow
 	Order  []string
 }
 
-// Fig8b reproduces the NetProc latency study on the runner's engine: the
-// simulations of every (topology, rate) pair are the units of one
-// engine.Fan.
-func (r Runner) Fig8b(ctx context.Context, rates []float64) (*Fig8bResult, error) {
+// Fig8b reproduces the NetProc latency study: one adversarial-traffic
+// simulate request per network, sweeping the rates.
+func Fig8b(ctx context.Context, s *sunmap.Session, rates []float64) (*Fig8bResult, error) {
 	if len(rates) == 0 {
 		rates = DefaultRates
 	}
-	topos, order, err := netprocTopologies()
-	if err != nil {
-		return nil, err
-	}
-	cfgs := make([]sim.Config, len(order))
-	for t, name := range order {
-		topo := topos[name]
-		rt, err := sim.BuildRoutes(topo)
-		if err != nil {
-			return nil, err
-		}
-		cfgs[t] = sim.Config{
-			Topo:          topo,
-			Routes:        rt,
-			Pattern:       traffic.Adversarial(topo),
+	var reqs []sunmap.Request
+	for _, n := range netproc {
+		reqs = append(reqs, sunmap.Request{Op: sunmap.OpSimulate, Simulate: &sunmap.SimRequest{
+			Topology:      n[1],
+			Pattern:       "adversarial",
+			Rates:         rates,
 			Seed:          7,
 			WarmupCycles:  1000,
 			MeasureCycles: 4000,
 			DrainCycles:   6000,
-		}
+		}})
 	}
-	stats := make([]*sim.Stats, len(order)*len(rates))
-	err = engine.Fan(ctx, len(stats), engine.Options{Parallelism: r.Parallelism}, func(ctx context.Context, u int) error {
-		cfg := cfgs[u/len(rates)]
-		cfg.InjectionRate = rates[u%len(rates)]
-		st, err := sim.RunContext(ctx, cfg)
-		if err != nil {
-			return fmt.Errorf("sim: %s at rate %g: %w", order[u/len(rates)], cfg.InjectionRate, err)
-		}
-		stats[u] = st
-		return nil
-	})
+	reps, err := run(ctx, s, reqs...)
 	if err != nil {
 		return nil, err
 	}
-	out := &Fig8bResult{Rates: rates, Curves: make(map[string][]*sim.Stats), Order: order}
-	for t, name := range order {
-		out.Curves[name] = stats[t*len(rates) : (t+1)*len(rates) : (t+1)*len(rates)]
+	out := &Fig8bResult{Rates: rates, Curves: make(map[string][]sunmap.SimRow)}
+	for i, n := range netproc {
+		out.Curves[n[0]] = reps[i].Simulate.Rows
+		out.Order = append(out.Order, n[0])
 	}
 	return out, nil
 }
@@ -125,31 +85,17 @@ func (r *Fig8bResult) String() string {
 
 // Fig8cdResult holds the NetProc area/power comparison (Fig. 8c, 8d).
 type Fig8cdResult struct {
-	Rows []Row
+	Rows []sunmap.TopologyRow
 }
 
-// Fig8cd reproduces the NetProc area/power bars on the runner's engine.
-func (r Runner) Fig8cd(ctx context.Context) (*Fig8cdResult, error) {
-	sel, err := core.SelectContext(ctx, r.selectConfig(core.Config{
-		App: apps.NetProc(),
-		Mapping: mapping.Options{
-			Routing:   route.MinPath,
-			Objective: mapping.MinDelay,
-			// Relaxed bandwidth constraints per the paper.
-			CapacityMBps: 0,
-		},
-	}))
+// Fig8cd reproduces the NetProc area/power bars with one select under
+// the paper's relaxed (unconstrained) link bandwidth.
+func Fig8cd(ctx context.Context, s *sunmap.Session) (*Fig8cdResult, error) {
+	_, ds, err := selection(ctx, s, sunmap.SelectRequest{App: sunmap.AppSpec{Name: "netproc"}, Mapping: sunmap.MapSpec{Routing: "MP", Objective: "delay"}})
 	if err != nil {
 		return nil, err
 	}
-	out := &Fig8cdResult{}
-	best := sel.BestPerKind()
-	for _, k := range kindOrder {
-		if r, ok := best[k]; ok {
-			out.Rows = append(out.Rows, rowFromResult(r))
-		}
-	}
-	return out, nil
+	return &Fig8cdResult{Rows: familyRows(ds)}, nil
 }
 
 // String renders the area/power table.
@@ -164,6 +110,9 @@ func (r *Fig8cdResult) String() string {
 	return sb.String()
 }
 
+// dspSpec is the mapping of the DSP case study (Section 6.3).
+var dspSpec = sunmap.MapSpec{Routing: "MP", Objective: "delay", CapacityMBps: apps.DSPCapacityMBps}
+
 // Fig10Result holds the DSP case study (Fig. 10).
 type Fig10Result struct {
 	Best      string
@@ -174,66 +123,47 @@ type Fig10Result struct {
 	Order   []string
 }
 
-// Fig10 reproduces the DSP filter flow on the runner's engine.
-func (r Runner) Fig10(ctx context.Context) (*Fig10Result, error) {
-	g := apps.DSPFilter()
-	sel, err := core.SelectContext(ctx, r.selectConfig(core.Config{
-		App: g,
-		Mapping: mapping.Options{
-			Routing:      route.MinPath,
-			Objective:    mapping.MinDelay,
-			CapacityMBps: apps.DSPCapacityMBps,
-		},
-	}))
+// Fig10 reproduces the DSP filter flow: one select, then one trace-driven
+// simulate per family winner.
+func Fig10(ctx context.Context, s *sunmap.Session) (*Fig10Result, error) {
+	app := sunmap.AppSpec{Name: "dsp"}
+	sel, ds, err := selection(ctx, s, sunmap.SelectRequest{App: app, Mapping: dspSpec})
 	if err != nil {
 		return nil, err
 	}
-	if sel.Best == nil {
-		return nil, fmt.Errorf("exp: DSP selection found nothing feasible")
-	}
 	out := &Fig10Result{
-		Best:     sel.Best.Topology.Name(),
+		Best:     sel.Topology,
 		BestHops: sel.Best.AvgHops,
 		Latency:  make(map[string]float64),
 	}
-	if sel.Best.Floorplan != nil {
-		var fp strings.Builder
-		fmt.Fprintf(&fp, "chip %.2f x %.2f mm, %d switches\n",
-			sel.Best.Floorplan.ChipWMM, sel.Best.Floorplan.ChipHMM, sel.Best.Topology.NumRouters())
-		out.Floorplan = fp.String()
+	for _, row := range sel.Rows {
+		if fp := sel.Best.Floorplan; row.Topology == sel.Topology && fp != nil {
+			out.Floorplan = fmt.Sprintf("chip %.2f x %.2f mm, %d switches\n", fp.ChipWMM, fp.ChipHMM, row.Switches)
+		}
 	}
-	best := sel.BestPerKind()
-	for _, k := range kindOrder {
-		res, ok := best[k]
-		if !ok {
-			continue
-		}
-		rt, err := sim.BuildRoutesFromResult(res.Topology, res.Assign, res.Route)
-		if err != nil {
-			return nil, err
-		}
-		tr, err := traffic.NewTrace(g, res.Assign)
-		if err != nil {
-			return nil, err
-		}
-		st, err := sim.RunContext(ctx, sim.Config{
-			Topo:            res.Topology,
-			Routes:          rt,
-			Pattern:         tr,
-			SourceShare:     tr.SourceShare(),
-			ActiveTerminals: res.Assign,
-			InjectionRate:   0.15,
-			Seed:            11,
-			WarmupCycles:    1000,
-			MeasureCycles:   4000,
-			DrainCycles:     6000,
-		})
-		if err != nil {
-			return nil, err
-		}
-		name := k.String()
-		out.Latency[name] = st.AvgLatencyCycles
-		out.Order = append(out.Order, name)
+	spec := dspSpec
+	spec.Routing = sel.RoutingUsed
+	var reqs []sunmap.Request
+	for _, row := range familyRows(ds) {
+		reqs = append(reqs, sunmap.Request{Op: sunmap.OpSimulate, Simulate: &sunmap.SimRequest{
+			Topology:      row.Topology,
+			Pattern:       "trace",
+			App:           &app,
+			Mapping:       &spec,
+			Rates:         []float64{0.15},
+			Seed:          11,
+			WarmupCycles:  1000,
+			MeasureCycles: 4000,
+			DrainCycles:   6000,
+		}})
+		out.Order = append(out.Order, row.Kind)
+	}
+	reps, err := run(ctx, s, reqs...)
+	if err != nil {
+		return nil, err
+	}
+	for i, kind := range out.Order {
+		out.Latency[kind] = reps[i].Simulate.Rows[0].AvgLatencyCycles
 	}
 	return out, nil
 }
@@ -261,34 +191,21 @@ type Fig11Result struct {
 	Sizes     map[string]int
 }
 
-// Fig11 generates the DSP SystemC artifact on the runner's engine; with a
-// shared cache the selection is a pure cache hit after Fig10.
-func (r Runner) Fig11(ctx context.Context) (*Fig11Result, error) {
-	g := apps.DSPFilter()
-	sel, err := core.SelectContext(ctx, r.selectConfig(core.Config{
-		App: g,
-		Mapping: mapping.Options{
-			Routing:      route.MinPath,
-			Objective:    mapping.MinDelay,
-			CapacityMBps: apps.DSPCapacityMBps,
-		},
-	}))
+// Fig11 generates the DSP SystemC artifact with one generate request;
+// after Fig10 its selection is a pure session-cache hit.
+func Fig11(ctx context.Context, s *sunmap.Session) (*Fig11Result, error) {
+	reps, err := run(ctx, s, sunmap.Request{Op: sunmap.OpGenerate, Generate: &sunmap.GenerateRequest{
+		App: sunmap.AppSpec{Name: "dsp"}, Mapping: dspSpec,
+	}})
 	if err != nil {
 		return nil, err
 	}
-	if sel.Best == nil {
-		return nil, fmt.Errorf("exp: DSP selection found nothing feasible")
-	}
-	gen, err := xpipes.Generate(g, sel.Best, tech.Tech100nm())
-	if err != nil {
-		return nil, err
-	}
+	gen := reps[0].Generate
 	out := &Fig11Result{TopModule: gen.TopModule, Sizes: make(map[string]int)}
-	out.Files = gen.FileNames()
-	for n, c := range gen.Files {
-		out.Sizes[n] = len(c)
+	for _, f := range gen.Files {
+		out.Files = append(out.Files, f.Name)
+		out.Sizes[f.Name] = len(f.Content)
 	}
-	sort.Strings(out.Files)
 	return out, nil
 }
 

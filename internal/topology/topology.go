@@ -175,11 +175,14 @@ type base struct {
 	minHopsOnce sync.Once
 	minHops     []int // src*numTerminals+dst -> routers traversed (-1 unreachable)
 
-	// The structural digest (Digest) and the routing tables
-	// (SharedTables) are derived the same way: once per object, on first
-	// use, and read-only afterwards.
+	// The structural digest (Digest), the physical channel count
+	// (PhysicalLinks) and the routing tables (SharedTables) are derived
+	// the same way: once per object, on first use, and read-only
+	// afterwards.
 	digestOnce sync.Once
 	digest     [sha256.Size]byte
+	physOnce   sync.Once
+	physLinks  int
 	tablesOnce sync.Once
 	tables     *RouteTables
 }
@@ -301,8 +304,20 @@ func (b *base) allRouters() []bool {
 // individually. Fig. 6(b)'s resource-utilization chart uses this count
 // plus one network-interface link per mapped core. It equals
 // len(Channels(t)) without building the groups: a link opens a channel
-// when no lower-ID link joins the same router pair.
+// when no lower-ID link joins the same router pair. A topology of this
+// package counts once; any other implementation is counted on every call.
 func PhysicalLinks(t Topology) int {
+	s, ok := t.(sharer)
+	if !ok {
+		return countChannels(t)
+	}
+	b := s.shared()
+	b.physOnce.Do(func() { b.physLinks = countChannels(t) })
+	return b.physLinks
+}
+
+// countChannels counts t's physical channels for PhysicalLinks.
+func countChannels(t Topology) int {
 	g := t.Graph()
 	n := 0
 	for _, l := range t.Links() {

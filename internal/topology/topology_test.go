@@ -3,6 +3,7 @@ package topology
 import (
 	"math/rand"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -594,6 +595,41 @@ func TestChannelsGroupDirectedLinks(t *testing.T) {
 	for _, ch := range Channels(mustButterfly(t, 2, 3)) {
 		if len(ch) != 1 {
 			t.Errorf("butterfly channel has %d links, want 1", len(ch))
+		}
+	}
+}
+
+// TestPhysicalLinksMemoized checks that a topology of this package counts
+// its channels once, on the object, even when first asked from several
+// goroutines at once, and that a foreign implementation wrapping it still
+// gets the same count, computed per call.
+func TestPhysicalLinksMemoized(t *testing.T) {
+	for _, topo := range []Topology{mustMesh(t, 3, 4), mustButterfly(t, 4, 2), mustClos(t, 3, 4, 3)} {
+		want := len(Channels(topo))
+		b := topo.(sharer).shared()
+		if b.physLinks != 0 {
+			t.Fatalf("%s: channel count memoized before first use", topo.Name())
+		}
+		got := make([]int, 4)
+		var wg sync.WaitGroup
+		for i := range got {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				got[i] = PhysicalLinks(topo)
+			}()
+		}
+		wg.Wait()
+		for _, g := range got {
+			if g != want {
+				t.Errorf("%s: PhysicalLinks %d, want %d", topo.Name(), g, want)
+			}
+		}
+		if b.physLinks != want {
+			t.Errorf("%s: memo %d, want %d", topo.Name(), b.physLinks, want)
+		}
+		if got := PhysicalLinks(unnamed{topo}); got != want {
+			t.Errorf("%s: foreign PhysicalLinks %d, want %d", topo.Name(), got, want)
 		}
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"time"
 
 	"sunmap/internal/apps"
@@ -78,6 +79,13 @@ type AppSpec struct {
 	Flows []FlowSpec `json:"flows,omitempty"`
 }
 
+// builtinApps holds one graph per built-in application name, built on
+// first use and shared by every request of the process that names it, so
+// its memoized digest and commodity lists are computed once. Nothing in
+// the Session mutates a resolved graph; AppByName still hands callers a
+// fresh one.
+var builtinApps sync.Map // name -> *graph.CoreGraph
+
 // resolve materializes the core graph an AppSpec describes.
 func (a AppSpec) resolve() (*graph.CoreGraph, error) {
 	sources := 0
@@ -95,11 +103,15 @@ func (a AppSpec) resolve() (*graph.CoreGraph, error) {
 	}
 	switch {
 	case a.Name != "":
+		if g, ok := builtinApps.Load(a.Name); ok {
+			return g.(*graph.CoreGraph), nil
+		}
 		g, err := apps.ByName(a.Name)
 		if err != nil {
 			return nil, fmt.Errorf("%w %q (want one of %v)", ErrUnknownApp, a.Name, apps.Names())
 		}
-		return g, nil
+		shared, _ := builtinApps.LoadOrStore(a.Name, g)
+		return shared.(*graph.CoreGraph), nil
 	case a.Text != "":
 		g, err := graph.Parse(strings.NewReader(a.Text))
 		if err != nil {
