@@ -1,5 +1,6 @@
-// Package sunmap_test hosts the benchmark harness: one testing.B benchmark
-// per table/figure of the paper's evaluation (Section 6). Run with
+// Package sunmap_test hosts the paper-figure benchmarks: one testing.B
+// benchmark per table/figure of the paper's evaluation (Section 6). The
+// end-to-end performance benchmark is bench/run.sh. Run these with
 //
 //	go test -bench=. -benchmem
 //

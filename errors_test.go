@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"io/fs"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -119,6 +120,26 @@ func TestBadRequestSentinels(t *testing.T) {
 		}},
 		{"bad pattern", func() error {
 			_, err := sess.Simulate(ctx, sunmap.SimRequest{Topology: "mesh-2x2", Pattern: "zz", Rates: []float64{0.1}})
+			return err
+		}},
+		{"negative hotspot node", func() error {
+			_, err := sess.Simulate(ctx, sunmap.SimRequest{Topology: "mesh-4x4", Pattern: "hotspot", HotspotNode: -3, Rates: []float64{0.1}})
+			return err
+		}},
+		{"hotspot node past the terminals", func() error {
+			_, err := sess.Simulate(ctx, sunmap.SimRequest{Topology: "mesh-4x4", Pattern: "hotspot", HotspotNode: 16, Rates: []float64{0.1}})
+			return err
+		}},
+		{"negative hotspot fraction", func() error {
+			_, err := sess.Simulate(ctx, sunmap.SimRequest{Topology: "mesh-4x4", Pattern: "hotspot", HotspotFrac: -0.5, Rates: []float64{0.1}})
+			return err
+		}},
+		{"hotspot fraction above 1", func() error {
+			_, err := sess.Simulate(ctx, sunmap.SimRequest{Topology: "mesh-4x4", Pattern: "hotspot", HotspotFrac: 1.5, Rates: []float64{0.1}})
+			return err
+		}},
+		{"NaN hotspot fraction", func() error {
+			_, err := sess.Simulate(ctx, sunmap.SimRequest{Topology: "mesh-4x4", Pattern: "hotspot", HotspotFrac: math.NaN(), Rates: []float64{0.1}})
 			return err
 		}},
 		{"app too large for topology", func() error {

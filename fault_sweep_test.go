@@ -171,6 +171,8 @@ func TestFaultSweepValidation(t *testing.T) {
 		func(r *sunmap.FaultSweepRequest) { r.SimRate = 1.5 },
 		func(r *sunmap.FaultSweepRequest) { r.SimRate = 0.1; r.SimCycle = -5 },
 		func(r *sunmap.FaultSweepRequest) { r.SimRate = 0.1; r.SimCycle = 8500 },
+		func(r *sunmap.FaultSweepRequest) { r.SimRate = 0.1; r.SimCycle = 500 },
+		func(r *sunmap.FaultSweepRequest) { r.SimRate = 0.1; r.SimCycle = 1000 },
 		func(r *sunmap.FaultSweepRequest) { r.Topology = "nope-7x7" },
 	}
 	for i, mutate := range cases {

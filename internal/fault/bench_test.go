@@ -7,7 +7,8 @@ import (
 	"sunmap/internal/route"
 )
 
-// trackedModels are the fault models the BENCH_*.json snapshots quote.
+// trackedModels are the fault models BenchmarkFaultSweep times: single
+// link failures, exhaustive double failures and a sampled triple.
 var trackedModels = []struct {
 	name  string
 	model Model

@@ -351,8 +351,9 @@ type FaultSweepRequest struct {
 	// delivered throughput before and after the fault.
 	SimRate float64 `json:"sim_rate,omitempty"`
 	// SimCycle overrides the fault-injection cycle (default: midway
-	// through the measurement window). It must land inside that window
-	// — [1, 5000) under the simulator's default run structure.
+	// through the measurement window). It must land strictly inside that
+	// window — (1000, 5000) under the simulator's default 1000 warm-up
+	// and 4000 measured cycles.
 	SimCycle int `json:"sim_cycle,omitempty"`
 }
 
@@ -365,7 +366,10 @@ type SimRequest struct {
 	// (default "uniform"). "trace" replays the App's flows over its
 	// optimized mapping onto Topology (the Fig. 10c methodology) and
 	// requires App; Mapping then tunes that mapping.
-	Pattern     string  `json:"pattern,omitempty"`
+	Pattern string `json:"pattern,omitempty"`
+	// HotspotNode is the "hotspot" pattern's target terminal, in
+	// [0, the topology's terminal count). HotspotFrac is the share of
+	// packets sent to it, in [0, 1]; 0 picks the default 0.3.
 	HotspotNode int     `json:"hotspot_node,omitempty"`
 	HotspotFrac float64 `json:"hotspot_frac,omitempty"`
 	// Rates lists the injection rates (flits/cycle/terminal) to sweep.

@@ -1,82 +1,56 @@
-#!/usr/bin/env sh
-# scripts/bench_compare.sh — diff two BENCH_*.json snapshots and fail on
-# ns/op regressions, so the performance trajectory the snapshots record
-# is a gate and not just a log.
+#!/usr/bin/env bash
+# scripts/bench_compare.sh — compare this checkout's end-to-end benchmark
+# against a parent revision's, with bench/run.sh's -compare rule.
 #
 # Usage:
-#   scripts/bench_compare.sh [old.json new.json]
+#   scripts/bench_compare.sh <parent-rev> [workload...]
 #
-# With no arguments the two newest snapshots in the repo root (by PR
-# number in the filename) are compared. Rows are matched by
-# (pkg, name, gomaxprocs); a matched row whose ns/op grew by more than
-# the threshold (BENCH_REGRESSION_PCT, default 20) fails the run.
-# Parallel rows are skipped when either snapshot says
-# "parallel_valid": false — a single-core box's parallel numbers gate
-# nothing. Exit codes: 0 ok, 1 regression, 2 usage/missing snapshots.
-set -eu
+# The parent is checked out in a temporary git worktree under
+# .bench_build/, removed on exit. Each workload (default: all four) runs
+# 10 seed-paired runs per side, seeds 1..10, untraced, alternating which
+# side goes first. Then this checkout's bench/run.sh -compare prints the
+# table, and the script exits with its status: 1 on any regression. A
+# full run takes about 30 minutes on 2 cores.
+set -euo pipefail
 
-cd "$(dirname "$0")/.."
-THRESHOLD="${BENCH_REGRESSION_PCT:-20}"
-
-if [ $# -eq 2 ]; then
-    OLD=$1
-    NEW=$2
-elif [ $# -eq 0 ]; then
-    # shellcheck disable=SC2046  # filenames are repo-controlled, no spaces
-    set -- $(ls BENCH_*.json 2>/dev/null | sort -t_ -k2 -n)
-    if [ $# -lt 2 ]; then
-        echo "bench_compare: need at least two BENCH_*.json snapshots" >&2
-        exit 2
-    fi
-    while [ $# -gt 2 ]; do shift; done
-    OLD=$1
-    NEW=$2
-else
-    echo "usage: scripts/bench_compare.sh [old.json new.json]" >&2
-    exit 2
+if [ $# -lt 1 ]; then
+	echo "usage: scripts/bench_compare.sh <parent-rev> [workload...]" >&2
+	exit 2
 fi
-[ -f "$OLD" ] && [ -f "$NEW" ] || { echo "bench_compare: missing $OLD or $NEW" >&2; exit 2; }
+root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
+rev="$(git -C "$root" rev-parse --verify "$1^{commit}")"
+shift
+workloads=("$@")
+[ ${#workloads[@]} -gt 0 ] || workloads=(select-cold serve-warm search-jobs fault-sim)
 
-echo "comparing $OLD (base) -> $NEW (new), threshold ${THRESHOLD}%"
+mkdir -p "$root/.bench_build"
+work="$(mktemp -d "$root/.bench_build/compare.XXXXXX")"
+cleanup() {
+	git -C "$root" worktree remove --force "$work/parent" 2>/dev/null || true
+	git -C "$root" worktree prune
+	rm -rf "$work"
+}
+trap cleanup EXIT
+git -C "$root" worktree add --detach "$work/parent" "$rev" >/dev/null
 
-awk -v threshold="$THRESHOLD" -v oldf="$OLD" -v newf="$NEW" '
-# Pull a numeric field out of one JSON result row.
-function num(line, key,    v) {
-    if (!match(line, "\"" key "\": [0-9.e+-]+")) return ""
-    v = substr(line, RSTART, RLENGTH)
-    sub(/^.*: /, "", v)
-    return v
+# side <name> <seed> <workload>: one untraced run of one side.
+side() {
+	if [ "$1" = parent ]; then
+		CARGO_TARGET_DIR="$work/parent-build" "$work/parent/bench/run.sh" \
+			-workload "$3" -seed "$2" -trace 0 -out "$work/out-parent"
+	else
+		"$root/bench/run.sh" -workload "$3" -seed "$2" -trace 0 -out "$work/out-change"
+	fi
 }
-# Pull a quoted string field out of one JSON result row.
-function str(line, key,    v) {
-    if (!match(line, "\"" key "\": \"[^\"]*\"")) return ""
-    v = substr(line, RSTART, RLENGTH)
-    sub(/^[^:]*: "/, "", v)
-    sub(/"$/, "", v)
-    return v
-}
-/"parallel_valid": false/ { parinvalid = 1 }
-/"name":/ {
-    ns = num($0, "ns/op")
-    if (ns == "") next
-    key = str($0, "pkg") "|" str($0, "name") "|" num($0, "gomaxprocs")
-    if (FILENAME == oldf) { old[key] = ns } else { new[key] = ns; order[++n] = key }
-}
-END {
-    if (parinvalid) print "note: a snapshot is marked parallel_valid=false; parallel rows are not gated"
-    worst = 0
-    for (i = 1; i <= n; i++) {
-        key = order[i]
-        if (!(key in old)) continue
-        if (parinvalid && (key ~ /parallel/ || key ~ /\|[0-9][0-9]*$/ && key !~ /\|1$/)) continue
-        pct = (new[key] - old[key]) * 100 / old[key]
-        dir = "ok"
-        if (pct > threshold) { dir = "REGRESSION"; failed++ }
-        if (pct > worst) worst = pct
-        printf "%-70s %14.0f -> %14.0f ns/op  %+7.1f%%  %s\n", key, old[key], new[key], pct, dir
-    }
-    if (n == 0) { print "bench_compare: no comparable rows"; exit 2 }
-    if (failed) { printf "FAIL: %d row(s) regressed more than %d%%\n", failed, threshold; exit 1 }
-    printf "ok: no row regressed more than %d%% (worst %+.1f%%)\n", threshold, worst
-}
-' "$OLD" "$NEW"
+
+for w in "${workloads[@]}"; do
+	for seed in $(seq 1 10); do
+		if [ $((seed % 2)) -eq 1 ]; then order="parent change"; else order="change parent"; fi
+		for s in $order; do
+			echo "== $w seed $seed: $s" >&2
+			side "$s" "$seed" "$w" >/dev/null
+		done
+	done
+done
+
+"$root/bench/run.sh" -compare "$work/out-parent" "$work/out-change"

@@ -561,8 +561,15 @@ func patternByName(name string, req SimRequest, topo Topology) (traffic.Pattern,
 	case "shuffle":
 		return traffic.Shuffle{}, nil
 	case "hotspot":
+		if n := topo.NumTerminals(); req.HotspotNode < 0 || req.HotspotNode >= n {
+			return nil, fmt.Errorf("%w: hotspot node %d outside [0, %d)", ErrBadRequest, req.HotspotNode, n)
+		}
+		// The negated test also rejects NaN.
+		if !(req.HotspotFrac >= 0 && req.HotspotFrac <= 1) {
+			return nil, fmt.Errorf("%w: hotspot fraction %g outside [0, 1]", ErrBadRequest, req.HotspotFrac)
+		}
 		frac := req.HotspotFrac
-		if frac <= 0 {
+		if frac == 0 {
 			frac = 0.3
 		}
 		return traffic.Hotspot{Node: req.HotspotNode, Frac: frac}, nil
@@ -646,12 +653,12 @@ func (s *Session) FaultSweep(ctx context.Context, req FaultSweepRequest) (*Fault
 	if req.SimRate < 0 || req.SimRate > 1 {
 		return nil, fmt.Errorf("%w: sim rate %g outside [0, 1]", ErrBadRequest, req.SimRate)
 	}
-	// The injection cycle must land inside the measurement window, or
-	// the before/after throughput split is vacuously zero on one side.
-	if end := sim.DefaultWarmupCycles + sim.DefaultMeasureCycles; req.SimCycle < 0 || req.SimCycle >= end {
-		if req.SimCycle != 0 {
-			return nil, fmt.Errorf("%w: sim cycle %d outside the measurement window [1, %d)", ErrBadRequest, req.SimCycle, end)
-		}
+	// The injection cycle must land strictly inside the measurement
+	// window, or the before/after throughput split is vacuously zero on
+	// one side. 0 picks the default, the window's midpoint.
+	start, end := sim.DefaultWarmupCycles, sim.DefaultWarmupCycles+sim.DefaultMeasureCycles
+	if req.SimCycle != 0 && (req.SimCycle <= start || req.SimCycle >= end) {
+		return nil, fmt.Errorf("%w: sim cycle %d outside the measurement window (%d, %d)", ErrBadRequest, req.SimCycle, start, end)
 	}
 	res, err := s.evalMap(ctx, app, topo, opts)
 	if err != nil {
