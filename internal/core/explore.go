@@ -101,8 +101,9 @@ func ParetoExploreFault(ctx context.Context, app *graph.CoreGraph, topo topology
 	if opts.Tech.FlitBits == 0 {
 		opts.Tech = tech.Tech100nm()
 	}
-	var jobs []engine.Job
-	for _, depth := range []int{2, 4, 8} {
+	depths := []int{2, 4, 8}
+	jobs := make([]engine.Job, 0, len(depths)*steps*(steps+1)/2)
+	for _, depth := range depths {
 		for ai := 0; ai < steps; ai++ {
 			for pi := 0; pi < steps-ai; pi++ {
 				wa := float64(ai) / float64(steps-1)
@@ -127,7 +128,7 @@ func ParetoExploreFault(ctx context.Context, app *graph.CoreGraph, topo topology
 		pt  ParetoPoint
 		res *mapping.Result
 	}
-	var cands []candPoint
+	cands := make([]candPoint, 0, len(outcomes))
 	for i, o := range outcomes {
 		if o.Err != nil {
 			return nil, fmt.Errorf("core: pareto explore: %w", o.Err)

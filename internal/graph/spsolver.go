@@ -11,52 +11,6 @@ type pqItem struct {
 	dist float64
 }
 
-// heapPush and heapPop implement a binary min-heap on a concrete []pqItem,
-// replicating the sift rules of container/heap exactly (strict-less
-// comparisons, identical child selection). The replication matters: among
-// equal-distance vertices the pop order decides which of several equal-cost
-// shortest paths Dijkstra reports, and the mapper's byte-identical
-// equivalence guarantee relies on that order never changing. The rewrite
-// only removes the interface{} boxing (and virtual Less/Swap calls) that
-// container/heap forced on every push and pop.
-func heapPush(q *[]pqItem, it pqItem) {
-	h := append(*q, it) //sunmap:alloc amortized heap growth; steady-state pushes reuse capacity
-	j := len(h) - 1
-	for j > 0 {
-		i := (j - 1) / 2
-		if !(h[j].dist < h[i].dist) {
-			break
-		}
-		h[i], h[j] = h[j], h[i]
-		j = i
-	}
-	*q = h
-}
-
-func heapPop(q *[]pqItem) pqItem {
-	h := *q
-	n := len(h) - 1
-	h[0], h[n] = h[n], h[0]
-	i := 0
-	for {
-		j := 2*i + 1
-		if j >= n {
-			break
-		}
-		if j2 := j + 1; j2 < n && h[j2].dist < h[j].dist {
-			j = j2
-		}
-		if !(h[j].dist < h[i].dist) {
-			break
-		}
-		h[i], h[j] = h[j], h[i]
-		i = j
-	}
-	it := h[n]
-	*q = h[:n]
-	return it
-}
-
 // SPSolver is reusable scratch state for repeated shortest-path queries on
 // graphs of (roughly) one size: the dist/prev/settled arrays and the heap
 // are allocated once and recycled, so steady-state Dijkstra runs perform no
@@ -138,32 +92,61 @@ func (s *SPSolver) Dist(v int) float64 {
 //
 //sunmap:hotpath
 func (s *SPSolver) DijkstraLoads(d *Digraph, src, dst int, loads []float64, bias float64, dag, down, allowed []bool) {
-	n := len(d.adj)
-	s.reset(n)
-	if src < 0 || src >= n {
+	adj := d.adj
+	s.reset(len(adj))
+	if src < 0 || src >= len(adj) {
 		panic(fmt.Sprintf("graph: Dijkstra source %d out of range", src)) //sunmap:alloc panic path
 	}
 	if allowed != nil && !allowed[src] {
 		return
 	}
-	s.dist[src] = 0
-	s.prevV[src] = -1
-	s.prevArc[src] = -1
-	s.stamp[src] = s.epoch
-	heapPush(&s.heap, pqItem{v: src, dist: 0})
-	for len(s.heap) > 0 {
-		it := heapPop(&s.heap)
+	dist, prevV, prevArc, stamp, settled, epoch := s.dist, s.prevV, s.prevArc, s.stamp, s.settled, s.epoch
+	dist[src] = 0
+	prevV[src] = -1
+	prevArc[src] = -1
+	stamp[src] = epoch
+	// h is a binary min-heap on dist with container/heap's exact sift
+	// rules (strict-less comparisons, the lower child on a tie). Among
+	// equal-distance vertices the pop order decides which of several
+	// equal-cost shortest paths the search reports, and the mapper's
+	// byte-identical results rely on that order never changing. The sifts
+	// move a hole instead of swapping, which places every item exactly
+	// where the swaps would.
+	h := append(s.heap, pqItem{v: src, dist: 0}) //sunmap:alloc amortized heap growth; steady-state pushes reuse capacity
+	for len(h) > 0 {
+		it := h[0]
+		n := len(h) - 1
+		if x := h[n]; n > 0 {
+			i := 0
+			for {
+				j := 2*i + 1
+				if j >= n {
+					break
+				}
+				if j2 := j + 1; j2 < n && h[j2].dist < h[j].dist {
+					j = j2
+				}
+				if !(h[j].dist < x.dist) {
+					break
+				}
+				h[i] = h[j]
+				i = j
+			}
+			h[i] = x
+		}
+		h = h[:n]
 		u := it.v
-		if s.settled[u] == s.epoch || it.dist > s.dist[u] {
+		if settled[u] == epoch || it.dist > dist[u] {
 			continue
 		}
-		s.settled[u] = s.epoch
+		settled[u] = epoch
 		if u == dst {
-			return
+			break
 		}
-		du := s.dist[u]
-		for _, a := range d.adj[u] {
-			if allowed != nil && !allowed[a.To] {
+		du := dist[u]
+		for _, a := range adj[u] {
+			to := a.To
+			if allowed != nil && !allowed[to] {
 				continue
 			}
 			if dag != nil && !dag[a.ID] {
@@ -174,17 +157,32 @@ func (s *SPSolver) DijkstraLoads(d *Digraph, src, dst int, loads []float64, bias
 			}
 			wt := loads[a.ID] + bias
 			if wt < 0 {
-				panic(fmt.Sprintf("graph: negative arc weight %g on %d->%d", wt, u, a.To)) //sunmap:alloc panic path
+				panic(fmt.Sprintf("graph: negative arc weight %g on %d->%d", wt, u, to)) //sunmap:alloc panic path
 			}
-			if nd := du + wt; nd < s.Dist(a.To) {
-				s.dist[a.To] = nd
-				s.prevV[a.To] = u
-				s.prevArc[a.To] = a.ID
-				s.stamp[a.To] = s.epoch
-				heapPush(&s.heap, pqItem{v: a.To, dist: nd})
+			dt := math.Inf(1)
+			if stamp[to] == epoch {
+				dt = dist[to]
+			}
+			if nd := du + wt; nd < dt {
+				dist[to] = nd
+				prevV[to] = u
+				prevArc[to] = a.ID
+				stamp[to] = epoch
+				h = append(h, pqItem{}) //sunmap:alloc amortized heap growth; steady-state pushes reuse capacity
+				j := len(h) - 1
+				for j > 0 {
+					i := (j - 1) / 2
+					if !(nd < h[i].dist) {
+						break
+					}
+					h[j] = h[i]
+					j = i
+				}
+				h[j] = pqItem{v: to, dist: nd}
 			}
 		}
 	}
+	s.heap = h[:0]
 }
 
 // PathTo recovers the src->dst path of the last Dijkstra run, appending the

@@ -1,6 +1,9 @@
 package search
 
 import (
+	"math/bits"
+	"slices"
+
 	"sunmap/internal/graph"
 	"sunmap/internal/mapping"
 	"sunmap/internal/route"
@@ -24,7 +27,9 @@ const overloadPenalty = 10.0
 //     just installed must be acyclic.
 //
 // Everything is rebuilt in place per evaluation; steady state allocates
-// nothing (see TestSearchInnerLoopAllocBudget).
+// nothing (see TestSearchInnerLoopAllocBudget). A candidate the chain
+// has routed before is answered from the evaluation memo instead of all
+// three stages (see evalMemo).
 type evaluator struct {
 	b      bounds
 	topo   *searchTopo
@@ -47,6 +52,11 @@ type evaluator struct {
 	succ  [][]int32
 	indeg []int32
 	cq    []int32
+
+	memo evalMemo
+	// routed counts the candidates this evaluator routed (stages 2 and 3)
+	// and hits those the memo answered: the chain's work counters.
+	routed, hits int
 }
 
 func newEvaluator(comms []graph.Commodity, terms int, b bounds, mopts mapping.Options) *evaluator {
@@ -63,6 +73,7 @@ func newEvaluator(comms []graph.Commodity, terms int, b bounds, mopts mapping.Op
 		assign: make([]int, terms),
 		seen:   make([]int32, b.maxR),
 		queue:  make([]int32, 0, b.maxR),
+		memo:   newEvalMemo(b.maxR, terms),
 	}
 	for i := range ev.assign {
 		ev.assign[i] = i
@@ -85,9 +96,33 @@ func newEvaluator(comms []graph.Commodity, terms int, b bounds, mopts mapping.Op
 // eval scores a candidate, reporting ok=false when any hard constraint
 // fails.
 func (ev *evaluator) eval(c *cand) (fit float64, ok bool) {
+	// Only candidates that passed the structure check are stored, and the
+	// check is a function of the key too, so a hit skips it.
+	m := &ev.memo
+	s := -1
+	if m.words > 0 {
+		m.encode(c)
+		s = m.slot()
+		if slices.Equal(m.keys[s*m.words:(s+1)*m.words], m.key) {
+			ev.hits++
+			return m.vals[s].fit, m.vals[s].ok
+		}
+	}
 	if !ev.checkStructure(c) {
 		return 0, false
 	}
+	fit, ok = ev.route(c)
+	if s >= 0 {
+		copy(m.keys[s*m.words:], m.key)
+		m.vals[s] = memoVal{fit: fit, ok: ok}
+	}
+	return fit, ok
+}
+
+// route runs stages 2 and 3 and the fitness of a structurally valid
+// candidate.
+func (ev *evaluator) route(c *cand) (fit float64, ok bool) {
+	ev.routed++
 	ev.topo.rebuild(c)
 	if err := ev.rt.RouteInto(&ev.res, ev.topo, ev.assign, ev.comms, ev.ropts); err != nil {
 		return 0, false
@@ -96,6 +131,109 @@ func (ev *evaluator) eval(c *cand) (fit float64, ok bool) {
 		return 0, false
 	}
 	return ev.fitness(c), true
+}
+
+// memoSlots is the evaluation memo's table size and memoArenaBytes the
+// bound on its key arena: a chain whose keys are too long for 256 slots
+// gets fewer, and one whose key alone exceeds the bound gets no memo.
+const (
+	memoSlots      = 256
+	memoArenaBytes = 64 << 10
+)
+
+// evalMemo is a chain's exact evaluation memo: a direct-mapped table
+// from a candidate's key to its (fit, ok). The key is injective on
+// everything eval reads — nR, the adjacency among the first nR routers
+// and the attachment — and eval is a pure function of those three:
+//
+//   - every edge joins two of the first nR routers and the mutations
+//     keep the terminal counts in step with the attachment, so the
+//     structure check and the link count follow from the key;
+//   - searchTopo.rebuild walks the adjacency matrix in canonical (u, v)
+//     order, so link IDs and arc order do not depend on how the edge
+//     list was churned;
+//   - the Router is bound to private tables that MinPath with
+//     DisableQuadrant never reads, and it resets all of its scratch;
+//   - eval draws no RNG value, and no one reads ev.res after it returns.
+//
+// So a hit returns bit for bit what routing the candidate again would,
+// and a chain walks the same candidates with or without the memo. A
+// lookup compares the full key, so a collision only evicts. A slot whose
+// key is all zero is empty: a real key starts with nR >= 2.
+type evalMemo struct {
+	words   int      // key length in 64-bit words; 0 disables the memo
+	shift   uint     // slot = hash >> shift
+	attOff  int      // bit offset of the attachment field after key[0]
+	attBits int      // bits per attached router index
+	key     []uint64 // the candidate being evaluated
+	keys    []uint64 // one arena: slot i holds keys[i*words : (i+1)*words]
+	vals    []memoVal
+}
+
+type memoVal struct {
+	fit float64
+	ok  bool
+}
+
+// newEvalMemo sizes the memo for candidates of up to maxR routers and
+// terms terminals. The key is nR in one word, then one bit per router
+// pair u < v of the maxR×maxR upper triangle, then each terminal's router
+// in attBits bits.
+func newEvalMemo(maxR, terms int) evalMemo {
+	if maxR > memoArenaBytes {
+		return evalMemo{} // the adjacency bits alone exceed the arena
+	}
+	tri := maxR * (maxR - 1) / 2
+	attBits := bits.Len(uint(maxR - 1))
+	words := 1 + (tri+terms*attBits+63)/64
+	slots := memoSlots
+	for slots > 0 && slots*words*8 > memoArenaBytes {
+		slots /= 2
+	}
+	if slots == 0 {
+		return evalMemo{}
+	}
+	return evalMemo{
+		words:   words,
+		shift:   uint(64 - bits.TrailingZeros(uint(slots))),
+		attOff:  tri,
+		attBits: attBits,
+		key:     make([]uint64, words),
+		keys:    make([]uint64, slots*words),
+		vals:    make([]memoVal, slots),
+	}
+}
+
+// encode writes c's key into m.key.
+func (m *evalMemo) encode(c *cand) {
+	k := m.key
+	for i := range k {
+		k[i] = 0
+	}
+	k[0] = uint64(c.nR)
+	b := k[1:]
+	for _, e := range c.edges {
+		i := e[1]*(e[1]-1)/2 + e[0] // e[0] < e[1]
+		b[i>>6] |= 1 << (i & 63)
+	}
+	p := m.attOff
+	for _, r := range c.att {
+		w, o := p>>6, p&63
+		b[w] |= uint64(r) << o
+		if o+m.attBits > 64 {
+			b[w+1] |= uint64(r) >> (64 - o)
+		}
+		p += m.attBits
+	}
+}
+
+// slot hashes m.key (a multiplicative mix; the top bits pick the slot).
+func (m *evalMemo) slot() int {
+	var h uint64
+	for _, w := range m.key {
+		h = (h ^ w) * 0x9e3779b97f4a7c15
+	}
+	return int(h >> m.shift)
 }
 
 func (ev *evaluator) fitness(c *cand) float64 {

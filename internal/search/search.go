@@ -186,7 +186,10 @@ type chainResult struct {
 	chain           int
 	init, best      Candidate
 	evals, accepted int
-	err             error
+	// routed and memoHits split the chain's structurally valid
+	// evaluations into routed candidates and memo answers.
+	routed, memoHits int
+	err              error
 }
 
 // Run executes the search. On context cancellation it returns the
@@ -364,6 +367,7 @@ func runChain(ctx context.Context, comms []graph.Commodity, terms int, o Options
 	}
 	cr.best = snapshot(ch.best, ch.bestFit)
 	cr.evals, cr.accepted = ch.evals, ch.accepted
+	cr.routed, cr.memoHits = ch.ev.routed, ch.ev.hits
 	return cr
 }
 

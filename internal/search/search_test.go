@@ -198,8 +198,10 @@ func BenchmarkSearch(bm *testing.B) {
 	bm.ReportMetric(float64(evals)/bm.Elapsed().Seconds(), "evals/s")
 }
 
-// BenchmarkSearchEval reports single candidate-evaluation latency —
-// structure check, full reroute, CDG acyclicity, fitness.
+// BenchmarkSearchEval reports single candidate-evaluation latency.
+// routed is the full path — structure check, full reroute, CDG
+// acyclicity, fitness — with the memo off; hit is the same candidate
+// answered by the evaluation memo (structure check, key, lookup).
 func BenchmarkSearchEval(bm *testing.B) {
 	app, err := apps.ByName("mpeg4")
 	if err != nil {
@@ -210,17 +212,27 @@ func BenchmarkSearchEval(bm *testing.B) {
 	if err != nil {
 		bm.Fatal(err)
 	}
-	_ = o
-	ev := newEvaluator(app.Commodities(), terms, b, o.Mapping)
 	c := ringInit(terms, b)
-	if _, ok := ev.eval(c); !ok {
-		bm.Fatal("ring seed rejected")
-	}
-	bm.ReportAllocs()
-	bm.ResetTimer()
-	for i := 0; i < bm.N; i++ {
-		if _, ok := ev.eval(c); !ok {
-			bm.Fatal("eval rejected")
+	for _, memo := range []bool{false, true} {
+		name := "routed"
+		if memo {
+			name = "hit"
 		}
+		bm.Run(name, func(bm *testing.B) {
+			ev := newEvaluator(app.Commodities(), terms, b, o.Mapping)
+			if !memo {
+				ev.memo = evalMemo{}
+			}
+			if _, ok := ev.eval(c); !ok {
+				bm.Fatal("ring seed rejected")
+			}
+			bm.ReportAllocs()
+			bm.ResetTimer()
+			for i := 0; i < bm.N; i++ {
+				if _, ok := ev.eval(c); !ok {
+					bm.Fatal("eval rejected")
+				}
+			}
+		})
 	}
 }

@@ -32,7 +32,8 @@ func coldSelect(b *testing.B, app string, opts ...sunmap.SessionOption) *sunmap.
 // select speedup check compares sequential at one proc with parallel at
 // two:
 //
-//	go test -bench 'BenchmarkSelect$/mpeg4/(sequential|parallel)$' -benchtime 5x -cpu 1,2
+//	go test -bench 'BenchmarkSelect$/mpeg4/sequential$' -benchtime 5x -cpu 1
+//	go test -bench 'BenchmarkSelect$/mpeg4/parallel$' -benchtime 5x -cpu 2
 func BenchmarkSelect(b *testing.B) {
 	for _, app := range []string{"vopd", "mpeg4"} {
 		b.Run(app+"/sequential", func(b *testing.B) {
