@@ -156,3 +156,28 @@ func TestBadRequestSentinels(t *testing.T) {
 		}
 	}
 }
+
+// TestMappingFailureIsBadRequest: every op that maps an app onto a named
+// topology classifies a mapping failure alike — more cores than the
+// topology has terminals is the request's fault, not an internal one.
+func TestMappingFailureIsBadRequest(t *testing.T) {
+	sess, err := sunmap.NewSession()
+	if err != nil {
+		t.Fatal(err)
+	}
+	app := sunmap.AppSpec{Name: "vopd"}
+	const topo = "mesh-2x2"
+	for _, req := range []sunmap.Request{
+		{Op: sunmap.OpMap, Map: &sunmap.MapRequest{App: app, Topology: topo}},
+		{Op: sunmap.OpFaultSweep, FaultSweep: &sunmap.FaultSweepRequest{App: app, Topology: topo}},
+		{Op: sunmap.OpGenerate, Generate: &sunmap.GenerateRequest{App: app, Topology: topo}},
+		{Op: sunmap.OpSimulate, Simulate: &sunmap.SimRequest{App: &app, Topology: topo, Pattern: "trace", Rates: []float64{0.1}}},
+		{Op: sunmap.OpRoutingSweep, RoutingSweep: &sunmap.SweepRequest{App: app, Topology: topo}},
+		{Op: sunmap.OpPareto, Pareto: &sunmap.ParetoRequest{App: app, Topology: topo}},
+	} {
+		rep := sess.Do(context.Background(), req)
+		if rep.ErrorKind != sunmap.ErrorKindBadRequest {
+			t.Errorf("%s: error kind %q (%s), want %q", req.Op, rep.ErrorKind, rep.Error, sunmap.ErrorKindBadRequest)
+		}
+	}
+}

@@ -4,8 +4,8 @@
 // global math/rand source, or the wall clock leaks into an output.
 //
 // Three construct classes are flagged, in the deterministic packages
-// only (core, engine, exp, fault, jobs, obs, search, serve — see
-// DetPackages):
+// only (the root sunmap package, core, engine, exp, fault, jobs, obs,
+// search, serve — see DetPackages):
 //
 //  1. a `range` over a map whose body appends to a slice or sends on a
 //     channel — iteration order reaches an ordered sink. Sorting the
@@ -35,6 +35,7 @@ import (
 // package whose output is pinned byte-identical across parallelism by a
 // root equivalence test.
 var DetPackages = map[string]bool{
+	"sunmap":                 true, // the Session: Pareto fold, report rows
 	"sunmap/internal/core":   true,
 	"sunmap/internal/engine": true,
 	"sunmap/internal/exp":    true,

@@ -25,7 +25,7 @@ func TestMatchScope(t *testing.T) {
 		"sunmap/internal/search": true,
 		"sunmap/serve":           true,
 		"sunmap/internal/sim":    false, // seeded RNG is the sim's workload, not a leak
-		"sunmap":                 false,
+		"sunmap":                 true,
 	} {
 		if got := detorder.Analyzer.Match(pkg); got != want {
 			t.Errorf("Match(%q) = %v, want %v", pkg, got, want)

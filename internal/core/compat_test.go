@@ -1,16 +1,13 @@
 package core
 
-// Test-only ctx-less entry points. The shipped package exposes only the
-// *Context forms (ctxdiscipline forbids library code from minting a
-// context); the in-package tests keep the shorter spellings via these
-// wrappers, which exist only in the test binary.
+// Test-only helpers. The shipped package exposes only SelectContext
+// (ctxdiscipline forbids library code from minting a context); the
+// in-package tests keep the shorter spelling and a few counts over the
+// candidate list via these helpers, which exist only in the test binary.
 
 import (
 	"context"
 
-	"sunmap/internal/engine"
-	"sunmap/internal/graph"
-	"sunmap/internal/mapping"
 	"sunmap/internal/topology"
 )
 
@@ -19,14 +16,29 @@ func Select(cfg Config) (*Selection, error) {
 	return SelectContext(context.Background(), cfg)
 }
 
-// RoutingSweep runs RoutingSweepContext under a background context with
-// default exploration options.
-func RoutingSweep(app *graph.CoreGraph, topo topology.Topology, opts mapping.Options) ([]RoutingSweepRow, error) {
-	return RoutingSweepContext(context.Background(), app, topo, opts, engine.Options{})
+// candName returns a candidate's topology name, even for a failed one.
+func candName(c Candidate) string {
+	if c.Result != nil {
+		return c.Result.Topology.Name()
+	}
+	return "unmappable"
 }
 
-// ParetoExplore runs ParetoExploreFault without a fault model under a
-// background context with default exploration options.
-func ParetoExplore(app *graph.CoreGraph, topo topology.Topology, opts mapping.Options, steps int) ([]ParetoPoint, error) {
-	return ParetoExploreFault(context.Background(), app, topo, opts, steps, nil, engine.Options{})
+// countCandidates counts the mapped candidates of sel that keep holds
+// for.
+func countCandidates(sel *Selection, keep func(Candidate) bool) int {
+	n := 0
+	for _, c := range sel.Candidates {
+		if c.Result != nil && keep(c) {
+			n++
+		}
+	}
+	return n
 }
+
+// feasible reports whether a mapped candidate is feasible.
+func feasible(c Candidate) bool { return c.Feasible() }
+
+// synthesized reports whether a mapped candidate is a synthesized
+// topology.
+func synthesized(c Candidate) bool { return c.Result.Topology.Kind() == topology.Synth }

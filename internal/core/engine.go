@@ -5,16 +5,16 @@
 // evaluations run on internal/engine's concurrent worker pool with a
 // shared content-addressed cache; core decides what to evaluate (library
 // enumeration, application-specific synthesis via internal/synth, routing
-// escalation) and how to rank the outcomes. The package also hosts the
-// design-space explorers behind Fig. 9: the routing-function bandwidth
-// sweep and the area-power Pareto search.
+// escalation) and how to rank the outcomes, the reliability re-pick
+// included. It is selection policy only: the Session in the root package
+// orchestrates every other operation, the Fig. 9 explorers included, and
+// builds every report row.
 package core
 
 import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
 
 	"sunmap/internal/engine"
 	"sunmap/internal/fault"
@@ -56,7 +56,7 @@ type Config struct {
 	// every setting.
 	Parallelism int
 	// Cache, when non-nil, memoizes Phase-1 evaluations so repeated
-	// Select calls, RoutingSweep and ParetoExplore on the same app share
+	// Select calls, and the Session's other ops on the same app, share
 	// work. Nil disables memoization (a single Select never revisits a
 	// design point — escalation changes the routing function — so a
 	// private cache would buy nothing).
@@ -64,7 +64,7 @@ type Config struct {
 	// Progress, when non-nil, streams one event per evaluated candidate.
 	Progress engine.Progress
 	// Limit, when non-nil, bounds in-flight mapping evaluations across
-	// concurrent Select/explore calls sharing it (see engine.Options.Limit).
+	// concurrent calls sharing it (see engine.Options.Limit).
 	Limit *engine.Limiter
 	// Scratch, when non-nil, is the mapping scratch free list shared
 	// with other runs (see engine.Options.Scratch).
@@ -95,14 +95,6 @@ type Candidate struct {
 	Survivability *fault.Report
 }
 
-// Name returns the candidate topology's name, even for failed candidates.
-func (c Candidate) Name() string {
-	if c.Result != nil {
-		return c.Result.Topology.Name()
-	}
-	return "unmappable"
-}
-
 // Selection is the outcome of the two SUNMAP phases.
 type Selection struct {
 	// Candidates holds every evaluated mapping, feasible or not, in
@@ -113,29 +105,6 @@ type Selection struct {
 	// RoutingUsed is the routing function the selection was made under
 	// (it differs from Config.Mapping.Routing after escalation).
 	RoutingUsed route.Function
-}
-
-// FeasibleCount returns the number of feasible candidates.
-func (s *Selection) FeasibleCount() int {
-	n := 0
-	for _, c := range s.Candidates {
-		if c.Result != nil && c.Feasible() {
-			n++
-		}
-	}
-	return n
-}
-
-// SynthCount returns the number of evaluated synthesized (Kind Synth)
-// candidates, feasible or not.
-func (s *Selection) SynthCount() int {
-	n := 0
-	for _, c := range s.Candidates {
-		if c.Result != nil && c.Result.Topology.Kind() == topology.Synth {
-			n++
-		}
-	}
-	return n
 }
 
 // ReliabilityScore is the composite objective of a fault-aware ranking:
@@ -155,8 +124,9 @@ func ReliabilityScore(cost, bestCost, survivability, w float64) float64 {
 	return norm + w*(1-survivability)
 }
 
-// escalation orders the routing functions by increasing flexibility.
-var escalation = []route.Function{route.DimensionOrdered, route.MinPath, route.SplitMin, route.SplitAll}
+// Escalation orders the routing functions by increasing flexibility: the
+// ladder an escalated selection climbs, and the rows of the routing sweep.
+var Escalation = []route.Function{route.DimensionOrdered, route.MinPath, route.SplitMin, route.SplitAll}
 
 // SelectContext is the selection entry point with cancellation: it runs
 // Phase 1 (map onto every library topology) and Phase 2 (choose the best
@@ -200,7 +170,7 @@ func SelectContext(ctx context.Context, cfg Config) (*Selection, error) {
 
 	fns := []route.Function{cfg.Mapping.Routing}
 	if cfg.EscalateRouting {
-		for _, f := range escalation {
+		for _, f := range Escalation {
 			if f > cfg.Mapping.Routing {
 				fns = append(fns, f)
 			}
@@ -333,65 +303,4 @@ func phase2(outcomes []engine.Outcome) (*Selection, error) {
 // point is what Phase 2 ranks a mapped candidate by (see rank.Less).
 func point(r *mapping.Result) rank.Point {
 	return rank.Point{Cost: r.Cost, PowerMW: r.PowerMW, AreaMM2: r.DesignAreaMM2, Routers: r.Topology.NumRouters(), Name: r.Topology.Name()}
-}
-
-// SummaryRow is one line of the per-topology comparison tables
-// (Fig. 6, Fig. 7b, Fig. 8c/d).
-type SummaryRow struct {
-	Topology    string
-	Kind        topology.Kind
-	AvgHops     float64
-	AreaMM2     float64
-	PowerMW     float64
-	Switches    int
-	Links       int
-	MaxLoadMBps float64
-	Feasible    bool
-	// Survivability is the candidate's fault-sweep reliability score
-	// when Config.Fault was active; HasSurvivability distinguishes a
-	// genuine 0 from "not evaluated".
-	Survivability    float64
-	HasSurvivability bool
-}
-
-// Summaries renders every successfully mapped candidate as a table row,
-// sorted by kind then name.
-func (s *Selection) Summaries() []SummaryRow {
-	var rows []SummaryRow
-	for _, c := range s.Candidates {
-		if c.Result == nil {
-			continue
-		}
-		r := c.Result
-		// NI links: direct topologies use one bidirectional core-switch
-		// channel; indirect ones wire the core to both an ingress and an
-		// egress switch, hence two.
-		niLinks := len(r.Assign)
-		if !r.Topology.Kind().Direct() {
-			niLinks *= 2
-		}
-		row := SummaryRow{
-			Topology:    r.Topology.Name(),
-			Kind:        r.Topology.Kind(),
-			AvgHops:     r.AvgHops,
-			AreaMM2:     r.DesignAreaMM2,
-			PowerMW:     r.PowerMW,
-			Switches:    r.Topology.NumRouters(),
-			Links:       topology.PhysicalLinks(r.Topology) + niLinks,
-			MaxLoadMBps: r.Route.MaxLinkLoad,
-			Feasible:    r.Feasible(),
-		}
-		if c.Survivability != nil {
-			row.Survivability = c.Survivability.Survivability()
-			row.HasSurvivability = true
-		}
-		rows = append(rows, row)
-	}
-	sort.Slice(rows, func(i, j int) bool {
-		if rows[i].Kind != rows[j].Kind {
-			return rows[i].Kind < rows[j].Kind
-		}
-		return rows[i].Topology < rows[j].Topology
-	})
-	return rows
 }

@@ -150,27 +150,6 @@ func TestMPEG4EscalatesToSplitAndDropsButterfly(t *testing.T) {
 	}
 }
 
-func TestSummariesSortedAndComplete(t *testing.T) {
-	sel, err := Select(vopdConfig(mapping.MinDelay))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows := sel.Summaries()
-	if len(rows) == 0 {
-		t.Fatal("no summary rows")
-	}
-	for i := 1; i < len(rows); i++ {
-		if rows[i].Kind < rows[i-1].Kind {
-			t.Error("summaries not sorted by kind")
-		}
-	}
-	for _, r := range rows {
-		if r.Switches <= 0 || r.Links <= 0 || r.AvgHops <= 0 {
-			t.Errorf("degenerate row %+v", r)
-		}
-	}
-}
-
 func TestSelectErrors(t *testing.T) {
 	if _, err := Select(Config{}); err == nil {
 		t.Error("nil app accepted")
@@ -200,8 +179,8 @@ func TestFeasibleCountAndExtras(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sel.FeasibleCount() < 5 {
-		t.Errorf("only %d feasible candidates for VOPD", sel.FeasibleCount())
+	if n := countCandidates(sel, feasible); n < 5 {
+		t.Errorf("only %d feasible candidates for VOPD", n)
 	}
 	// The star (one giant hub crossbar) must appear among candidates.
 	found := false

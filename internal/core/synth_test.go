@@ -40,26 +40,27 @@ func TestSelectWithSynthCandidates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := sel.SynthCount(); got < 3 {
-		t.Errorf("SynthCount = %d, want >= 3", got)
+	nSynth := countCandidates(sel, synthesized)
+	if nSynth < 3 {
+		t.Errorf("%d synthesized candidates, want >= 3", nSynth)
 	}
 	// The library must still be fully present before the synthesized tail.
 	lib, err := topology.Library(12, topology.LibraryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(sel.Candidates) != len(lib)+sel.SynthCount() {
+	if len(sel.Candidates) != len(lib)+nSynth {
 		t.Errorf("%d candidates for %d library + %d synthesized",
-			len(sel.Candidates), len(lib), sel.SynthCount())
+			len(sel.Candidates), len(lib), nSynth)
 	}
 	for i, want := range lib {
-		if sel.Candidates[i].Name() != want.Name() {
-			t.Errorf("candidate %d = %s, want library member %s", i, sel.Candidates[i].Name(), want.Name())
+		if got := candName(sel.Candidates[i]); got != want.Name() {
+			t.Errorf("candidate %d = %s, want library member %s", i, got, want.Name())
 		}
 	}
 	for _, c := range sel.Candidates[len(lib):] {
 		if c.Result == nil || c.Result.Topology.Kind() != topology.Synth {
-			t.Errorf("tail candidate %s is not an evaluated synthesized topology", c.Name())
+			t.Errorf("tail candidate %s is not an evaluated synthesized topology", candName(c))
 		}
 	}
 }
@@ -121,7 +122,7 @@ func TestSelectWithSynthCacheReplay(t *testing.T) {
 	if synthHits < 3 {
 		t.Errorf("only %d synthesized cache hits, want >= 3", synthHits)
 	}
-	if sel.SynthCount() < 3 {
-		t.Errorf("SynthCount = %d after warm replay, want >= 3", sel.SynthCount())
+	if n := countCandidates(sel, synthesized); n < 3 {
+		t.Errorf("%d synthesized candidates after warm replay, want >= 3", n)
 	}
 }

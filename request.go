@@ -323,7 +323,8 @@ type SweepRequest struct {
 }
 
 // ParetoRequest asks for the area-power design-space exploration of
-// Fig. 9(b). Steps controls the weight-grid resolution (default 5).
+// Fig. 9(b). Steps controls the weight-grid resolution (0 or 1 selects
+// the default 5; at most 40).
 // With Fault set (or inherited from WithFault), every design point also
 // carries its survivability and the front is marked in the
 // three-objective (area, power, survivability) space.

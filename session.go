@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 	"time"
@@ -46,8 +47,9 @@ type Session struct {
 	// borrows from; evaluations take a set only while holding a limit
 	// slot, so it never holds more sets than limit has slots.
 	scratch *engine.Free[mapping.Scratch]
-	// sweepers keeps FaultSweep's survivability sweepers warm across
-	// requests, one per concurrent sweep.
+	// sweepers keeps the survivability sweepers of FaultSweep and of a
+	// fault-aware ParetoExplore warm across requests, one per concurrent
+	// sweep.
 	sweepers *engine.Free[fault.Sweeper]
 	trace    *Trace
 	// scope is the session's topology catalog: its libraries, the
@@ -257,32 +259,32 @@ func (s *Session) Map(ctx context.Context, req MapRequest) (*DesignReport, error
 	if err != nil {
 		return nil, err
 	}
-	res, err := s.evalMap(ctx, app, topo, opts)
+	outcomes, err := s.evaluate(ctx, app, []engine.Job{{Topo: topo, Opts: opts}})
 	if err != nil {
 		return nil, err
 	}
-	return buildDesignReport(app, res), nil
+	return buildDesignReport(app, outcomes[0].Result), nil
 }
 
-// evalMap runs one mapping evaluation through the engine, so single-
-// topology requests share the session cache and admission pool like
-// full sweeps do.
-func (s *Session) evalMap(ctx context.Context, app *graph.CoreGraph, topo Topology, opts mapping.Options) (*mapping.Result, error) {
-	outcomes, err := engine.Evaluate(ctx, app, []engine.Job{{Topo: topo, Opts: opts}}, engine.Options{
-		Parallelism: 1, Cache: s.cache, Progress: s.progress, Limit: s.limit, Scratch: s.scratch,
-	})
+// evaluate runs a job list on the session's engine resources, so every
+// op that maps shares the session cache and admission pool. A failed job
+// fails the call: a panic is an internal fault, and any other mapping
+// failure (e.g. more cores than terminals) is the request's.
+func (s *Session) evaluate(ctx context.Context, app *graph.CoreGraph, jobs []engine.Job) ([]engine.Outcome, error) {
+	outcomes, err := engine.Evaluate(ctx, app, jobs, s.engineOptions())
 	if err != nil {
 		return nil, err
 	}
-	if err := outcomes[0].Err; err != nil {
-		if errors.Is(err, engine.ErrPanic) {
-			return nil, fmt.Errorf("sunmap: map %s onto %s: %w", app.Name(), topo.Name(), err)
+	for i, o := range outcomes {
+		switch {
+		case o.Err == nil:
+		case errors.Is(o.Err, engine.ErrPanic):
+			return nil, fmt.Errorf("sunmap: map %s onto %s: %w", app.Name(), jobs[i].Topo.Name(), o.Err)
+		default:
+			return nil, fmt.Errorf("%w: map %s onto %s: %w", ErrBadRequest, app.Name(), jobs[i].Topo.Name(), o.Err)
 		}
-		// Structural mapping failures (e.g. more cores than terminals) are
-		// client-input problems, not server faults — classify accordingly.
-		return nil, fmt.Errorf("%w: map %s onto %s: %w", ErrBadRequest, app.Name(), topo.Name(), err)
 	}
-	return outcomes[0].Result, nil
+	return outcomes, nil
 }
 
 // RoutingSweep maps the application onto the named topology once per
@@ -304,7 +306,12 @@ func (s *Session) RoutingSweep(ctx context.Context, req SweepRequest) (*SweepRep
 	if err != nil {
 		return nil, err
 	}
-	rows, err := core.RoutingSweepContext(ctx, app, topo, opts, s.engineOptions())
+	jobs := make([]engine.Job, len(core.Escalation))
+	for i, fn := range core.Escalation {
+		jobs[i] = engine.Job{Topo: topo, Opts: opts}
+		jobs[i].Opts.Routing = fn
+	}
+	outcomes, err := s.evaluate(ctx, app, jobs)
 	if err != nil {
 		return nil, err
 	}
@@ -312,24 +319,41 @@ func (s *Session) RoutingSweep(ctx context.Context, req SweepRequest) (*SweepRep
 	if capMBps <= 0 {
 		capMBps = 500
 	}
-	rep := &SweepReport{App: app.Name(), Topology: topo.Name(), CapacityMBps: capMBps}
-	for _, r := range rows {
-		rep.Rows = append(rep.Rows, SweepRow{
-			Function:      r.Function.String(),
-			RequiredMBps:  r.RequiredMBps,
-			AvgHops:       r.AvgHops,
-			FeasibleAtCap: r.RequiredMBps <= capMBps+1e-6,
-		})
+	rep := &SweepReport{App: app.Name(), Topology: topo.Name(), CapacityMBps: capMBps, Rows: make([]SweepRow, len(jobs))}
+	for i, o := range outcomes {
+		rep.Rows[i] = SweepRow{
+			Function:      jobs[i].Opts.Routing.String(),
+			RequiredMBps:  o.Result.Route.MaxLinkLoad,
+			AvgHops:       o.Result.AvgHops,
+			FeasibleAtCap: o.Result.Route.MaxLinkLoad <= capMBps+1e-6,
+		}
 	}
 	return rep, nil
 }
 
-// ParetoExplore sweeps weighted objectives and buffer depths over the
-// named topology and reports the area-power design points with the
-// Pareto front marked — Fig. 9(b).
+// maxParetoSteps caps ParetoRequest.Steps. The grid holds
+// 3·steps·(steps+1)/2 mapping jobs, so 40 steps is 2,460 jobs; on the
+// paper's apps no grid finer than 5 steps found more distinct points.
+const maxParetoSteps = 40
+
+// ParetoExplore sweeps weighted delay/area/power objectives and switch
+// buffer depths over the named topology and reports the area-power design
+// points with the Pareto front marked — the exploration of Fig. 9(b).
+// Steps sets the weight-grid resolution per axis (below 2 selects 5, above
+// maxParetoSteps is a bad request); buffer depths 2, 4 and 8 flits span
+// the switch-configuration axis. Every grid point is one engine job, so
+// repeated and overlapping explorations replay from the session cache.
+//
+// With a fault model (the request's, else the session's), every point
+// also carries its survivability under degraded-mode rerouting, and the
+// front is marked in the (area, power, survivability) space, so a
+// designer reads off how much area or power buying fault tolerance costs.
 func (s *Session) ParetoExplore(ctx context.Context, req ParetoRequest) (*ParetoReport, error) {
 	ctx = s.traceCtx(ctx)
 	defer obs.FromContext(ctx).Start(obs.StagePareto).End()
+	if req.Steps < 0 || req.Steps > maxParetoSteps {
+		return nil, fmt.Errorf("%w: pareto steps %d outside [0, %d]", ErrBadRequest, req.Steps, maxParetoSteps)
+	}
 	app, err := req.App.resolve()
 	if err != nil {
 		return nil, err
@@ -350,33 +374,141 @@ func (s *Session) ParetoExplore(ctx context.Context, req ParetoRequest) (*Pareto
 		}
 		fm = &m
 	}
-	pts, err := core.ParetoExploreFault(ctx, app, topo, opts, req.Steps, fm, s.engineOptions())
+	steps := req.Steps
+	if steps < 2 {
+		steps = 5
+	}
+	depths := []int{2, 4, 8}
+	jobs := make([]engine.Job, 0, len(depths)*steps*(steps+1)/2)
+	for _, depth := range depths {
+		for ai := 0; ai < steps; ai++ {
+			for pi := 0; pi < steps-ai; pi++ {
+				wa := float64(ai) / float64(steps-1)
+				wp := float64(pi) / float64(steps-1)
+				wd := 1 - wa - wp
+				if wd < 0 {
+					continue
+				}
+				o := opts
+				o.Tech.BufDepthFlits = depth
+				o.Objective = mapping.Weighted
+				o.Weights = mapping.Weights{Delay: wd, Area: wa, Power: wp}
+				jobs = append(jobs, engine.Job{Topo: topo, Opts: o})
+			}
+		}
+	}
+	outcomes, err := s.evaluate(ctx, app, jobs)
 	if err != nil {
 		return nil, err
 	}
-	rep := &ParetoReport{App: app.Name(), Topology: topo.Name()}
-	for _, p := range pts {
-		row := ParetoPointRow{
-			WeightDelay: p.Weights.Delay,
-			WeightArea:  p.Weights.Area,
-			WeightPower: p.Weights.Power,
-			AreaMM2:     p.AreaMM2,
-			PowerMW:     p.PowerMW,
-			AvgHops:     p.AvgHops,
-			Dominant:    p.Dominant,
-		}
-		if p.HasSurvivability {
-			surv := p.Survivability
-			row.Survivability = &surv
-		}
-		rep.Points = append(rep.Points, row)
+	type point struct {
+		row    ParetoPointRow
+		assign []int
 	}
+	pts := make([]point, 0, len(outcomes))
+	for i, o := range outcomes {
+		if res := o.Result; res.Feasible() {
+			w := jobs[i].Opts.Weights
+			pts = append(pts, point{
+				row: ParetoPointRow{
+					WeightDelay: w.Delay, WeightArea: w.Area, WeightPower: w.Power,
+					AreaMM2: res.DesignAreaMM2, PowerMW: res.PowerMW, AvgHops: res.AvgHops,
+				},
+				assign: res.Assign,
+			})
+		}
+	}
+	// Different weight vectors often converge to the same mapping; keep
+	// one representative per distinct (area, power, hops) point.
+	sort.Slice(pts, func(i, j int) bool {
+		pi, pj := pts[i].row, pts[j].row
+		if pi.AreaMM2 != pj.AreaMM2 {
+			return pi.AreaMM2 < pj.AreaMM2
+		}
+		if pi.PowerMW != pj.PowerMW {
+			return pi.PowerMW < pj.PowerMW
+		}
+		return pi.AvgHops < pj.AvgHops
+	})
+	dedup := pts[:0]
+	for _, p := range pts {
+		if n := len(dedup); n > 0 {
+			q := dedup[n-1].row
+			if nearly(p.row.AreaMM2, q.AreaMM2) && nearly(p.row.PowerMW, q.PowerMW) && nearly(p.row.AvgHops, q.AvgHops) {
+				continue
+			}
+		}
+		dedup = append(dedup, p)
+	}
+	rep := &ParetoReport{App: app.Name(), Topology: topo.Name()}
+	for _, p := range dedup {
+		rep.Points = append(rep.Points, p.row)
+	}
+	if fm != nil {
+		// One survivability sweep per distinct point, over one scenario set
+		// (the topology and model are shared), all under the grid's routing
+		// function, so every point is judged by the same failure discipline.
+		ropts := fault.Degraded(opts.RouteOptions())
+		comms := app.Commodities()
+		scenarios, exhaustive, err := fault.Scenarios(topo, *fm)
+		if err != nil {
+			return nil, fmt.Errorf("%w: %w", ErrBadRequest, err)
+		}
+		err = engine.Fan(ctx, len(dedup), s.engineOptions(), func(ctx context.Context, i int) error {
+			sw := s.sweepers.Get()
+			frep, err := sw.SweepContext(ctx, topo, dedup[i].assign, comms, ropts, scenarios, exhaustive, s.parallelism, s.limit)
+			s.sweepers.Put(sw)
+			if err != nil {
+				return fmt.Errorf("sunmap: pareto reliability: %w", err)
+			}
+			surv := frep.Survivability()
+			rep.Points[i].Survivability = &surv
+			return nil
+		})
+		if err != nil {
+			return nil, err
+		}
+	}
+	markPareto(rep.Points)
 	return rep, nil
 }
 
+// nearly reports a and b equal to within a relative 1e-6.
+func nearly(a, b float64) bool {
+	return math.Abs(a-b) <= 1e-6*(1+max(math.Abs(a), math.Abs(b)))
+}
+
+// markPareto flags the non-dominated points in the (area, power,
+// survivability) space: q dominates p when it is no worse on all three
+// axes (lower-or-equal area and power, higher-or-equal survivability) and
+// strictly better on at least one. Without a fault model no point
+// carries a survivability, and this is dominance in the (area, power)
+// plane.
+func markPareto(pts []ParetoPointRow) {
+	const tol = 1e-9
+	surv := func(p ParetoPointRow) float64 {
+		if p.Survivability == nil {
+			return 0
+		}
+		return *p.Survivability
+	}
+	for i := range pts {
+		p := pts[i]
+		dominated := false
+		for j, q := range pts {
+			if i != j && q.AreaMM2 <= p.AreaMM2+tol && q.PowerMW <= p.PowerMW+tol && surv(q) >= surv(p)-tol &&
+				(q.AreaMM2 < p.AreaMM2-tol || q.PowerMW < p.PowerMW-tol || surv(q) > surv(p)+tol) {
+				dominated = true
+				break
+			}
+		}
+		pts[i].Dominant = !dominated
+	}
+}
+
 // engineOptions hands the session's engine resources — parallelism,
-// cache, progress stream, limiter and scratch list — to an explorer or
-// an engine.Fan.
+// cache, progress stream, limiter and scratch list — to an engine.Evaluate
+// or an engine.Fan.
 func (s *Session) engineOptions() engine.Options {
 	return engine.Options{Parallelism: s.parallelism, Cache: s.cache, Progress: s.progress, Limit: s.limit, Scratch: s.scratch}
 }
@@ -487,10 +619,11 @@ func (s *Session) Simulate(ctx context.Context, req SimRequest) (*SimReport, err
 		if err != nil {
 			return nil, err
 		}
-		res, err := s.evalMap(ctx, app, topo, opts)
+		outcomes, err := s.evaluate(ctx, app, []engine.Job{{Topo: topo, Opts: opts}})
 		if err != nil {
 			return nil, err
 		}
+		res := outcomes[0].Result
 		routes, err := sim.BuildRoutesFromResult(topo, res.Assign, res.Route)
 		if err != nil {
 			return nil, fmt.Errorf("sunmap: simulate: %w", err)
@@ -608,9 +741,11 @@ func (s *Session) Generate(ctx context.Context, req GenerateRequest) (*GenerateR
 		if err != nil {
 			return nil, err
 		}
-		if res, err = s.evalMap(ctx, app, topo, opts); err != nil {
+		outcomes, err := s.evaluate(ctx, app, []engine.Job{{Topo: topo, Opts: opts}})
+		if err != nil {
 			return nil, err
 		}
+		res = outcomes[0].Result
 	}
 	gen, err := xpipes.Generate(app, res, opts.Tech)
 	if err != nil {
@@ -660,10 +795,11 @@ func (s *Session) FaultSweep(ctx context.Context, req FaultSweepRequest) (*Fault
 	if req.SimCycle != 0 && (req.SimCycle <= start || req.SimCycle >= end) {
 		return nil, fmt.Errorf("%w: sim cycle %d outside the measurement window (%d, %d)", ErrBadRequest, req.SimCycle, start, end)
 	}
-	res, err := s.evalMap(ctx, app, topo, opts)
+	outcomes, err := s.evaluate(ctx, app, []engine.Job{{Topo: topo, Opts: opts}})
 	if err != nil {
 		return nil, err
 	}
+	res := outcomes[0].Result
 	ropts := fault.Degraded(opts.RouteOptions())
 	scenarios, exhaustive, err := fault.Scenarios(topo, model)
 	if err != nil {
@@ -988,30 +1124,57 @@ func (s *Session) Batch(ctx context.Context, reqs []Request) ([]Report, error) {
 	return reports, nil
 }
 
-// buildSelectReport lowers a core.Selection onto the wire schema.
+// buildSelectReport lowers a core.Selection onto the wire schema: one
+// row per mapped candidate, sorted by kind, then name (the layout of
+// Fig. 6, Fig. 7b and Fig. 8c/d).
 func buildSelectReport(app *graph.CoreGraph, sel *core.Selection) *SelectReport {
 	rep := &SelectReport{
 		App:         app.Name(),
 		RoutingUsed: sel.RoutingUsed.String(),
 		Candidates:  len(sel.Candidates),
-		Feasible:    sel.FeasibleCount(),
-		Synthesized: sel.SynthCount(),
 	}
-	for _, r := range sel.Summaries() {
-		row := TopologyRow{
-			Topology:    r.Topology,
-			Kind:        r.Kind.String(),
-			AvgHops:     r.AvgHops,
-			AreaMM2:     r.AreaMM2,
-			PowerMW:     r.PowerMW,
-			Switches:    r.Switches,
-			Links:       r.Links,
-			MaxLoadMBps: r.MaxLoadMBps,
-			Feasible:    r.Feasible,
+	mapped := make([]core.Candidate, 0, len(sel.Candidates))
+	for _, c := range sel.Candidates {
+		if c.Result != nil {
+			mapped = append(mapped, c)
 		}
-		if r.HasSurvivability {
-			surv := r.Survivability
+	}
+	sort.Slice(mapped, func(i, j int) bool {
+		ti, tj := mapped[i].Topology, mapped[j].Topology
+		if ti.Kind() != tj.Kind() {
+			return ti.Kind() < tj.Kind()
+		}
+		return ti.Name() < tj.Name()
+	})
+	for _, c := range mapped {
+		r := c.Result
+		// NI links: direct topologies use one bidirectional core-switch
+		// channel; indirect ones wire the core to both an ingress and an
+		// egress switch, hence two.
+		niLinks := len(r.Assign)
+		if !r.Topology.Kind().Direct() {
+			niLinks *= 2
+		}
+		row := TopologyRow{
+			Topology:    r.Topology.Name(),
+			Kind:        r.Topology.Kind().String(),
+			AvgHops:     r.AvgHops,
+			AreaMM2:     r.DesignAreaMM2,
+			PowerMW:     r.PowerMW,
+			Switches:    r.Topology.NumRouters(),
+			Links:       topology.PhysicalLinks(r.Topology) + niLinks,
+			MaxLoadMBps: r.Route.MaxLinkLoad,
+			Feasible:    r.Feasible(),
+		}
+		if c.Survivability != nil {
+			surv := c.Survivability.Survivability()
 			row.Survivability = &surv
+		}
+		if row.Feasible {
+			rep.Feasible++
+		}
+		if r.Topology.Kind() == topology.Synth {
+			rep.Synthesized++
 		}
 		rep.Rows = append(rep.Rows, row)
 	}

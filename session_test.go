@@ -36,6 +36,13 @@ func batchRequests() []sunmap.Request {
 			App: dsp, Topology: "mesh-2x3", Mapping: sunmap.MapSpec{CapacityMBps: 1000},
 		}},
 		{ID: "bad", Op: "nonsense"},
+		{ID: "sel-fault", Op: sunmap.OpSelect, Select: &sunmap.SelectRequest{
+			App: dsp, Mapping: sunmap.MapSpec{CapacityMBps: 1000}, Fault: &sunmap.FaultSpec{K: 1},
+		}},
+		{ID: "pareto-fault", Op: sunmap.OpPareto, Pareto: &sunmap.ParetoRequest{
+			App: dsp, Topology: "mesh-2x3", Mapping: sunmap.MapSpec{CapacityMBps: 1000}, Steps: 3,
+			Fault: &sunmap.FaultSpec{K: 1},
+		}},
 	}
 }
 
@@ -107,6 +114,21 @@ func TestBatchResultsAndIsolation(t *testing.T) {
 	}
 	if err := reports[6].Err(); !errors.Is(err, sunmap.ErrBadRequest) {
 		t.Errorf("reconstructed error %v does not unwrap to ErrBadRequest", err)
+	}
+	// The fault-aware requests carry the reliability axis.
+	scored := 0
+	if rep := reports[7].Select; rep != nil {
+		for _, r := range rep.Rows {
+			if r.Survivability != nil {
+				scored++
+			}
+		}
+	}
+	if scored == 0 {
+		t.Errorf("fault-aware select report has no scored row: %+v", reports[7])
+	}
+	if rep := reports[8].Pareto; rep == nil || len(rep.Points) == 0 || rep.Points[0].Survivability == nil {
+		t.Errorf("fault-aware pareto report: %+v", reports[8])
 	}
 }
 
