@@ -149,6 +149,19 @@ func TestBadRequestSentinels(t *testing.T) {
 			})
 			return err
 		}},
+		{"fault k past the select candidates' elements", func() error {
+			_, err := sess.Select(ctx, sunmap.SelectRequest{
+				App: sunmap.AppSpec{Name: "vopd"}, Fault: &sunmap.FaultSpec{K: 100000},
+			})
+			return err
+		}},
+		{"fault k past the search winner's elements", func() error {
+			_, err := sess.Search(ctx, sunmap.SearchRequest{
+				App: sunmap.AppSpec{Name: "vopd"}, Search: sunmap.SearchOptions{Budget: 200, Seed: 1},
+				Fault: &sunmap.FaultSpec{K: 100000},
+			})
+			return err
+		}},
 	}
 	for _, tc := range cases {
 		if err := tc.call(); !errors.Is(err, sunmap.ErrBadRequest) {

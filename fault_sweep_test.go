@@ -157,6 +157,38 @@ func TestFaultSweepSessionReusesSweeper(t *testing.T) {
 	}
 }
 
+// TestFaultAwareSelectSessionReusesSweeper is the select counterpart of
+// TestFaultSweepSessionReusesSweeper: after a fault-free select has
+// warmed the cache, a second fault-aware select allocates at least 5%
+// fewer bytes than the first, because its survivability sweeps draw the
+// sweepers the first one left on the session's free list.
+func TestFaultAwareSelectSessionReusesSweeper(t *testing.T) {
+	sess, err := sunmap.NewSession(sunmap.WithParallelism(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := sunmap.SelectRequest{App: sunmap.AppSpec{Name: "vopd"}}
+	ctx := context.Background()
+	if _, err := sess.Select(ctx, req); err != nil {
+		t.Fatal(err)
+	}
+	req.Fault = &sunmap.FaultSpec{K: 2, Elements: "both"}
+	allocBytes := func() uint64 {
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		before := ms.TotalAlloc
+		if _, err := sess.Select(ctx, req); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&ms)
+		return ms.TotalAlloc - before
+	}
+	first := allocBytes()
+	if second := allocBytes(); second > first-first/20 {
+		t.Errorf("second fault-aware select allocated %d bytes, first %d: the session did not reuse its sweepers", second, first)
+	}
+}
+
 // TestFaultSweepValidation checks the bad-input paths classify as
 // bad_request on the wire.
 func TestFaultSweepValidation(t *testing.T) {

@@ -7,8 +7,9 @@
 // enumeration, application-specific synthesis via internal/synth, routing
 // escalation) and how to rank the outcomes, the reliability re-pick
 // included. It is selection policy only: the Session in the root package
-// orchestrates every other operation, the Fig. 9 explorers included, and
-// builds every report row.
+// orchestrates every other operation, the Fig. 9 explorers included,
+// builds every report row, and measures the survivability the re-pick
+// ranks by (Config.Survive).
 package core
 
 import (
@@ -17,7 +18,6 @@ import (
 	"math"
 
 	"sunmap/internal/engine"
-	"sunmap/internal/fault"
 	"sunmap/internal/graph"
 	"sunmap/internal/mapping"
 	"sunmap/internal/rank"
@@ -69,13 +69,14 @@ type Config struct {
 	// Scratch, when non-nil, is the mapping scratch free list shared
 	// with other runs (see engine.Options.Scratch).
 	Scratch *engine.Free[mapping.Scratch]
-	// Fault, when non-nil, adds a reliability axis to Phase 2: every
-	// feasible candidate's survivability under the model's failure
-	// scenarios is computed by degraded-mode rerouting (internal/fault)
-	// and folded into the final ranking — see ReliabilityWeight. The
-	// sweeps run on the engine pool within the same Parallelism/Limit
-	// budget as the mapping evaluations.
-	Fault *fault.Model
+	// Survive, when non-nil, adds a reliability axis to Phase 2: it
+	// measures a feasible candidate's survivability in [0, 1] under the
+	// routing function the selection settled on, and the scores fold
+	// into the final ranking — see ReliabilityWeight. Candidates fan out
+	// on the engine pool within the same Parallelism/Limit budget as the
+	// mapping evaluations, one call per unit, so a Survive that fans out
+	// itself under Limit nests in the unit's slot.
+	Survive func(ctx context.Context, res *mapping.Result, fn route.Function) (float64, error)
 	// ReliabilityWeight scales the reliability term of the fault-aware
 	// ranking: feasible candidates order by
 	// cost/bestCost + w·(1 − survivability), so w ≈ 1 trades a full
@@ -90,9 +91,9 @@ type Candidate struct {
 	// MapErr records a hard mapping failure (e.g. too few terminals);
 	// the Result is nil in that case.
 	MapErr error
-	// Survivability is the candidate's fault-sweep report, set for
-	// feasible candidates when Config.Fault is active (nil otherwise).
-	Survivability *fault.Report
+	// Survivability is the candidate's Config.Survive score, set for
+	// feasible candidates when Survive is (nil otherwise).
+	Survivability *float64
 }
 
 // Selection is the outcome of the two SUNMAP phases.
@@ -105,23 +106,6 @@ type Selection struct {
 	// RoutingUsed is the routing function the selection was made under
 	// (it differs from Config.Mapping.Routing after escalation).
 	RoutingUsed route.Function
-}
-
-// ReliabilityScore is the composite objective of a fault-aware ranking:
-// objective cost normalized by the best feasible cost, plus w·(1 −
-// survivability). A non-positive w selects the default weight 1. Phase
-// 2's reliability re-pick and the topology search's final fold share this
-// function, so a machine-discovered network is judged by exactly the rule
-// that ranks library candidates.
-func ReliabilityScore(cost, bestCost, survivability, w float64) float64 {
-	if w <= 0 {
-		w = 1
-	}
-	norm := 1.0
-	if bestCost > 0 {
-		norm = cost / bestCost
-	}
-	return norm + w*(1-survivability)
 }
 
 // Escalation orders the routing functions by increasing flexibility: the
@@ -159,14 +143,6 @@ func SelectContext(ctx context.Context, cfg Config) (*Selection, error) {
 		return nil, fmt.Errorf("core: empty topology library")
 	}
 	eo := engine.Options{Parallelism: cfg.Parallelism, Cache: cfg.Cache, Progress: cfg.Progress, Limit: cfg.Limit, Scratch: cfg.Scratch}
-	if eo.Limit == nil {
-		// The fault-sweep helpers of applyReliability admit by borrowing
-		// idle slots from the shared limiter; without a session-provided
-		// one, Select provisions a run-local limiter sized to its own
-		// parallelism so that budget exists. Evaluate's worker pool never
-		// exceeds the same bound, so whole-candidate admission never blocks.
-		eo.Limit = engine.NewLimiter(cfg.Parallelism)
-	}
 
 	fns := []route.Function{cfg.Mapping.Routing}
 	if cfg.EscalateRouting {
@@ -194,7 +170,7 @@ func SelectContext(ctx context.Context, cfg Config) (*Selection, error) {
 			break
 		}
 	}
-	if cfg.Fault != nil && sel != nil {
+	if cfg.Survive != nil && sel != nil {
 		if err := applyReliability(ctx, cfg, sel, eo); err != nil {
 			return nil, err
 		}
@@ -202,40 +178,26 @@ func SelectContext(ctx context.Context, cfg Config) (*Selection, error) {
 	return sel, nil
 }
 
-// applyReliability is the fault-aware half of Phase 2: sweep every
-// feasible candidate's failure scenarios (degraded-mode rerouting under
-// the selection's routing function) and re-pick Best by the composite
-// cost/bestCost + w·(1 − survivability) score. Sweeps fan out through
-// engine.Fan, one candidate per unit, and each candidate's scenario
-// sweep is a Fan nested in its unit's slot, whose extra workers borrow
-// idle limiter slots. Outcomes are index-addressed and folded
-// sequentially, so results stay byte-identical at every parallelism
-// setting.
+// applyReliability is the fault-aware half of Phase 2: score every
+// feasible candidate's survivability under the selection's routing
+// function and re-pick Best by the composite cost/bestCost + w·(1 −
+// survivability) score. Candidates fan out through engine.Fan, one per
+// unit. Scores are index-addressed and folded sequentially, so results
+// stay byte-identical at every parallelism setting.
 func applyReliability(ctx context.Context, cfg Config, sel *Selection, eo engine.Options) error {
-	opts := cfg.Mapping
-	opts.Routing = sel.RoutingUsed
-	ropts := fault.Degraded(opts.RouteOptions())
-	comms := cfg.App.Commodities()
 	var idxs []int
 	for i, c := range sel.Candidates {
 		if c.Result != nil && c.Feasible() {
 			idxs = append(idxs, i)
 		}
 	}
-	sweepers := engine.NewFree(fault.NewSweeper)
 	err := engine.Fan(ctx, len(idxs), eo, func(ctx context.Context, j int) error {
 		c := &sel.Candidates[idxs[j]]
-		scenarios, exhaustive, err := fault.Scenarios(c.Result.Topology, *cfg.Fault)
+		surv, err := cfg.Survive(ctx, c.Result, sel.RoutingUsed)
 		if err != nil {
 			return fmt.Errorf("core: reliability of %s: %w", c.Result.Topology.Name(), err)
 		}
-		sw := sweepers.Get()
-		rep, err := sw.SweepContext(ctx, c.Result.Topology, c.Result.Assign, comms, ropts, scenarios, exhaustive, eo.Parallelism, eo.Limit)
-		sweepers.Put(sw)
-		if err != nil {
-			return fmt.Errorf("core: reliability of %s: %w", c.Result.Topology.Name(), err)
-		}
-		c.Survivability = rep
+		c.Survivability = &surv
 		return nil
 	})
 	if err != nil {
@@ -251,7 +213,7 @@ func applyReliability(ctx context.Context, cfg Config, sel *Selection, eo engine
 	const scoreTol = 1e-12
 	for _, i := range idxs {
 		c := sel.Candidates[i]
-		score := ReliabilityScore(c.Result.Cost, minCost, c.Survivability.Survivability(), cfg.ReliabilityWeight)
+		score := rank.ReliabilityScore(c.Result.Cost, minCost, *c.Survivability, cfg.ReliabilityWeight)
 		switch {
 		case best == -1 || score < bestScore-scoreTol:
 			best, bestScore = i, score

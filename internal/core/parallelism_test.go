@@ -7,14 +7,12 @@ package core
 
 import (
 	"context"
-	"reflect"
 	"runtime"
 	"sync/atomic"
 	"testing"
 
 	"sunmap/internal/apps"
 	"sunmap/internal/engine"
-	"sunmap/internal/fault"
 	"sunmap/internal/mapping"
 	"sunmap/internal/route"
 )
@@ -32,19 +30,19 @@ func mpeg4EscalationConfig(par int) Config {
 	}
 }
 
-// sameSurvivability asserts the per-candidate fault reports of two
-// selections are byte-identical — the fold order never depends on how
-// many workers evaluated the scenarios.
+// sameSurvivability asserts the per-candidate survivabilities of two
+// selections are identical — the fold order never depends on how many
+// workers evaluated the scenarios.
 func sameSurvivability(t *testing.T, got, want *Selection) {
 	t.Helper()
 	for i := range got.Candidates {
 		g, w := got.Candidates[i], want.Candidates[i]
 		if (g.Survivability == nil) != (w.Survivability == nil) {
-			t.Fatalf("candidate %s: fault report presence differs", candName(g))
+			t.Fatalf("candidate %s: survivability presence differs", candName(g))
 		}
-		if g.Survivability != nil && !reflect.DeepEqual(g.Survivability, w.Survivability) {
-			t.Errorf("candidate %s: fault report differs across parallelism:\ngot:  %+v\nwant: %+v",
-				candName(g), g.Survivability, w.Survivability)
+		if g.Survivability != nil && *g.Survivability != *w.Survivability {
+			t.Errorf("candidate %s: survivability differs across parallelism: got %v, want %v",
+				candName(g), *g.Survivability, *w.Survivability)
 		}
 	}
 }
@@ -72,15 +70,10 @@ func TestEscalatedSelectionIdenticalAcrossParallelism(t *testing.T) {
 
 // TestFaultAwareEscalationIdenticalAcrossParallelism composes an
 // escalated parallel selection with the per-candidate fault-sweep
-// fan-out and pins byte-identical Selection and fault.Report results
+// fan-out and pins byte-identical Selection and survivability results
 // across Parallelism ∈ {1, 2, GOMAXPROCS}.
 func TestFaultAwareEscalationIdenticalAcrossParallelism(t *testing.T) {
-	cfg := func(par int) Config {
-		c := mpeg4EscalationConfig(par)
-		c.Fault = &fault.Model{K: 1, Elements: fault.Links}
-		c.ReliabilityWeight = 1
-		return c
-	}
+	cfg := func(par int) Config { return withLinkFaults(mpeg4EscalationConfig(par)) }
 	seq, err := Select(cfg(1))
 	if err != nil {
 		t.Fatal(err)
@@ -126,9 +119,9 @@ func TestReliabilityRespectsLimiterCap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := faultSelectConfig(4)
+	cfg := vopdMinPathConfig(4)
 	cfg.Limit = engine.NewLimiter(2)
-	got, err := SelectContext(context.Background(), cfg)
+	got, err := SelectContext(context.Background(), withLinkFaults(cfg))
 	if err != nil {
 		t.Fatal(err)
 	}

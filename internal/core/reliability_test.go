@@ -15,7 +15,7 @@ import (
 	"sunmap/internal/route"
 )
 
-func faultSelectConfig(par int) Config {
+func vopdMinPathConfig(par int) Config {
 	return Config{
 		App: apps.VOPD(),
 		Mapping: mapping.Options{
@@ -23,14 +23,38 @@ func faultSelectConfig(par int) Config {
 			Objective:    mapping.MinDelay,
 			CapacityMBps: 500,
 		},
-		Parallelism:       par,
-		Fault:             &fault.Model{K: 1, Elements: fault.Links},
-		ReliabilityWeight: 1,
+		Parallelism: par,
 	}
 }
 
+func faultSelectConfig(par int) Config { return withLinkFaults(vopdMinPathConfig(par)) }
+
+// withLinkFaults turns on cfg's reliability axis at weight 1: Survive
+// sweeps every single-link failure of a candidate with fault.SweepContext
+// in degraded mode, under cfg's parallelism and limiter, as the Session's
+// scorer does.
+func withLinkFaults(cfg Config) Config {
+	comms := cfg.App.Commodities()
+	model := fault.Model{K: 1, Elements: fault.Links}
+	cfg.Survive = func(ctx context.Context, res *mapping.Result, fn route.Function) (float64, error) {
+		opts := cfg.Mapping
+		opts.Routing = fn
+		scenarios, exhaustive, err := fault.Scenarios(res.Topology, model)
+		if err != nil {
+			return 0, err
+		}
+		rep, err := fault.SweepContext(ctx, res.Topology, res.Assign, comms, fault.Degraded(opts.RouteOptions()), scenarios, exhaustive, cfg.Parallelism, cfg.Limit)
+		if err != nil {
+			return 0, err
+		}
+		return rep.Survivability(), nil
+	}
+	cfg.ReliabilityWeight = 1
+	return cfg
+}
+
 // TestReliabilityAwareSelection checks every feasible candidate carries
-// a fault report and that Best is the argmin of the documented
+// a survivability and that Best is the argmin of the documented
 // composite score cost/bestCost + w·(1 − survivability).
 func TestReliabilityAwareSelection(t *testing.T) {
 	sel, err := SelectContext(context.Background(), faultSelectConfig(1))
@@ -49,9 +73,9 @@ func TestReliabilityAwareSelection(t *testing.T) {
 			continue
 		}
 		if c.Survivability == nil {
-			t.Fatalf("%s: feasible candidate missing fault report", candName(c))
+			t.Fatalf("%s: feasible candidate missing survivability", candName(c))
 		}
-		if s := c.Survivability.Survivability(); s < 0 || s > 1 {
+		if s := *c.Survivability; s < 0 || s > 1 {
 			t.Errorf("%s: survivability %g outside [0,1]", candName(c), s)
 		}
 		if c.Result.Cost < minCost {
@@ -64,7 +88,7 @@ func TestReliabilityAwareSelection(t *testing.T) {
 		if c.Result == nil || !c.Feasible() {
 			continue
 		}
-		score := c.Result.Cost/minCost + (1 - c.Survivability.Survivability())
+		score := c.Result.Cost/minCost + (1 - *c.Survivability)
 		if score < bestScore-1e-12 {
 			bestScore = score
 			bestName = c.Result.Topology.Name()
@@ -73,7 +97,7 @@ func TestReliabilityAwareSelection(t *testing.T) {
 	selScore := math.Inf(1)
 	for _, c := range sel.Candidates {
 		if c.Result == sel.Best {
-			selScore = c.Result.Cost/minCost + (1 - c.Survivability.Survivability())
+			selScore = c.Result.Cost/minCost + (1 - *c.Survivability)
 		}
 	}
 	if selScore > bestScore+1e-9 {

@@ -1,8 +1,10 @@
 // Package rank defines Phase 2's order over feasible design points
 // (Section 3 of the paper): the one comparison by which the selection,
 // its fault-aware re-pick and the figure reproductions of internal/exp
-// fold candidates. It depends on nothing, so both the selection layer and
-// code that sees only Session reports can call it.
+// fold candidates, and the composite score by which the re-pick and the
+// topology search weigh cost against survivability. It depends on
+// nothing, so the selection layer, the search and code that sees only
+// Session reports can all call it.
 package rank
 
 // Point is what Phase 2 ranks a feasible design point by.
@@ -39,4 +41,21 @@ func Less(a, b Point) bool {
 		return a.Routers < b.Routers
 	}
 	return a.Name < b.Name
+}
+
+// ReliabilityScore is the composite objective of a fault-aware ranking:
+// objective cost normalized by the best feasible cost, plus w·(1 −
+// survivability). A non-positive w selects the default weight 1. Phase
+// 2's reliability re-pick and the topology search's final fold share this
+// function, so a machine-discovered network is judged by exactly the rule
+// that ranks library candidates.
+func ReliabilityScore(cost, bestCost, survivability, w float64) float64 {
+	if w <= 0 {
+		w = 1
+	}
+	norm := 1.0
+	if bestCost > 0 {
+		norm = cost / bestCost
+	}
+	return norm + w*(1-survivability)
 }

@@ -15,7 +15,7 @@
 // minimum-path search, reject cyclic channel-dependency graphs, and
 // accept by the Metropolis rule under a geometric cooling schedule.
 // Chain winners are materialized through topology.NewCustom, fully
-// mapped (placement, floorplan, power), optionally swept for fault
+// mapped (placement, floorplan, power), optionally scored for their
 // survivability, and folded sequentially into one best design.
 //
 // Determinism contract: for a fixed (Seed, Budget, Restarts) the result
@@ -37,11 +37,11 @@ import (
 	"sort"
 	"strings"
 
-	"sunmap/internal/core"
 	"sunmap/internal/engine"
-	"sunmap/internal/fault"
 	"sunmap/internal/graph"
 	"sunmap/internal/mapping"
+	"sunmap/internal/rank"
+	"sunmap/internal/route"
 	"sunmap/internal/synth"
 	"sunmap/internal/topology"
 )
@@ -81,11 +81,14 @@ type Options struct {
 	// Mapping configures the full evaluation of chain winners and the
 	// link capacity/objective the fitness function mirrors.
 	Mapping mapping.Options
-	// Fault, when non-nil, scores chain winners' survivability and folds
-	// it into the final ranking via core.ReliabilityScore.
-	Fault *fault.Model
+	// Survive, when non-nil, scores a chain winner's survivability in
+	// [0, 1] under the Mapping routing function, and the final fold ranks
+	// feasible winners by rank.ReliabilityScore. It runs in the chain's
+	// unit context, so a Survive that fans out under Limit nests in the
+	// chain's slot.
+	Survive func(ctx context.Context, res *mapping.Result, fn route.Function) (float64, error)
 	// ReliabilityWeight is the w of the composite reliability score
-	// (non-positive selects 1); only consulted when Fault is set.
+	// (non-positive selects 1); only consulted when Survive is set.
 	ReliabilityWeight float64
 	// Parallelism bounds the chain fan-out (0 selects GOMAXPROCS).
 	Parallelism int
@@ -160,7 +163,7 @@ type Candidate struct {
 	// placement, floorplan, area, power, cost. Nil when the run was
 	// canceled before this candidate reached full evaluation.
 	Evaluated *mapping.Result
-	// Survivability is the fault-sweep score when Options.Fault was set.
+	// Survivability is the Options.Survive score when Survive was set.
 	Survivability    float64
 	HasSurvivability bool
 }
@@ -220,7 +223,6 @@ func Run(ctx context.Context, app *graph.CoreGraph, opts Options) (*Result, erro
 	per, rem := o.Budget/chains, o.Budget%chains
 	results := make([]*chainResult, chains)
 	scratch := engine.NewFree(mapping.NewScratch)
-	sweepers := engine.NewFree(fault.NewSweeper)
 	eo := engine.Options{Parallelism: o.Parallelism, Limit: o.Limit}
 	fanErr := engine.Fan(ctx, chains, eo, func(ctx context.Context, i int) error {
 		budget := per
@@ -229,7 +231,7 @@ func Run(ctx context.Context, app *graph.CoreGraph, opts Options) (*Result, erro
 		}
 		cr := runChain(ctx, comms, terms, o, b, i, budget, inits[i%len(inits)])
 		if cr.err == nil && ctx.Err() == nil {
-			finishChain(ctx, app, comms, o, cr, scratch, sweepers)
+			finishChain(ctx, app, o, cr, scratch)
 		}
 		results[i] = cr
 		return cr.err
@@ -404,11 +406,8 @@ func snapshot(c *cand, fit float64) Candidate {
 // fitness-best candidate, keeps the better of the two as the chain
 // winner (so a chain can never regress below its seed — the search
 // matches or beats the synthesized baselines by construction), and
-// scores its survivability when a fault model is configured. ctx is the
-// chain's unit context, so the fault sweep is a Fan nested in the
-// chain's slot: it works inline and borrows idle slots for its extra
-// workers.
-func finishChain(ctx context.Context, app *graph.CoreGraph, comms []graph.Commodity, o Options, cr *chainResult, scratch *engine.Free[mapping.Scratch], sweepers *engine.Free[fault.Sweeper]) {
+// scores its survivability when Options.Survive is set.
+func finishChain(ctx context.Context, app *graph.CoreGraph, o Options, cr *chainResult, scratch *engine.Free[mapping.Scratch]) {
 	evalOne := func(c *Candidate) bool {
 		topo, err := materialize(app, o.Seed, *c)
 		if err != nil {
@@ -438,26 +437,17 @@ func finishChain(ctx context.Context, app *graph.CoreGraph, comms []graph.Commod
 	if fullBetter(&cr.init, &cr.best) {
 		cr.best = cr.init
 	}
-	if o.Fault == nil {
+	if o.Survive == nil {
 		return
 	}
-	r := cr.best.Evaluated
-	scenarios, exhaustive, err := fault.Scenarios(r.Topology, *o.Fault)
-	if err != nil {
-		cr.err = fmt.Errorf("search: chain %d: %w", cr.chain, err)
-		return
-	}
-	sw := sweepers.Get()
-	rep, err := sw.SweepContext(ctx, r.Topology, r.Assign, comms, fault.Degraded(o.Mapping.RouteOptions()), scenarios, exhaustive, o.Parallelism, o.Limit)
-	sweepers.Put(sw)
+	surv, err := o.Survive(ctx, cr.best.Evaluated, o.Mapping.Routing)
 	if err != nil {
 		if ctx.Err() == nil {
 			cr.err = fmt.Errorf("search: chain %d: %w", cr.chain, err)
 		}
 		return
 	}
-	cr.best.Survivability = rep.Survivability()
-	cr.best.HasSurvivability = true
+	cr.best.Survivability, cr.best.HasSurvivability = surv, true
 }
 
 func structEqual(a, b Candidate) bool {
@@ -508,11 +498,11 @@ func fold(results []*chainResult, o Options, chains int) *Result {
 			bestCost = r.Cost
 		}
 	}
-	rank := func(c *Candidate) (tier int, score float64) {
+	tierOf := func(c *Candidate) (tier int, score float64) {
 		switch {
 		case c.Evaluated != nil && c.Evaluated.Feasible():
-			if o.Fault != nil {
-				return 0, core.ReliabilityScore(c.Evaluated.Cost, bestCost, c.Survivability, o.ReliabilityWeight)
+			if o.Survive != nil {
+				return 0, rank.ReliabilityScore(c.Evaluated.Cost, bestCost, c.Survivability, o.ReliabilityWeight)
 			}
 			return 0, c.Evaluated.Cost
 		case c.Evaluated != nil:
@@ -529,7 +519,7 @@ func fold(results []*chainResult, o Options, chains int) *Result {
 		}
 		res.Evaluations += cr.evals
 		res.Accepted += cr.accepted
-		tier, score := rank(&cr.best)
+		tier, score := tierOf(&cr.best)
 		take := winner == -1 ||
 			tier < wTier ||
 			(tier == wTier && score < wScore-tol)

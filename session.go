@@ -47,9 +47,9 @@ type Session struct {
 	// borrows from; evaluations take a set only while holding a limit
 	// slot, so it never holds more sets than limit has slots.
 	scratch *engine.Free[mapping.Scratch]
-	// sweepers keeps the survivability sweepers of FaultSweep and of a
-	// fault-aware ParetoExplore warm across requests, one per concurrent
-	// sweep.
+	// sweepers keeps the sweepers of survivability warm across
+	// requests, one per concurrent sweep: every fault-aware op measures
+	// on this one list.
 	sweepers *engine.Free[fault.Sweeper]
 	trace    *Trace
 	// scope is the session's topology catalog: its libraries, the
@@ -229,7 +229,7 @@ func (s *Session) Select(ctx context.Context, req SelectRequest) (*SelectReport,
 		o := req.Synth.options()
 		synthOpts = &o
 	}
-	sel, err := s.selectDesign(ctx, app, opts, req.Escalate, synthOpts, s.faultSpec(req.Fault))
+	sel, err := s.selectDesign(ctx, app, opts, req.Escalate, synthOpts, req.Fault)
 	if err != nil {
 		return nil, err
 	}
@@ -366,13 +366,9 @@ func (s *Session) ParetoExplore(ctx context.Context, req ParetoRequest) (*Pareto
 	if err != nil {
 		return nil, err
 	}
-	var fm *fault.Model
-	if spec := s.faultSpec(req.Fault); spec != nil {
-		m, err := spec.model()
-		if err != nil {
-			return nil, err
-		}
-		fm = &m
+	survive, _, err := s.survivor(app, opts, req.Fault)
+	if err != nil {
+		return nil, err
 	}
 	steps := req.Steps
 	if steps < 2 {
@@ -402,8 +398,8 @@ func (s *Session) ParetoExplore(ctx context.Context, req ParetoRequest) (*Pareto
 		return nil, err
 	}
 	type point struct {
-		row    ParetoPointRow
-		assign []int
+		row ParetoPointRow
+		res *mapping.Result
 	}
 	pts := make([]point, 0, len(outcomes))
 	for i, o := range outcomes {
@@ -414,7 +410,7 @@ func (s *Session) ParetoExplore(ctx context.Context, req ParetoRequest) (*Pareto
 					WeightDelay: w.Delay, WeightArea: w.Area, WeightPower: w.Power,
 					AreaMM2: res.DesignAreaMM2, PowerMW: res.PowerMW, AvgHops: res.AvgHops,
 				},
-				assign: res.Assign,
+				res: res,
 			})
 		}
 	}
@@ -444,24 +440,15 @@ func (s *Session) ParetoExplore(ctx context.Context, req ParetoRequest) (*Pareto
 	for _, p := range dedup {
 		rep.Points = append(rep.Points, p.row)
 	}
-	if fm != nil {
-		// One survivability sweep per distinct point, over one scenario set
-		// (the topology and model are shared), all under the grid's routing
-		// function, so every point is judged by the same failure discipline.
-		ropts := fault.Degraded(opts.RouteOptions())
-		comms := app.Commodities()
-		scenarios, exhaustive, err := fault.Scenarios(topo, *fm)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %w", ErrBadRequest, err)
-		}
+	if survive != nil {
+		// One survivability sweep per distinct point, all under the grid's
+		// routing function, so every point is judged by the same failure
+		// discipline.
 		err = engine.Fan(ctx, len(dedup), s.engineOptions(), func(ctx context.Context, i int) error {
-			sw := s.sweepers.Get()
-			frep, err := sw.SweepContext(ctx, topo, dedup[i].assign, comms, ropts, scenarios, exhaustive, s.parallelism, s.limit)
-			s.sweepers.Put(sw)
+			surv, err := survive(ctx, dedup[i].res, opts.Routing)
 			if err != nil {
 				return fmt.Errorf("sunmap: pareto reliability: %w", err)
 			}
-			surv := frep.Survivability()
 			rep.Points[i].Survivability = &surv
 			return nil
 		})
@@ -515,10 +502,10 @@ func (s *Session) engineOptions() engine.Options {
 
 // selectDesign runs one selection on the session's engine resources —
 // the single place session knobs map onto core.Config — over the
-// catalog's library for the app's core count, under an optional failure
-// model, and registers every synthesized candidate it evaluated in the
-// session scope, so each synth row of the report resolves by name in
-// follow-up requests.
+// catalog's library for the app's core count, under the request's
+// failure model (else the session's), and registers every synthesized
+// candidate it evaluated in the session scope, so each synth row of the
+// report resolves by name in follow-up requests.
 func (s *Session) selectDesign(ctx context.Context, app *graph.CoreGraph, opts mapping.Options, escalate bool, synthOpts *SynthOptions, spec *FaultSpec) (*core.Selection, error) {
 	lib, err := s.scope.Library(app.NumCores(), s.libOpts)
 	if err != nil {
@@ -536,13 +523,9 @@ func (s *Session) selectDesign(ctx context.Context, app *graph.CoreGraph, opts m
 		Limit:           s.limit,
 		Scratch:         s.scratch,
 	}
-	if spec != nil {
-		m, err := spec.model()
-		if err != nil {
-			return nil, err
-		}
-		cfg.Fault = &m
-		cfg.ReliabilityWeight = spec.ReliabilityWeight
+	cfg.Survive, cfg.ReliabilityWeight, err = s.survivor(app, opts, spec)
+	if err != nil {
+		return nil, err
 	}
 	sel, err := core.SelectContext(ctx, cfg)
 	if err != nil {
@@ -558,14 +541,51 @@ func (s *Session) selectDesign(ctx context.Context, app *graph.CoreGraph, opts m
 	return sel, nil
 }
 
-// faultSpec resolves the failure model for one request: the request's
-// own spec when given, the session default otherwise (nil = no
-// reliability axis).
-func (s *Session) faultSpec(req *FaultSpec) *FaultSpec {
-	if req != nil {
-		return req
+// survivability measures one mapped design's survivability under a
+// failure model. It is the Session's one survivability path: the
+// mapping options' routing lowers through fault.Degraded, the design's
+// scenario set is built (a model the topology cannot meet, such as k
+// above its element count, is a bad request), and the sweep runs on a
+// sweeper from s.sweepers under the session's parallelism and limiter.
+// Called from a unit of an engine.Fan under s.limit, the sweep nests in
+// the unit's slot.
+func (s *Session) survivability(ctx context.Context, res *mapping.Result, comms []graph.Commodity, opts mapping.Options, model fault.Model) (*fault.Report, error) {
+	scenarios, exhaustive, err := fault.Scenarios(res.Topology, model)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrBadRequest, err)
 	}
-	return s.fault
+	sw := s.sweepers.Get()
+	defer s.sweepers.Put(sw)
+	return sw.SweepContext(ctx, res.Topology, res.Assign, comms, fault.Degraded(opts.RouteOptions()), scenarios, exhaustive, s.parallelism, s.limit)
+}
+
+// survivor resolves a request's failure model, its own spec or else the
+// session default, into the scorer of the reliability axis and its
+// weight: survive measures a design mapped under opts by s.survivability,
+// under the routing function it was mapped with. Without a model,
+// survive is nil and there is no reliability axis.
+func (s *Session) survivor(app *graph.CoreGraph, opts mapping.Options, req *FaultSpec) (survive func(context.Context, *mapping.Result, route.Function) (float64, error), weight float64, err error) {
+	spec := req
+	if spec == nil {
+		spec = s.fault
+	}
+	if spec == nil {
+		return nil, 0, nil
+	}
+	model, err := spec.model()
+	if err != nil {
+		return nil, 0, err
+	}
+	comms := app.Commodities()
+	return func(ctx context.Context, res *mapping.Result, fn route.Function) (float64, error) {
+		o := opts
+		o.Routing = fn
+		rep, err := s.survivability(ctx, res, comms, o, model)
+		if err != nil {
+			return 0, err
+		}
+		return rep.Survivability(), nil
+	}, spec.ReliabilityWeight, nil
 }
 
 // Simulate sweeps the request's injection rates over the named topology
@@ -728,7 +748,7 @@ func (s *Session) Generate(ctx context.Context, req GenerateRequest) (*GenerateR
 	}
 	var res *mapping.Result
 	if req.Topology == "" {
-		sel, err := s.selectDesign(ctx, app, opts, req.Escalate, s.synth, s.fault)
+		sel, err := s.selectDesign(ctx, app, opts, req.Escalate, s.synth, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -800,18 +820,11 @@ func (s *Session) FaultSweep(ctx context.Context, req FaultSweepRequest) (*Fault
 		return nil, err
 	}
 	res := outcomes[0].Result
-	ropts := fault.Degraded(opts.RouteOptions())
-	scenarios, exhaustive, err := fault.Scenarios(topo, model)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %w", ErrBadRequest, err)
-	}
-	comms := app.Commodities()
-	sw := s.sweepers.Get()
-	frep, err := sw.SweepContext(ctx, topo, res.Assign, comms, ropts, scenarios, exhaustive, s.parallelism, s.limit)
-	s.sweepers.Put(sw)
+	frep, err := s.survivability(ctx, res, app.Commodities(), opts, model)
 	if err != nil {
 		return nil, err
 	}
+	ropts := fault.Degraded(opts.RouteOptions())
 	k := model.K
 	if k <= 0 {
 		k = 1
@@ -978,13 +991,9 @@ func (s *Session) SearchCheckpointed(ctx context.Context, req SearchRequest, cp 
 		opts.Checkpoint = cp.Sink
 		opts.Resume = cp.Resume
 	}
-	if spec := s.faultSpec(req.Fault); spec != nil {
-		m, err := spec.model()
-		if err != nil {
-			return nil, err
-		}
-		opts.Fault = &m
-		opts.ReliabilityWeight = spec.ReliabilityWeight
+	opts.Survive, opts.ReliabilityWeight, err = s.survivor(app, mopts, req.Fault)
+	if err != nil {
+		return nil, err
 	}
 	res, err := search.Run(ctx, app, opts)
 	if err != nil {
@@ -1166,10 +1175,7 @@ func buildSelectReport(app *graph.CoreGraph, sel *core.Selection) *SelectReport 
 			MaxLoadMBps: r.Route.MaxLinkLoad,
 			Feasible:    r.Feasible(),
 		}
-		if c.Survivability != nil {
-			surv := c.Survivability.Survivability()
-			row.Survivability = &surv
-		}
+		row.Survivability = c.Survivability
 		if row.Feasible {
 			rep.Feasible++
 		}

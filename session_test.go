@@ -43,6 +43,10 @@ func batchRequests() []sunmap.Request {
 			App: dsp, Topology: "mesh-2x3", Mapping: sunmap.MapSpec{CapacityMBps: 1000}, Steps: 3,
 			Fault: &sunmap.FaultSpec{K: 1},
 		}},
+		{ID: "search-fault", Op: sunmap.OpSearch, Search: &sunmap.SearchRequest{
+			App: dsp, Mapping: sunmap.MapSpec{CapacityMBps: 1000},
+			Search: sunmap.SearchOptions{Budget: 400, Seed: 1}, Fault: &sunmap.FaultSpec{K: 1},
+		}},
 	}
 }
 
@@ -129,6 +133,9 @@ func TestBatchResultsAndIsolation(t *testing.T) {
 	}
 	if rep := reports[8].Pareto; rep == nil || len(rep.Points) == 0 || rep.Points[0].Survivability == nil {
 		t.Errorf("fault-aware pareto report: %+v", reports[8])
+	}
+	if rep := reports[9].Search; rep == nil || rep.Survivability == nil || *rep.Survivability < 0 || *rep.Survivability > 1 {
+		t.Errorf("fault-aware search report: %+v", reports[9])
 	}
 }
 
